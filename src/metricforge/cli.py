@@ -125,10 +125,9 @@ def cmd_warp(args) -> int:
     t0 = time.monotonic()
     m = _load(args.input)
     try:
-        p = m.index(args.basepoint)
-    except KeyError as exc:
+        w = warp_space(m, m.index(args.basepoint))
+    except (KeyError, ValueError) as exc:
         raise SystemExit2(str(exc)) from exc
-    w = warp_space(m, p)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     space.save_space(w.warped, out)

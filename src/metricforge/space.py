@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -110,6 +111,41 @@ class ValidationReport:
 
 _WITNESS_CAP = 25  # per axiom; full counts are still reported
 
+_ROW_BLOCK = 64  # rows relaxed together, so their candidates stay in cache
+
+
+def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Relax ``out`` in place by the min-plus product ``a ⊗ b`` to a fixpoint.
+
+    Column m relaxes row i as ``out[i, :] = min(out[i, :], a[i, m] + b[m, :])``.
+    An entry ``out[i, k]`` that drops after column k relaxed row i is stale;
+    sweeps revisit only stale entries until none is left.  With ``a is out``
+    each entry stays a left-associated chain sum and rounding is monotone
+    (``x <= y`` gives ``fl(x + c) <= fl(y + c)``), so the fixpoint is exactly
+    the least such sum; otherwise ``out`` ends as ``min(out, a ⊗ b)``.  NaN
+    candidates are ignored.  Rows are independent, so blocks of rows are
+    relaxed one at a time.
+    """
+    for r0 in range(0, out.shape[0], _ROW_BLOCK):
+        blk_a = a[r0:r0 + _ROW_BLOCK]
+        blk = out[r0:r0 + _ROW_BLOCK]
+        stale = np.ones(blk.shape, dtype=bool)
+        while stale.any():
+            for m in range(b.shape[0]):
+                rows = np.flatnonzero(stale[:, m])
+                if rows.size == 0:
+                    continue
+                if rows.size == len(blk):
+                    rows = slice(None)  # a view: no gather, no scatter
+                stale[rows, m] = False
+                cand = blk_a[rows, m, None] + b[m]
+                cur = blk[rows]
+                drop = cand < cur
+                if drop.any():
+                    np.copyto(cur, cand, where=drop)
+                    blk[rows] = cur
+                    stale[rows] |= drop
+
 
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.
@@ -129,48 +165,51 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     if m.boundary is not None and any(not (0 <= i < n) for i in m.boundary):
         raise ValueError("boundary contains out-of-range indices")
 
-    violations: list[Violation] = []
+    found: dict[str, list] = {}  # witnesses kept per axiom, in check order
     total = 0
 
-    def push(axiom, witness, excess):
+    def push(axiom, count, witnesses):  # witnesses: lazy (witness, excess) pairs
         nonlocal total
-        total += 1
-        if len([v for v in violations if v.axiom == axiom]) < _WITNESS_CAP:
-            violations.append(Violation(axiom, witness, float(excess)))
+        total += count
+        kept = found.setdefault(axiom, [])
+        kept += (Violation(axiom, w, float(e))
+                 for w, e in itertools.islice(witnesses, _WITNESS_CAP - len(kept)))
 
     diag = np.abs(np.diagonal(d))
-    for i in np.nonzero(diag > tol)[0]:
-        push("diagonal", (int(i),), diag[i])
+    bad = np.flatnonzero(diag > tol)
+    push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
 
     asym = np.abs(d - d.T)
-    for i, j in zip(*np.nonzero(np.triu(asym, 1) > tol)):
-        push("symmetry", (int(i), int(j)), asym[i, j])
+    bad = np.argwhere(np.triu(asym, 1) > tol)
+    push("symmetry", len(bad), (((int(i), int(j)), asym[i, j]) for i, j in bad))
 
-    off = np.triu_indices(n, 1)
-    small = d[off] <= tol
-    for k in np.nonzero(small)[0]:
-        push("positivity", (int(off[0][k]), int(off[1][k])), tol - d[off][k])
+    bad = np.argwhere(np.triu(d <= tol, 1))
+    push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
 
-    # d(i,k) <= d(i,j) + d(j,k) + tol for all triples; loop over the middle
-    # point to keep memory at O(n^2).
-    for j in range(n):
-        through = d[:, j][:, None] + d[j, :][None, :]
-        bad = d > through + tol
-        if bad.any():
-            for i, k in zip(*np.nonzero(bad)):
-                push("triangle", (int(i), int(j), int(k)), d[i, k] - through[i, k])
+    # d(i,k) <= d(i,j) + d(j,k) + tol for all triples.  Rounding is monotone,
+    # so some triple fails iff d > min(d, d ⊗ d) + tol somewhere; only then
+    # does a scan per middle point count the triples and list witnesses.
+    through = d.copy()
+    _min_plus(d, d, through)
+    if (d > through + tol).any():
+        for j in range(n):
+            through = d[:, j, None] + d[j]
+            bad = d > through + tol
+            push("triangle", int(np.count_nonzero(bad)),
+                 (((int(i), j, int(k)), d[i, k] - through[i, k])
+                  for i, k in np.argwhere(bad)))
 
-    if m.mass is not None and (m.mass < 0).any():
-        for i in np.nonzero(m.mass < 0)[0]:
-            push("mass", (int(i),), -m.mass[i])
+    if m.mass is not None:
+        bad = np.flatnonzero(m.mass < 0)
+        push("mass", bad.size, (((int(i),), -m.mass[i]) for i in bad))
 
     if m.boundary is not None:
         if len(m.boundary) == 0:
-            push("boundary", (), 0.0)
+            push("boundary", 1, [((), 0.0)])
         elif len(m.boundary) == n:
-            push("boundary", tuple(sorted(m.boundary)), 0.0)
+            push("boundary", 1, [(tuple(sorted(m.boundary)), 0.0)])
 
-    return ValidationReport(tuple(violations), total)
+    return ValidationReport(tuple(itertools.chain.from_iterable(found.values())), total)
 
 
 def ball(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> set:

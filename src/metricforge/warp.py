@@ -5,32 +5,24 @@ Given a basepoint p, every pair gets the rescaled separation
     rho_p(x, y) = d(x, y) / ((1 + d(x, p)) (1 + d(y, p))),
 
 which in general fails the triangle inequality.  The warped metric d-hat is
-the chain infimum of rho over finite point sequences; on a finite set this
-is exactly the shortest-path closure of the complete rho-weighted graph.
-An ideal point labeled "∞" is adjoined with d-hat(x, ∞) := h(x), where
-h(x) = 1/(1 + d(x, p)) is the per-point shrink factor.
+the chain infimum of rho over finite point sequences: on a finite set, the
+min-plus closure of the complete rho-weighted graph, relaxed from rho until
+no entry is stale.  Rounding is monotone and every entry stays a
+left-associated chain sum, so the result equals brute-force chain
+enumeration bit for bit; zero distances are ordinary edges.  An ideal point
+labeled "∞" is adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p))
+is the per-point shrink factor.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
-from .space import FiniteMetricSpace, ball_mask
+from .space import FiniteMetricSpace, _min_plus, ball_mask
 
 INFINITY_LABEL = "∞"
-
-
-def thread_count() -> int:
-    """Worker cap from METRICFORGE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("METRICFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def point_scales(m: FiniteMetricSpace, p: int) -> np.ndarray:
@@ -70,28 +62,6 @@ class WarpedSpace:
         return self.base.n
 
 
-def _apsp(weights: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths on a complete nonnegative graph.
-
-    Per-source priority-queue search accumulates each candidate distance as
-    a left-associated float sum along its path, which is exactly what a
-    chain enumeration computes; the minimum therefore agrees bit-for-bit
-    with brute force over simple chains.  Sources are fanned across threads
-    for large inputs (results are per-row independent).
-    """
-    n = weights.shape[0]
-    workers = thread_count()
-    if workers > 1 and n >= 512:
-        chunks = np.array_split(np.arange(n), workers)
-        out = np.empty_like(weights)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, part in zip(chunks, pool.map(
-                    lambda c: dijkstra(weights, directed=False, indices=c), chunks)):
-                out[idx] = part
-        return out
-    return dijkstra(weights, directed=False)
-
-
 def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     """Warp a space around basepoint index ``p`` and adjoin ∞.
 
@@ -102,11 +72,14 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
         raise ValueError(f"basepoint index {p} out of range")
     if INFINITY_LABEL in m.points:
         raise ValueError(f"label {INFINITY_LABEL!r} is reserved for the adjoined point")
+    if not np.isfinite(m.dist).all() or (m.dist < 0).any():
+        raise ValueError("cannot warp: distances must be finite and nonnegative")
     h = point_scales(m, p)
     w = rho_matrix(m, p)
     w = np.minimum(w, w.T)  # exact symmetry regardless of input rounding
-    dhat = _apsp(w)
-    dhat = np.minimum(dhat, dhat.T)
+    dhat = w.copy()
+    _min_plus(dhat, w, dhat)
+    dhat = np.minimum(dhat, dhat.T)  # chains summed from either end
     n = m.n
     full = np.zeros((n + 1, n + 1))
     full[:n, :n] = dhat

@@ -24,6 +24,39 @@ def triangle_ok(dist, tol=1e-9):
     return True
 
 
+def metric_violations(dist, tol=1e-9, mass=None):
+    """Every failed metric axiom, as (axiom, witness, excess) in report order.
+
+    Plain loops over Python floats: diagonal entries, then the upper
+    triangle for symmetry and positivity, then triangle triples with the
+    middle point outermost and (i, k) row-major, then negative masses.
+    """
+    d = [[float(x) for x in row] for row in dist]
+    n = len(d)
+    out = []
+    for i in range(n):
+        if abs(d[i][i]) > tol:
+            out.append(("diagonal", (i,), abs(d[i][i])))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(d[i][j] - d[j][i]) > tol:
+                out.append(("symmetry", (i, j), abs(d[i][j] - d[j][i])))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] <= tol:
+                out.append(("positivity", (i, j), tol - d[i][j]))
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                through = d[i][j] + d[j][k]
+                if d[i][k] > through + tol:
+                    out.append(("triangle", (i, j, k), d[i][k] - through))
+    for i, w in enumerate([] if mass is None else mass):
+        if w < 0:
+            out.append(("mass", (i,), -float(w)))
+    return out
+
+
 def brute_chain_min(weights, a, b):
     """Min over simple chains between a and b of left-associated edge sums.
 

@@ -74,6 +74,25 @@ class TestWarpCommand:
                      "-o", str(tmp_path / "w.json")])
         assert code == 2
 
+    def test_warping_a_warped_file_is_usage_error(self, tmp_path, three_point_file, capsys):
+        once = tmp_path / "warped.json"
+        assert main(["warp", str(three_point_file), "--basepoint", "p",
+                     "-o", str(once)]) == 0
+        twice = tmp_path / "twice.json"
+        code = main(["warp", str(once), "--basepoint", "p", "-o", str(twice)])
+        assert code == 2
+        assert "reserved" in capsys.readouterr().err
+        assert not twice.exists()
+
+    def test_non_finite_distance_is_usage_error(self, tmp_path, capsys):
+        dist = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+        path = tmp_path / "inf.json"
+        mf.save_space(mf.FiniteMetricSpace(("p", "a", "b"), dist), path)
+        code = main(["warp", str(path), "--basepoint", "p",
+                     "-o", str(tmp_path / "w.json")])
+        assert code == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+
 
 class TestDoubleCommand:
     def test_marked_line_doubles_to_five_points(self, tmp_path, marked_line_file):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
-from oracles import cover_is_valid, covering_radius_naive, triangle_ok
+from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
+                     triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -234,3 +235,23 @@ def test_point_cloud_spaces_validate(seed, n):
     pts = rng.normal(size=(n, 3))
     m = mf.FiniteMetricSpace(tuple(map(str, range(n))), cdist(pts, pts))
     assert mf.validate_metric(m).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), data=st.data())
+def test_violation_counts_and_witnesses_match_naive_lister(n, data):
+    # Small integer entries (many ties, zeros, negatives) and an occasional
+    # asymmetric or fractional entry make every axiom fail somewhere.
+    cells = st.one_of(st.integers(-1, 4).map(float),
+                      st.floats(-1.0, 4.0, allow_nan=False))
+    dist = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    mass = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    report = mf.validate_metric(space_from(dist, mass=mass))
+    expect = metric_violations(dist, mass=mass)
+    assert report.total == len(expect)
+    kept = []
+    for axiom in ("diagonal", "symmetry", "positivity", "triangle", "mass"):
+        kept += [v for v in expect if v[0] == axiom][:25]
+    got = [(v.axiom, v.witness, v.excess) for v in report.violations]
+    assert got == kept
+

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metricforge as mf
 from oracles import brute_chain_min
@@ -99,6 +101,46 @@ class TestWarpProperties:
             for a in range(m.n):
                 for b in range(a + 1, m.n):
                     assert w.warped.dist[a, b] == brute_chain_min(rho, a, b)
+
+
+    def test_coincident_points_are_at_distance_zero(self):
+        # (0,0), (1,0), (1,0), (0,2): the two copies of (1,0) are distinct
+        # points at distance 0, a zero-weight edge of the chain graph.
+        from scipy.spatial.distance import cdist
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        m = mf.FiniteMetricSpace(("a", "b", "c", "d"), cdist(pts, pts))
+        w = mf.warp(m, 0)
+        rho = np.minimum(mf.rho_matrix(m, 0), mf.rho_matrix(m, 0).T)
+        for a in range(m.n):
+            for b in range(a + 1, m.n):
+                assert w.warped.dist[a, b] == brute_chain_min(rho, a, b)
+        assert w.warped.dist[1, 2] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_non_finite_or_negative_distance_rejected(self, bad):
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        dist[1, 2] = dist[2, 1] = bad
+        m = mf.FiniteMetricSpace(("p", "a", "b"), dist)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mf.warp(m, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), p=st.integers(0, 5), data=st.data())
+def test_kernel_matches_brute_chain_min_with_ties_and_zeros(n, p, data):
+    # Integer distances in 0..3 give many equal chain sums and zero-weight
+    # edges between distinct points; the input need not be a metric.
+    cells = data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    dist = np.array(cells, dtype=float).reshape(n, n)
+    np.fill_diagonal(dist, 0.0)
+    m = mf.FiniteMetricSpace(tuple(str(i) for i in range(n)), dist)
+    w = mf.warp(m, p % n)
+    rho = mf.rho_matrix(m, p % n)
+    rho = np.minimum(rho, rho.T)
+    for a in range(n):
+        for b in range(a + 1, n):
+            assert w.warped.dist[a, b] == brute_chain_min(rho, a, b)
+            assert w.warped.dist[b, a] == w.warped.dist[a, b]
 
 
 class TestInftyBall:
