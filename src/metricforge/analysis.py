@@ -43,7 +43,10 @@ def default_radii(m: FiniteMetricSpace, delta: float, count: int = 8) -> tuple:
 
 def _pick_centers(m, centers, n_centers, seed):
     if centers is not None:
-        return np.asarray([int(c) for c in centers], dtype=int)
+        cs = np.asarray([int(c) for c in centers], dtype=int)
+        if ((cs < 0) | (cs >= m.n)).any():
+            raise ValueError(f"centers must be point indices in [0, {m.n})")
+        return cs
     rng = np.random.default_rng(seed)
     k = min(m.n, n_centers)
     return np.sort(rng.choice(m.n, size=k, replace=False))

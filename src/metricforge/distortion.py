@@ -9,6 +9,7 @@ bins, so out-of-range tuples are recorded rather than dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,19 +81,54 @@ def _check_mapping(src, dst, mapping):
 
 
 def _exhaustive_tuples(n, arity):
+    """Every ordered tuple of distinct indices, one column per tuple."""
     grids = np.meshgrid(*[np.arange(n)] * arity, indexing="ij")
-    cols = [g.ravel() for g in grids]
-    mask = np.ones(cols[0].shape, dtype=bool)
-    for i in range(arity):
-        for j in range(i + 1, arity):
-            mask &= cols[i] != cols[j]
-    return np.stack([c[mask] for c in cols], axis=1)
+    cols = np.stack([g.ravel() for g in grids])
+    return cols.compress(_distinct(cols), axis=1)
 
 
-def _profile(kind, src, dst, mapping, ratio_fn, n_samples, seed,
+def _distinct(cols):
+    """Mask of the tuple columns whose entries are pairwise distinct."""
+    pairs = itertools.combinations(cols, 2)
+    a, b = next(pairs)
+    ok = a != b
+    for a, b in pairs:
+        ok &= a != b
+    return ok
+
+
+_BATCH = 200_000  # sampled tuples drawn, then binned, together
+_CHUNK = 16_384  # tuples per ratio gather, so its temporaries stay in cache
+
+# Index pairs whose distances multiply into the numerator and denominator:
+# d(a,b) / d(a,c) for QS triples, d(x,z) d(y,w) / (d(x,w) d(y,z)) for QM.
+_PAIRS = {
+    "QS": (((0, 1),), ((0, 2),)),
+    "QM": (((0, 2), (1, 3)), ((0, 3), (1, 2))),
+}
+
+
+def _ratios(cols, pairs, flats, n, t_in, t_out):
+    """Ratios of tuple columns by flat gathers from the two n*n matrices."""
+    n = np.intp(n)  # int32 columns times an intp give intp flat indices
+    num, den = ([cols[i] * n + cols[j] for i, j in side] for side in pairs)
+    for d, out in zip(flats, (t_in, t_out)):
+        top, bottom = d.take(num[0]), d.take(den[0])
+        for idx in num[1:]:
+            top *= d.take(idx)
+        for idx in den[1:]:
+            bottom *= d.take(idx)
+        np.divide(top, bottom, out=out)
+
+
+def _profile(kind, src, dst, mapping, n_samples, seed,
              exhaustive_cutoff, claimed, claimed_desc):
     f = _check_mapping(src, dst, mapping)
+    pairs = _PAIRS[kind]
     arity = 3 if kind == "QS" else 4
+    n = src.n
+    # dst pulled back through the mapping: flat index i*n + j on both sides.
+    flats = (src.dist.ravel(), dst.dist[np.ix_(f, f)].ravel())
     nbins = BIN_COUNT + 2
     env = np.full(nbins, -np.inf)
     env_in = np.full(nbins, -np.inf)
@@ -100,15 +136,19 @@ def _profile(kind, src, dst, mapping, ratio_fn, n_samples, seed,
     skipped = 0
     worst_ratio = -np.inf
     worst_witness = None
-    exhaustive = src.n <= exhaustive_cutoff
+    exhaustive = n <= exhaustive_cutoff
 
-    def absorb(tuples):
-        nonlocal worst_ratio, worst_witness
-        if tuples.shape[0] == 0:
+    def absorb(cols):
+        nonlocal counts, worst_ratio, worst_witness
+        k = cols.shape[1]
+        if k == 0:
             return
-        t_in, t_out = ratio_fn(tuples, f)
+        t_in, t_out = np.empty(k), np.empty(k)
+        for s in range(0, k, _CHUNK):
+            e = s + _CHUNK
+            _ratios(cols[:, s:e], pairs, flats, n, t_in[s:e], t_out[s:e])
         slots = np.searchsorted(_EDGES, t_in, side="right")
-        np.add.at(counts, slots, 1)
+        counts += np.bincount(slots, minlength=nbins)
         np.maximum.at(env, slots, t_out)
         # Rows attaining the (possibly new) bin max replace the recorded
         # attaining input; bins whose max came from an earlier batch keep it.
@@ -124,26 +164,21 @@ def _profile(kind, src, dst, mapping, ratio_fn, n_samples, seed,
             k = int(np.argmax(ratio))
             if ratio[k] > worst_ratio:
                 worst_ratio = float(ratio[k])
-                worst_witness = (tuple(int(v) for v in tuples[k]),
+                worst_witness = (tuple(int(v) for v in cols[:, k]),
                                  float(t_in[k]), float(t_out[k]))
 
     if exhaustive:
-        tuples = _exhaustive_tuples(src.n, arity)
-        absorb(tuples)
+        absorb(_exhaustive_tuples(n, arity))
     else:
         rng = np.random.default_rng(seed)
         done = 0
         while done < n_samples:
-            batch = min(200_000, n_samples - done)
-            draw = rng.integers(0, src.n, size=(batch, arity))
-            ok = np.ones(batch, dtype=bool)
-            for i in range(arity):
-                for j in range(i + 1, arity):
-                    ok &= draw[:, i] != draw[:, j]
-            skipped += int((~ok).sum())
-            draw = draw[ok]
-            if draw.shape[0]:
-                absorb(draw)
+            batch = min(_BATCH, n_samples - done)
+            # Same values as the default int64 draw: both take 32-bit bounded draws.
+            cols = rng.integers(0, n, size=(batch, arity), dtype=np.int32).T.copy()
+            ok = _distinct(cols)
+            skipped += batch - int(np.count_nonzero(ok))
+            absorb(cols.compress(ok, axis=1))
             done += batch
 
     claim = None
@@ -179,15 +214,7 @@ def qs_profile(src: FiniteMetricSpace, dst: FiniteMetricSpace, mapping,
     gauge (callable on arrays) is checked pointwise over every evaluated
     tuple, worst witness recorded.
     """
-    Ds, Dd = src.dist, dst.dist
-
-    def ratios(tuples, f):
-        a, b, c = tuples[:, 0], tuples[:, 1], tuples[:, 2]
-        t_in = Ds[a, b] / Ds[a, c]
-        t_out = Dd[f[a], f[b]] / Dd[f[a], f[c]]
-        return t_in, t_out
-
-    return _profile("QS", src, dst, mapping, ratios, n_samples, seed,
+    return _profile("QS", src, dst, mapping, n_samples, seed,
                     EXHAUSTIVE_TRIPLE_CUTOFF, claimed, claimed_desc)
 
 
@@ -195,16 +222,7 @@ def qm_profile(src: FiniteMetricSpace, dst: FiniteMetricSpace, mapping,
                n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
                claimed=None, claimed_desc: str = "") -> DistortionProfile:
     """Quadruple-distortion envelope keyed by the source cross-ratio."""
-    Ds, Dd = src.dist, dst.dist
-
-    def ratios(tuples, f):
-        x, y, z, w = (tuples[:, k] for k in range(4))
-        t_in = Ds[x, z] * Ds[y, w] / (Ds[x, w] * Ds[y, z])
-        fx, fy, fz, fw = f[x], f[y], f[z], f[w]
-        t_out = Dd[fx, fz] * Dd[fy, fw] / (Dd[fx, fw] * Dd[fy, fz])
-        return t_in, t_out
-
-    return _profile("QM", src, dst, mapping, ratios, n_samples, seed,
+    return _profile("QM", src, dst, mapping, n_samples, seed,
                     EXHAUSTIVE_QUAD_CUTOFF, claimed, claimed_desc)
 
 

@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -32,7 +33,7 @@ class FiniteMetricSpace:
     Parameters
     ----------
     points : sequence of labels
-        Opaque, order-significant point labels (strings for anything that
+        Distinct, order-significant point labels (strings for anything that
         will be serialized).
     dist : (n, n) array of float
         Pairwise distances, symmetric with zero diagonal.  Construction does
@@ -54,6 +55,9 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+        if len(set(self.points)) != len(self.points):
+            dup = next(p for p, k in Counter(self.points).items() if k > 1)
+            raise ValueError(f"duplicate point label {dup!r}")
         d = np.asarray(self.dist, dtype=np.float64)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
@@ -111,34 +115,32 @@ class ValidationReport:
 
 _WITNESS_CAP = 25  # per axiom; full counts are still reported
 
-_ROW_BLOCK = 64  # rows relaxed together, so their candidates stay in cache
+_ROW_BLOCK = 64  # rows relaxed or tested together, so their candidates stay in cache
 
 
-def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Relax ``out`` in place by the min-plus product ``a ⊗ b`` to a fixpoint.
+def _min_plus(d: np.ndarray, w: np.ndarray) -> None:
+    """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``.
 
-    Column m relaxes row i as ``out[i, :] = min(out[i, :], a[i, m] + b[m, :])``.
-    An entry ``out[i, k]`` that drops after column k relaxed row i is stale;
-    sweeps revisit only stale entries until none is left.  With ``a is out``
-    each entry stays a left-associated chain sum and rounding is monotone
-    (``x <= y`` gives ``fl(x + c) <= fl(y + c)``), so the fixpoint is exactly
-    the least such sum; otherwise ``out`` ends as ``min(out, a ⊗ b)``.  NaN
-    candidates are ignored.  Rows are independent, so blocks of rows are
-    relaxed one at a time.
+    Column m relaxes row i as ``d[i, :] = min(d[i, :], d[i, m] + w[m, :])``.
+    An entry ``d[i, k]`` that drops after column k relaxed row i is stale;
+    sweeps revisit only stale entries until none is left.  Each entry stays
+    a left-associated chain sum and rounding is monotone (``x <= y`` gives
+    ``fl(x + c) <= fl(y + c)``), so the fixpoint is exactly the least such
+    sum.  NaN candidates are ignored.  Rows are independent, so blocks of
+    rows are relaxed one at a time.
     """
-    for r0 in range(0, out.shape[0], _ROW_BLOCK):
-        blk_a = a[r0:r0 + _ROW_BLOCK]
-        blk = out[r0:r0 + _ROW_BLOCK]
+    for r0 in range(0, d.shape[0], _ROW_BLOCK):
+        blk = d[r0:r0 + _ROW_BLOCK]
         stale = np.ones(blk.shape, dtype=bool)
         while stale.any():
-            for m in range(b.shape[0]):
+            for m in range(w.shape[0]):
                 rows = np.flatnonzero(stale[:, m])
                 if rows.size == 0:
                     continue
                 if rows.size == len(blk):
                     rows = slice(None)  # a view: no gather, no scatter
                 stale[rows, m] = False
-                cand = blk_a[rows, m, None] + b[m]
+                cand = blk[rows, m, None] + w[m]
                 cur = blk[rows]
                 drop = cand < cur
                 if drop.any():
@@ -147,12 +149,44 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
                     stale[rows] |= drop
 
 
+def _triangle_fails(d: np.ndarray, tol: float) -> bool:
+    """Whether some triple has ``d[i, k] > d[i, m] + d[m, k] + tol``.
+
+    Bands of rows are tested against ``min(d, d ⊗ d)``, over the columns
+    ``k >= i`` when ``d`` is symmetric (see :func:`validate_metric`).
+    ``np.fmin`` skips NaN candidates, which fail no triple either.
+    """
+    n = len(d)
+    symmetric = np.array_equal(d, d.T)
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1, c0 = r0 + _ROW_BLOCK, r0 if symmetric else 0
+        band = d[r0:r1, c0:]
+        through = band.copy()
+        for m in range(n):
+            np.fmin(through, d[r0:r1, m, None] + d[m, c0:], out=through)
+        if (band > through + tol).any():
+            return True
+    return False
+
+
+@np.errstate(invalid="ignore")  # non-finite entries are reported, not warned about
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.
 
     Structural defects (non-square matrix, length mismatches) raise
     ``ValueError`` before any axiom is checked.  Axiom failures are
-    collected into the report with witness tuples, capped per axiom.
+    collected into the report with witness tuples, capped per axiom; a
+    non-finite distance fails the ``finite`` axiom, so it never passes.
+
+    The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + tol`` is first
+    tested for all triples at once, band by band of rows.  Rounding is
+    monotone, so some middle point m fails (i, k) exactly when ``d(i,k)``
+    exceeds the min over m of ``d(i,m) + d(m,k)``, plus tol.  When ``d``
+    equals its transpose, ``d(i,m) + d(m,k)`` and ``d(k,m) + d(m,i)`` are
+    the same float, so (i, k) fails exactly when (k, i) does and the pairs
+    with ``k >= i`` suffice: half the work.  Otherwise every pair is tested.
+    Only when this test finds a failure does a scan per middle point count
+    the failing triples and list witnesses.
     """
     d = m.dist
     n = m.n
@@ -175,6 +209,9 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
         kept += (Violation(axiom, w, float(e))
                  for w, e in itertools.islice(witnesses, _WITNESS_CAP - len(kept)))
 
+    bad = np.argwhere(~np.isfinite(d))
+    push("finite", len(bad), (((int(i), int(j)), abs(d[i, j])) for i, j in bad))
+
     diag = np.abs(np.diagonal(d))
     bad = np.flatnonzero(diag > tol)
     push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
@@ -186,12 +223,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     bad = np.argwhere(np.triu(d <= tol, 1))
     push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
 
-    # d(i,k) <= d(i,j) + d(j,k) + tol for all triples.  Rounding is monotone,
-    # so some triple fails iff d > min(d, d ⊗ d) + tol somewhere; only then
-    # does a scan per middle point count the triples and list witnesses.
-    through = d.copy()
-    _min_plus(d, d, through)
-    if (d > through + tol).any():
+    if _triangle_fails(d, tol):
         for j in range(n):
             through = d[:, j, None] + d[j]
             bad = d > through + tol
@@ -324,7 +356,8 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # Serialization: JSON carries the full record; CSV carries labels + distances.
-# Floats survive both formats exactly (shortest round-trip repr).
+# Floats survive both formats exactly (shortest round-trip repr); the
+# loaders reject non-finite numbers.
 # ---------------------------------------------------------------------------
 
 def to_json(m: FiniteMetricSpace) -> str:
@@ -341,8 +374,13 @@ def to_json(m: FiniteMetricSpace) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token}: distances must be finite and "
+                     "nonnegative, coordinates and masses finite")
+
+
 def from_json(text: str) -> FiniteMetricSpace:
-    doc = json.loads(text)
+    doc = json.loads(text, parse_constant=_non_finite)
     return FiniteMetricSpace(
         points=tuple(doc["points"]),
         dist=np.asarray(doc["dist"], dtype=np.float64),
@@ -371,6 +409,8 @@ def from_csv(text: str) -> FiniteMetricSpace:
         raise ValueError("empty CSV input")
     labels = tuple(rows[0])
     body = np.asarray([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
+    if not np.isfinite(body).all():
+        _non_finite(repr(float(body[~np.isfinite(body)][0])))
     return FiniteMetricSpace(points=labels, dist=body)
 
 

@@ -78,7 +78,7 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     w = rho_matrix(m, p)
     w = np.minimum(w, w.T)  # exact symmetry regardless of input rounding
     dhat = w.copy()
-    _min_plus(dhat, w, dhat)
+    _min_plus(dhat, w)
     dhat = np.minimum(dhat, dhat.T)  # chains summed from either end
     n = m.n
     full = np.zeros((n + 1, n + 1))

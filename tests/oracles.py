@@ -7,6 +7,7 @@ checks.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -27,13 +28,18 @@ def triangle_ok(dist, tol=1e-9):
 def metric_violations(dist, tol=1e-9, mass=None):
     """Every failed metric axiom, as (axiom, witness, excess) in report order.
 
-    Plain loops over Python floats: diagonal entries, then the upper
-    triangle for symmetry and positivity, then triangle triples with the
-    middle point outermost and (i, k) row-major, then negative masses.
+    Plain loops over Python floats: non-finite entries row-major, diagonal
+    entries, then the upper triangle for symmetry and positivity, then
+    triangle triples with the middle point outermost and (i, k) row-major,
+    then negative masses.
     """
     d = [[float(x) for x in row] for row in dist]
     n = len(d)
     out = []
+    for i in range(n):
+        for j in range(n):
+            if not math.isfinite(d[i][j]):
+                out.append(("finite", (i, j), abs(d[i][j])))
     for i in range(n):
         if abs(d[i][i]) > tol:
             out.append(("diagonal", (i,), abs(d[i][i])))
@@ -55,6 +61,125 @@ def metric_violations(dist, tol=1e-9, mass=None):
         if w < 0:
             out.append(("mass", (i,), -float(w)))
     return out
+
+
+def metric_violations_by_middle_point(dist, tol=1e-9, cap=25):
+    """(total, kept) for the matrix axioms, the triangle counted per middle point.
+
+    Numpy twin of :func:`metric_violations` without masses, for matrices
+    too large for its triple loop: ``kept`` holds the first ``cap``
+    witnesses of each axiom in the same order.
+    """
+    d = np.asarray(dist, dtype=float)
+    n = len(d)
+    found = {"finite": [], "diagonal": [], "symmetry": [], "positivity": [],
+             "triangle": []}
+    for i, j in zip(*np.nonzero(~np.isfinite(d))):
+        found["finite"].append(((int(i), int(j)), abs(d[i, j])))
+    for i in range(n):
+        if abs(d[i, i]) > tol:
+            found["diagonal"].append(((i,), abs(d[i, i])))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    for i, j in zip(*np.nonzero(upper & (np.abs(d - d.T) > tol))):
+        found["symmetry"].append(((int(i), int(j)), abs(d[i, j] - d[j, i])))
+    for i, j in zip(*np.nonzero(upper & (d <= tol))):
+        found["positivity"].append(((int(i), int(j)), tol - d[i, j]))
+    total = sum(len(items) for items in found.values())
+    for j in range(n):
+        via = np.add.outer(d[:, j], d[j, :])
+        fails = d > via + tol
+        total += int(fails.sum())
+        for i, k in zip(*np.nonzero(fails)):
+            if len(found["triangle"]) < cap:
+                found["triangle"].append(((int(i), j, int(k)), d[i, k] - via[i, k]))
+    kept = [(axiom, w, float(e)) for axiom, items in found.items() for w, e in items[:cap]]
+    return total, kept
+
+
+def _max_nan(a, b):
+    """max(a, b), but NaN when either is NaN."""
+    return a if a != a or a >= b else b
+
+
+def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
+                       batch, edges, claimed=None, claimed_desc=""):
+    """Per-tuple reference for ``qs_profile``/``qm_profile``, every field.
+
+    Sampled mode draws ``batch`` rows at a time with the default int64
+    ``rng.integers`` and skips rows with a repeated index; exhaustive mode
+    takes every ordered tuple of distinct indices as one batch.  Ratios are
+    float64 scalars, bins come from ``bisect`` on ``edges``, and after each
+    batch the attaining input of a bin is replaced by the largest input of
+    that batch whose output equals the bin's max (ties included).  The claim
+    follows numpy's argmax per batch: its first NaN ratio if any, else its
+    first largest ratio.
+    """
+    S = [[np.float64(x) for x in row] for row in src]
+    D = [[np.float64(x) for x in row] for row in dst]
+    f = [int(v) for v in mapping]
+    n = len(S)
+    arity = 3 if kind == "QS" else 4
+
+    def ratio(M, t):
+        if arity == 3:
+            a, b, c = t
+            return M[a][b] / M[a][c]
+        x, y, z, w = t
+        return M[x][z] * M[y][w] / (M[x][w] * M[y][z])
+
+    skipped = 0
+    if exhaustive:
+        batches = [list(itertools.permutations(range(n), arity))]
+    else:
+        rng = np.random.default_rng(seed)
+        batches, done = [], 0
+        while done < n_samples:
+            size = min(batch, n_samples - done)
+            rows = [tuple(r) for r in rng.integers(0, n, size=(size, arity)).tolist()]
+            keep = [r for r in rows if len(set(r)) == arity]
+            skipped += size - len(keep)
+            batches.append(keep)
+            done += size
+
+    nbins = len(edges) + 1
+    env, env_in, counts = [-math.inf] * nbins, [-math.inf] * nbins, [0] * nbins
+    worst, witness = -math.inf, None
+    with np.errstate(all="ignore"):
+        for rows in batches:
+            evals = []
+            for t in rows:
+                t_in, t_out = ratio(S, t), ratio(D, [f[i] for i in t])
+                b = bisect.bisect_right(edges, t_in)
+                counts[b] += 1
+                env[b] = _max_nan(env[b], t_out)
+                evals.append((t, t_in, t_out, b))
+            best_in = [-math.inf] * nbins
+            for t, t_in, t_out, b in evals:
+                if t_out == env[b]:
+                    best_in[b] = _max_nan(best_in[b], t_in)
+            for b in range(nbins):
+                if best_in[b] > -math.inf:
+                    env_in[b] = best_in[b]
+            if claimed is not None and evals:
+                r = [float(t_out / claimed(t_in)) for _, t_in, t_out, _ in evals]
+                nans = [i for i, v in enumerate(r) if v != v]
+                k = nans[0] if nans else max(range(len(r)), key=r.__getitem__)
+                if r[k] > worst:
+                    t, t_in, t_out, _ = evals[k]
+                    worst, witness = r[k], (t, float(t_in), float(t_out))
+
+    def reported(v):
+        return float(v) if math.isfinite(v) else math.nan
+
+    claim = None
+    if claimed is not None:
+        claim = {"description": claimed_desc or "claimed gauge", "passed": worst <= 1.0,
+                 "worst_ratio": float(worst), "worst_witness": witness}
+    return {"kind": kind, "bin_edges": tuple(float(e) for e in edges),
+            "envelope": tuple(reported(v) for v in env),
+            "envelope_input": tuple(reported(v) for v in env_in),
+            "counts": tuple(counts), "skipped_degenerate": skipped,
+            "exhaustive": exhaustive, "seed": seed, "claim": claim}
 
 
 def brute_chain_min(weights, a, b):

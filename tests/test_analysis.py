@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metricforge as mf
 from oracles import component_of
@@ -268,3 +270,18 @@ class TestDefaults:
     def test_sparse_space_has_empty_window(self):
         m = mf.random_metric(3, seed=0)
         assert mf.default_radii(m, 10.0 * m.diam()) == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(centers=st.lists(st.integers(-3, 12), min_size=1, max_size=4))
+def test_centers_must_be_point_indices(centers):
+    m = mf.euclidean_grid(3, 1.0)  # 9 points
+    calls = (lambda: mf.doubling_constant(m, radii=(1.5,), centers=centers),
+             lambda: mf.regularity_constant(m, 2.0, radii=(1.5,), centers=centers),
+             lambda: mf.llc_constants(m, radii=(1.5,), centers=centers))
+    for call in calls:
+        if all(0 <= c < m.n for c in centers):
+            call()
+        else:
+            with pytest.raises(ValueError, match="centers"):
+                call()

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,13 @@ class TestDoubleCommand:
         assert main(["double", str(marked_line_file), "-o", str(out)]) == 0
         assert mf.load_space(out).n == 5
 
+    def test_colliding_doubled_labels_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "clash.json"
+        m = mf.FiniteMetricSpace(("a", "a#1", "c"), 1.0 - np.eye(3), boundary={1})
+        mf.save_space(m, path)
+        assert main(["double", str(path), "-o", str(tmp_path / "d.json")]) == 2
+        assert "duplicate point label" in capsys.readouterr().err
+
     def test_unmarked_space_fails(self, tmp_path, three_point_file):
         code = main(["double", str(three_point_file), "-o", str(tmp_path / "d.json")])
         assert code == 2
@@ -112,6 +121,19 @@ class TestCheckCommand:
                      "-o", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["ok"] is True
+
+    def test_non_finite_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        mf.save_space(mf.FiniteMetricSpace(("a", "b"), np.full((2, 2), np.nan)), path)
+        assert main(["check", str(path), "--suite", "metric"]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+
+    def test_duplicate_labels_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"points": ["a", "a"],
+                                    "dist": [[0.0, 1.0], [1.0, 0.0]]}))
+        assert main(["check", str(path), "--suite", "metric"]) == 2
+        assert "duplicate point label 'a'" in capsys.readouterr().err
 
     def test_metric_suite_fail(self, tmp_path):
         bad = mf.FiniteMetricSpace(("a", "b", "c"), np.array([
@@ -178,19 +200,24 @@ class TestCheckCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def run_module(*args):
+    """Run ``python -m metricforge.cli`` on the package these tests import."""
+    src = str(Path(mf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "metricforge.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "g.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "metricforge.cli", "generate", "--kind",
-             "grid", "--side", "3", "--spacing", "1.0", "-o", str(out)],
-            capture_output=True, text=True)
+        proc = run_module("generate", "--kind", "grid", "--side", "3",
+                          "--spacing", "1.0", "-o", str(out))
         assert proc.returncode == 0
         assert out.exists()
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "metricforge.cli", "generate", "--kind",
-             "grid", "--side", "0", "--spacing", "1", "-o", "/tmp/x.json"],
-            capture_output=True, text=True)
+        proc = run_module("generate", "--kind", "grid", "--side", "0",
+                          "--spacing", "1", "-o", "/tmp/x.json")
         assert proc.returncode == 2

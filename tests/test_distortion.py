@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import metricforge as mf
+from metricforge import distortion
+from oracles import distortion_profile
 
 
 def planar_space(coords):
@@ -79,6 +82,51 @@ class TestProfileContracts:
         a = mf.qm_profile(m, m, range(m.n), n_samples=5000, seed=9)
         b = mf.qm_profile(m, m, range(m.n), n_samples=5000, seed=9)
         assert a == b
+
+
+def coincident(m, cluster):
+    """Copy of ``m`` whose ``cluster`` points all sit at the first one."""
+    d = m.dist.copy()
+    for j in cluster[1:]:
+        d[j, :] = d[cluster[0], :]
+        d[:, j] = d[:, cluster[0]]
+    d[np.ix_(cluster, cluster)] = 0.0
+    return mf.FiniteMetricSpace(m.points, d)
+
+
+class TestProfilesMatchNaiveSampler:
+    # Small batches and chunks make a few thousand samples span several
+    # batches, and each batch several gather chunks.
+    @pytest.mark.parametrize("kind, n, samples, dst_kind, gauge", [
+        ("QM", 40, 2500, "warp", 16.0),
+        ("QS", 70, 2300, "warp", 2.0),
+        ("QM", 9, None, "warp", 1.5),
+        ("QS", 12, None, "warp", None),
+        ("QM", 35, 3000, "coincident", 4.0),
+        ("QS", 10, None, "coincident", 2.0),
+    ])
+    def test_every_field_bit_for_bit(self, monkeypatch, kind, n, samples, dst_kind, gauge):
+        monkeypatch.setattr(distortion, "_BATCH", 700)
+        monkeypatch.setattr(distortion, "_CHUNK", 97)
+        m = mf.random_metric(n, seed=n)
+        if dst_kind == "warp":
+            dst = mf.warp(m, 1).warped  # one point more: ∞ has no preimage
+            mapping = np.random.default_rng(n).permutation(n)
+        else:  # 0/0 and x/0 ratios: NaN and inf
+            dst = coincident(m, [0, 3, 5, 6])
+            mapping = range(n)
+        claimed = None if gauge is None else mf.linear_gauge(gauge)
+        fn = mf.qs_profile if kind == "QS" else mf.qm_profile
+        prof = fn(m, dst, mapping, n_samples=samples or 0, seed=7,
+                  claimed=claimed, claimed_desc="gauge")
+        assert prof.exhaustive == (samples is None)
+        edges = np.logspace(math.log10(distortion.BIN_LO), math.log10(distortion.BIN_HI),
+                            distortion.BIN_COUNT + 1).tolist()
+        expect = distortion_profile(kind, m.dist, dst.dist, mapping, samples, 7,
+                                    samples is None, 700, edges, claimed, "gauge")
+        got = dataclasses.asdict(prof)
+        for field, value in expect.items():
+            assert repr(got[field]) == repr(value), field  # repr: NaN matches NaN
 
 
 class TestWarpDistortion:

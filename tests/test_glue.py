@@ -45,6 +45,12 @@ class TestDoubleContract:
         with pytest.raises(ValueError):
             mf.double(m)
 
+    def test_doubled_label_colliding_with_a_base_label_rejected(self):
+        # interior "a" becomes "a#1", which the boundary point already is
+        m = mf.FiniteMetricSpace(("a", "a#1", "c"), 1.0 - np.eye(3), boundary={1})
+        with pytest.raises(ValueError, match="duplicate point label 'a#1'"):
+            mf.double(m)
+
     def test_point_count(self):
         for m in boundary_marked_corpus(20, 12, start_seed=50):
             ds = mf.double(m)

@@ -1,13 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
 from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
-                     triangle_ok)
+                     metric_violations_by_middle_point, triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -55,6 +56,16 @@ class TestValidate:
         # a 1e-10 triangle excess is inside the declared tolerance
         m = space_from([[0, 1, 2 + 1e-10], [1, 0, 1], [2 + 1e-10, 1, 0]])
         assert mf.validate_metric(m).ok
+
+    def test_all_nan_matrix_is_not_a_metric(self):
+        report = mf.validate_metric(space_from(np.full((3, 3), math.nan)))
+        assert not report.ok
+        assert [v.witness for v in report.by_axiom("finite")] == [
+            (i, j) for i in range(3) for j in range(3)]
+
+    def test_infinite_distance_is_not_a_metric(self):
+        m = space_from([[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]])
+        assert {v.witness for v in mf.validate_metric(m).by_axiom("finite")} == {(0, 2), (2, 0)}
 
 
 class TestBall:
@@ -186,6 +197,22 @@ class TestSerialization:
         assert back.points == m.points
         assert np.array_equal(back.dist, m.dist)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["dist", "coords", "mass"])
+    def test_json_rejects_non_finite_numbers(self, token, field):
+        doc = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]],
+               "coords": [[0.0, 0.0], [1.0, 0.0]], "mass": [1.0, 1.0]}
+        row = doc[field] if field == "mass" else doc[field][0]
+        row[1] = "X"
+        text = json.dumps(doc).replace('"X"', token)
+        with pytest.raises(ValueError, match="non-finite"):
+            mf.from_json(text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite_numbers(self, cell):
+        with pytest.raises(ValueError, match="non-finite"):
+            mf.from_csv(f"a,b\n0.0,{cell}\n1.0,0.0\n")
+
     def test_save_load_by_suffix(self, tmp_path):
         m = mf.random_metric(5, seed=0)
         for name in ("s.json", "s.csv"):
@@ -210,6 +237,18 @@ class TestSubspace:
         m = mf.random_metric(4, seed=1)
         with pytest.raises(ValueError):
             mf.subspace(m, [0, 0, 1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(labels=st.lists(st.sampled_from("abcd"), min_size=1, max_size=5))
+def test_labels_must_be_unique(labels):
+    dist = 1.0 - np.eye(len(labels))
+    if len(set(labels)) < len(labels):
+        with pytest.raises(ValueError, match="duplicate point label"):
+            mf.FiniteMetricSpace(tuple(labels), dist)
+    else:
+        m = mf.FiniteMetricSpace(tuple(labels), dist)
+        assert [m.index(p) for p in labels] == list(range(len(labels)))
 
 
 class TestImmutability:
@@ -242,16 +281,51 @@ def test_point_cloud_spaces_validate(seed, n):
 def test_violation_counts_and_witnesses_match_naive_lister(n, data):
     # Small integer entries (many ties, zeros, negatives) and an occasional
     # asymmetric or fractional entry make every axiom fail somewhere.
+    # Non-finite entries fail the finite axiom.
     cells = st.one_of(st.integers(-1, 4).map(float),
-                      st.floats(-1.0, 4.0, allow_nan=False))
+                      st.floats(-1.0, 4.0, allow_nan=False),
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
     dist = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
     mass = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     report = mf.validate_metric(space_from(dist, mass=mass))
     expect = metric_violations(dist, mass=mass)
     assert report.total == len(expect)
     kept = []
-    for axiom in ("diagonal", "symmetry", "positivity", "triangle", "mass"):
+    for axiom in ("finite", "diagonal", "symmetry", "positivity", "triangle", "mass"):
         kept += [v for v in expect if v[0] == axiom][:25]
     got = [(v.axiom, v.witness, v.excess) for v in report.violations]
-    assert got == kept
+    assert repr(got) == repr(kept)  # repr: exact floats, and NaN matches NaN
+
+
+def plane_metric(n, seed):
+    from scipy.spatial.distance import cdist
+    pts = np.random.default_rng(seed).uniform(size=(n, 2))
+    return cdist(pts, pts)  # bitwise symmetric, diameter below 1.5
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(65, 200), seed=st.integers(0, 10**6), data=st.data())
+@pytest.mark.parametrize("plant", ["lower-last-band", "pair-middle-band", "nan"])
+def test_triangle_pass_across_row_bands(plant, n, seed, data):
+    # The triangle pass tests rows in bands of 64, and only the columns
+    # k >= i of a symmetric matrix; each plant sits where a wrong band or
+    # a wrong restriction would miss it.
+    d = plane_metric(n, seed)
+    if plant == "lower-last-band":  # asymmetric: only d[i, k] grows, k < i
+        i = data.draw(st.integers(64 * ((n - 1) // 64), n - 1))
+        k = data.draw(st.integers(0, i - 1))
+        d[i, k] += 3.0
+    elif plant == "pair-middle-band":
+        assume(n > 128)
+        i = data.draw(st.integers(64, 127))
+        k = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
+        d[i, k] = d[k, i] = d[i, k] + 3.0
+    else:
+        i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        d[i, k] = math.nan
+    report = mf.validate_metric(space_from(d))
+    total, kept = metric_violations_by_middle_point(d)
+    assert report.total == total
+    got = [(v.axiom, v.witness, v.excess) for v in report.violations]
+    assert repr(got) == repr(kept)
 
