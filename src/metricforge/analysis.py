@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .space import FiniteMetricSpace, sample_scale
 
@@ -47,6 +45,8 @@ def _pick_centers(m, centers, n_centers, seed):
         if ((cs < 0) | (cs >= m.n)).any():
             raise ValueError(f"centers must be point indices in [0, {m.n})")
         return cs
+    if n_centers < 1:
+        raise ValueError(f"n_centers must be at least 1, got {n_centers}")
     rng = np.random.default_rng(seed)
     k = min(m.n, n_centers)
     return np.sort(rng.choice(m.n, size=k, replace=False))
@@ -56,24 +56,6 @@ def _pick_centers(m, centers, n_centers, seed):
 # Doubling constant
 # ---------------------------------------------------------------------------
 
-def _greedy_cover_count(D, pts, radius, closed=False):
-    """Balls of the given radius, centered at pts, needed to cover pts."""
-    sub = D[np.ix_(pts, pts)]
-    covers = sub <= radius if closed else sub < radius
-    uncovered = np.ones(len(pts), dtype=bool)
-    count = 0
-    while uncovered.any():
-        gain = (covers & uncovered[None, :]).sum(axis=1)
-        best = int(np.argmax(gain))  # argmax takes the lowest index on ties
-        if gain[best] == 0:
-            # isolated leftovers each need their own ball
-            count += int(uncovered.sum())
-            break
-        uncovered &= ~covers[best]
-        count += 1
-    return count
-
-
 def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
                       n_centers: int = 32, seed: int = 0) -> int:
     """Greedy upper bound on the doubling constant over sampled balls.
@@ -82,7 +64,9 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     needs for B(a, r).  Covering balls are closed and centered inside the
     ball: on gridded samples, open balls drop entire rings of points lying
     at exactly-representable distances, inflating the count by a
-    discretization artifact rather than by geometry.
+    discretization artifact rather than by geometry.  Each step takes the
+    ball covering the most uncovered points (the lowest index on ties), and
+    points no ball covers count once each.  Gains are exact popcounts.
     """
     if m.n == 1:
         return 1
@@ -92,16 +76,26 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
         if not radii:
             radii = (m.diam(),) if m.diam() > 0 else ()
     cs = _pick_centers(m, centers, n_centers, seed)
+    D = m.dist
     best = 1
-    for a in cs:
-        row = m.dist[a]
-        for r in radii:
-            if r <= 0:
-                raise ValueError("radii must be positive")
-            pts = np.nonzero(row < r)[0]
-            if pts.size == 0:
-                continue
-            best = max(best, _greedy_cover_count(m.dist, pts, r / 2.0, closed=True))
+    for r in radii:
+        if r <= 0:
+            raise ValueError("radii must be positive")
+        rows = np.packbits(D <= r / 2.0, axis=1)  # row i: the closed ball at i
+        for a in cs:
+            inside = D[a] < r
+            balls = rows[inside]
+            left = np.packbits(inside)
+            count = 0
+            while left.any():
+                gain = np.bitwise_count(balls & left).sum(axis=1, dtype=np.intp)
+                top = int(np.argmax(gain))  # argmax takes the lowest index on ties
+                if gain[top] == 0:
+                    count += int(np.bitwise_count(left).sum())
+                    break
+                left &= ~balls[top]
+                count += 1
+            best = max(best, count)
     return int(best)
 
 
@@ -259,27 +253,15 @@ class LLCReport:
     seed: int
 
 
-def _induced_components(adj: csr_matrix, mask: np.ndarray):
-    idx = np.nonzero(mask)[0]
-    sub = adj[idx][:, idx]
-    _, labels = connected_components(sub, directed=False)
-    return idx, labels
-
-
-def _joined(adj, allowed_mask, members):
-    """True iff all ``members`` lie in one component of adj | allowed."""
-    idx, labels = _induced_components(adj, allowed_mask)
-    pos = np.searchsorted(idx, members)
-    return bool(np.all(labels[pos] == labels[pos[0]]))
-
-
-def _witness_pair(adj, allowed_mask, members):
-    idx, labels = _induced_components(adj, allowed_mask)
-    pos = np.searchsorted(idx, members)
-    lab = labels[pos]
-    first = members[0]
-    other = members[lab != lab[0]]
-    return int(first), int(other[0])
+def _reach(adj: np.ndarray, allowed: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the points joined to ``start`` by a path through ``allowed``."""
+    reach = np.zeros(len(adj), dtype=bool)
+    reach[start] = True
+    front = reach
+    while front.any():
+        front = adj[front].any(axis=0) & allowed & ~reach
+        reach |= front
+    return reach
 
 
 def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
@@ -302,72 +284,55 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     if not grid or grid[0] < 1.0:
         raise ValueError("lambda grid must start at 1.0 or above")
     D = m.dist
-    adj = csr_matrix(D <= delta)
-    ncomp, _ = connected_components(adj, directed=False)
+    adj = (D <= delta) | (D <= delta).T  # undirected: either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)
     if radii is None:
         radii = default_radii(m, delta, n_radii)
     radii = tuple(float(r) for r in radii)
-    if ncomp > 1 or not radii:
+    if not radii or (m.n and not _reach(adj, np.ones(m.n, dtype=bool), 0).all()):
         return LLCReport(math.inf, math.inf, float(delta), grid, (), (),
                          usable=False, evaluated1=0, evaluated2=0, skipped=0,
                          centers=tuple(int(c) for c in cs), radii=radii, seed=seed)
-    diam = m.diam()
 
     def run_leg(leg):
         key = 0  # current grid candidate index
         failed_at_max = False
-        evaluated = 0
         skipped = 0
         configs = []
         for a in cs:
-            row = D[a]
             for r in radii:
-                if leg == 1:
-                    members = np.nonzero(row < r)[0]
-                else:
-                    if r > diam:
-                        skipped += 1
-                        continue
-                    members = np.nonzero(row >= r)[0]
+                # Above the diameter, the complement of B(a, r) is empty.
+                members = np.flatnonzero(D[a] < r if leg == 1 else D[a] >= r)
                 if members.size < 2:
                     skipped += 1
-                    continue
-                evaluated += 1
-                configs.append((int(a), float(r), members))
+                else:
+                    configs.append((int(a), float(r), members))
 
-        def passes(a, r, members, lam):
-            if leg == 1:
-                allowed = D[a] < lam * r
-            else:
-                allowed = D[a] >= r / lam
-            return _joined(adj, allowed, members)
+        def reached(a, r, members, lam):
+            """Which members the first one joins inside the inflated ball."""
+            allowed = D[a] < lam * r if leg == 1 else D[a] >= r / lam
+            return _reach(adj, allowed, members[0])[members]
 
         for a, r, members in configs:
-            if passes(a, r, members, grid[key]):
-                continue
-            while key < len(grid) and not passes(a, r, members, grid[key]):
+            while key < len(grid) and not reached(a, r, members, grid[key]).all():
                 key += 1
             if key == len(grid):
                 failed_at_max = True
                 key = len(grid) - 1  # keep scanning for the worst witnesses
 
         value = math.inf if failed_at_max else grid[key]
-        # Witnesses at the last failing grid value below the result.
+        # Witnesses at the last failing grid value below the result: the
+        # first member and the first member it does not reach.
         witness_level = grid[-1] if failed_at_max else (grid[key - 1] if key > 0 else None)
         failures = []
         if witness_level is not None:
             for a, r, members in configs:
                 if len(failures) >= 20:
                     break
-                if not passes(a, r, members, witness_level):
-                    if leg == 1:
-                        allowed = D[a] < witness_level * r
-                    else:
-                        allowed = D[a] >= r / witness_level
-                    x, y = _witness_pair(adj, allowed, members)
-                    failures.append((a, r, x, y))
-        return value, tuple(failures), evaluated, skipped
+                hit = reached(a, r, members, witness_level)
+                if not hit.all():
+                    failures.append((a, r, int(members[0]), int(members[~hit][0])))
+        return value, tuple(failures), len(configs), skipped
 
     lambda1, failures1, ev1, sk1 = run_leg(1)
     lambda2, failures2, ev2, sk2 = run_leg(2)

@@ -163,14 +163,23 @@ def _suite_metric(m, args):
     return doc, EXIT_PASS if report.ok else EXIT_FAIL
 
 
+def _lambda_grid(args):
+    """Quarter-octave grid 1 .. --lambda-max, or None for the default grid."""
+    if not args.lambda_max:
+        return None
+    if args.lambda_max < 1.0:
+        raise SystemExit2("--lambda-max must be at least 1")
+    steps = int(math.ceil(4 * math.log2(args.lambda_max))) + 1
+    return tuple(2.0 ** (k / 4.0) for k in range(steps))
+
+
 def _suite_llc(m, args):
-    grid = None
-    if args.lambda_max:
-        steps = int(math.ceil(4 * math.log2(args.lambda_max))) + 1
-        grid = tuple(2.0 ** (k / 4.0) for k in range(steps))
-    rep = analysis.llc_constants(m, delta=args.delta, lambda_grid=grid,
-                                 n_centers=args.n_centers, n_radii=args.n_radii,
-                                 seed=args.seed)
+    try:
+        rep = analysis.llc_constants(m, delta=args.delta, lambda_grid=_lambda_grid(args),
+                                     n_centers=args.n_centers, n_radii=args.n_radii,
+                                     seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
     doc = {"suite": "llc", **dataclasses.asdict(rep)}
     if not rep.usable:
         return doc, EXIT_DIAGNOSTIC
@@ -227,14 +236,13 @@ def _suite_distortion(m, args):
 
 
 def _suite_quasicircle(m, args):
-    grid = None
-    if args.lambda_max:
-        steps = int(math.ceil(4 * math.log2(args.lambda_max))) + 1
-        grid = tuple(2.0 ** (k / 4.0) for k in range(steps))
-    rep = analysis.quasicircle_check(m, max_lambda=args.max_lambda,
-                                     max_doubling=args.max_doubling,
-                                     delta=args.delta, lambda_grid=grid,
-                                     seed=args.seed)
+    try:
+        rep = analysis.quasicircle_check(m, max_lambda=args.max_lambda,
+                                         max_doubling=args.max_doubling,
+                                         delta=args.delta, lambda_grid=_lambda_grid(args),
+                                         seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
     doc = {"suite": "quasicircle", **dataclasses.asdict(rep)}
     if rep.degenerate or not rep.usable:
         return doc, EXIT_DIAGNOSTIC

@@ -161,6 +161,8 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
             bound = claimed(t_in)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = t_out / bound
+            # A 0/0 ratio claims nothing; argmax would stop at the first one.
+            ratio[np.isnan(ratio)] = -np.inf
             k = int(np.argmax(ratio))
             if ratio[k] > worst_ratio:
                 worst_ratio = float(ratio[k])

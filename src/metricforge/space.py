@@ -232,7 +232,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
                   for i, k in np.argwhere(bad)))
 
     if m.mass is not None:
-        bad = np.flatnonzero(m.mass < 0)
+        bad = np.flatnonzero(~(m.mass >= 0))  # NaN fails too
         push("mass", bad.size, (((int(i),), -m.mass[i]) for i in bad))
 
     if m.boundary is not None:
@@ -356,27 +356,65 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # Serialization: JSON carries the full record; CSV carries labels + distances.
-# Floats survive both formats exactly (shortest round-trip repr); the
-# loaders reject non-finite numbers.
+# Floats survive both formats exactly (shortest round-trip repr).  Both
+# writers refuse non-finite numbers and both loaders reject them.
 # ---------------------------------------------------------------------------
-
-def to_json(m: FiniteMetricSpace) -> str:
-    doc: dict = {
-        "points": list(m.points),
-        "dist": [[float(x) for x in row] for row in m.dist],
-    }
-    if m.coords is not None:
-        doc["coords"] = [[float(x) for x in row] for row in m.coords]
-    if m.mass is not None:
-        doc["mass"] = [float(x) for x in m.mass]
-    if m.boundary is not None:
-        doc["boundary"] = sorted(int(i) for i in m.boundary)
-    return json.dumps(doc, sort_keys=True, indent=1)
-
 
 def _non_finite(token: str):
     raise ValueError(f"non-finite number {token}: distances must be finite and "
                      "nonnegative, coordinates and masses finite")
+
+
+def _require_finite(*arrays) -> None:
+    for a in arrays:
+        if a is not None and not np.isfinite(a).all():
+            _non_finite(repr(float(a[~np.isfinite(a)][0])))
+
+
+def _json_list(items: list, depth: int, brackets: str = "[]") -> str:
+    """Nested lists of encoded items in the layout of ``json.dumps(indent=1)``.
+
+    The brackets are written into the end items of ``items`` in place, so
+    the long result is built only once.
+    """
+    if not items:
+        return brackets
+    if isinstance(items[0], list):
+        items = [_json_list(sub, depth + 1) for sub in items]
+    pad = "\n" + " " * (depth + 1)
+    items[0] = brackets[0] + pad + items[0]
+    items[-1] += "\n" + " " * depth + brackets[1]
+    return ("," + pad).join(items)
+
+
+def _json_floats(a: np.ndarray, depth: int) -> str:
+    """A float array as nested JSON lists; each distinct float is encoded once.
+
+    Distinct means distinct bits, so -0.0 keeps its sign.
+    """
+    bits, inv = np.unique(a.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return _json_list(text[inv].reshape(a.shape).tolist(), depth)
+
+
+def to_json(m: FiniteMetricSpace) -> str:
+    """The space as ``json.dumps(doc, sort_keys=True, indent=1)`` would write it.
+
+    Floats are written by ``float.__repr__``, as the encoder does, but the
+    encoder's pure-Python indent path is bypassed for the float arrays.
+    """
+    _require_finite(m.dist, m.coords, m.mass)
+    doc = {
+        "points": json.dumps(list(m.points), indent=1).replace("\n", "\n "),
+        "dist": _json_floats(m.dist, 1),
+    }
+    if m.coords is not None:
+        doc["coords"] = _json_floats(m.coords, 1)
+    if m.mass is not None:
+        doc["mass"] = _json_floats(m.mass, 1)
+    if m.boundary is not None:
+        doc["boundary"] = _json_list([str(i) for i in sorted(m.boundary)], 1)
+    return _json_list([f'"{k}": {doc.pop(k)}' for k in sorted(doc)], 0, "{}")
 
 
 def from_json(text: str) -> FiniteMetricSpace:
@@ -395,6 +433,7 @@ def to_csv(m: FiniteMetricSpace) -> str:
 
     Coordinates, masses, and boundary marks are JSON-only.
     """
+    _require_finite(m.dist)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow([str(p) for p in m.points])
@@ -409,8 +448,7 @@ def from_csv(text: str) -> FiniteMetricSpace:
         raise ValueError("empty CSV input")
     labels = tuple(rows[0])
     body = np.asarray([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
-    if not np.isfinite(body).all():
-        _non_finite(repr(float(body[~np.isfinite(body)][0])))
+    _require_finite(body)
     return FiniteMetricSpace(points=labels, dist=body)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ def metric_violations(dist, tol=1e-9, mass=None):
     Plain loops over Python floats: non-finite entries row-major, diagonal
     entries, then the upper triangle for symmetry and positivity, then
     triangle triples with the middle point outermost and (i, k) row-major,
-    then negative masses.
+    then negative or NaN masses.
     """
     d = [[float(x) for x in row] for row in dist]
     n = len(d)
@@ -58,7 +59,7 @@ def metric_violations(dist, tol=1e-9, mass=None):
                 if d[i][k] > through + tol:
                     out.append(("triangle", (i, j, k), d[i][k] - through))
     for i, w in enumerate([] if mass is None else mass):
-        if w < 0:
+        if not w >= 0:
             out.append(("mass", (i,), -float(w)))
     return out
 
@@ -111,8 +112,7 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
     float64 scalars, bins come from ``bisect`` on ``edges``, and after each
     batch the attaining input of a bin is replaced by the largest input of
     that batch whose output equals the bin's max (ties included).  The claim
-    follows numpy's argmax per batch: its first NaN ratio if any, else its
-    first largest ratio.
+    takes each batch's first largest ratio, NaN ratios left out.
     """
     S = [[np.float64(x) for x in row] for row in src]
     D = [[np.float64(x) for x in row] for row in dst]
@@ -162,9 +162,9 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
                     env_in[b] = best_in[b]
             if claimed is not None and evals:
                 r = [float(t_out / claimed(t_in)) for _, t_in, t_out, _ in evals]
-                nans = [i for i, v in enumerate(r) if v != v]
-                k = nans[0] if nans else max(range(len(r)), key=r.__getitem__)
-                if r[k] > worst:
+                defined = [i for i, v in enumerate(r) if v == v]
+                k = max(defined, key=r.__getitem__, default=None)
+                if k is not None and r[k] > worst:
                     t, t_in, t_out, _ = evals[k]
                     worst, witness = r[k], (t, float(t_in), float(t_out))
 
@@ -261,3 +261,90 @@ def component_of(adjacency, allowed, seed):
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def greedy_cover_count(dist, pts, radius):
+    """Closed balls of ``radius`` centered at ``pts`` that a greedy cover of
+    ``pts`` takes: the ball with the most uncovered points first, the lowest
+    index on ties, and one ball per point no ball covers."""
+    covers = np.asarray(dist)[np.ix_(pts, pts)] <= radius
+    uncovered = np.ones(len(pts), dtype=bool)
+    count = 0
+    while uncovered.any():
+        gain = (covers & uncovered[None, :]).sum(axis=1)
+        best = int(np.argmax(gain))
+        if gain[best] == 0:
+            return count + int(uncovered.sum())
+        uncovered &= ~covers[best]
+        count += 1
+    return count
+
+
+def llc_by_components(dist, delta, grid, centers, radii):
+    """(lambda1, lambda2, failures1, failures2, evaluated1, evaluated2, skipped)
+    of ``llc_constants`` on a connected delta-graph, from scipy's
+    ``connected_components`` of each induced subgraph.
+
+    Points are joined when either direction is within ``delta``.  Each leg
+    moves up the grid while a configuration fails; witnesses are the first
+    member and the first member outside its component, at the last failing
+    grid value below the result.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    D = np.asarray(dist)
+    adj = csr_matrix(D <= delta)
+    diam = D.max()
+
+    def labels(allowed, members):
+        idx = np.nonzero(allowed)[0]
+        _, lab = connected_components(adj[idx][:, idx], directed=False)
+        return lab[np.searchsorted(idx, members)]
+
+    def leg(which):
+        configs, skipped = [], 0
+        for a in centers:
+            for r in radii:
+                if which == 2 and r > diam:
+                    skipped += 1
+                    continue
+                members = np.nonzero(D[a] < r if which == 1 else D[a] >= r)[0]
+                if members.size < 2:
+                    skipped += 1
+                    continue
+                configs.append((int(a), float(r), members))
+
+        def lab(a, r, members, lam):
+            return labels(D[a] < lam * r if which == 1 else D[a] >= r / lam, members)
+
+        key, failed_at_max = 0, False
+        for a, r, members in configs:
+            while key < len(grid) and len(set(lab(a, r, members, grid[key]))) > 1:
+                key += 1
+            if key == len(grid):
+                failed_at_max, key = True, len(grid) - 1
+        level = grid[-1] if failed_at_max else (grid[key - 1] if key > 0 else None)
+        failures = []
+        for a, r, members in configs if level is not None else ():
+            found = lab(a, r, members, level)
+            if len(failures) < 20 and len(set(found)) > 1:
+                failures.append((a, r, int(members[0]), int(members[found != found[0]][0])))
+        return (math.inf if failed_at_max else grid[key]), tuple(failures), len(configs), skipped
+
+    lam1, f1, e1, s1 = leg(1)
+    lam2, f2, e2, s2 = leg(2)
+    return lam1, lam2, f1, f2, e1, e2, s1 + s2
+
+
+def space_json(m):
+    """``json.dumps`` of a space's record, sorted keys, indent 1."""
+    doc = {"points": list(m.points),
+           "dist": [[float(x) for x in row] for row in m.dist]}
+    if m.coords is not None:
+        doc["coords"] = [[float(x) for x in row] for row in m.coords]
+    if m.mass is not None:
+        doc["mass"] = [float(x) for x in m.mass]
+    if m.boundary is not None:
+        doc["boundary"] = sorted(int(i) for i in m.boundary)
+    return json.dumps(doc, sort_keys=True, indent=1)

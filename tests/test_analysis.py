@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
-from oracles import component_of
+from oracles import component_of, greedy_cover_count, llc_by_components
 
 
 def interior_grid_centers(grid, margin):
@@ -37,6 +37,29 @@ class TestDoubling:
             values.append(mf.doubling_constant(g, radii=(1 / 8, 1 / 4),
                                                n_centers=16, seed=1))
         assert max(values) - min(values) <= 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 9), symmetric=st.booleans(), data=st.data())
+def test_every_ball_cover_matches_the_greedy_oracle(n, symmetric, data):
+    # Integer distances make ties at the covering radius r / 2 common; a
+    # positive diagonal leaves points no ball covers.
+    cells = data.draw(st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n))
+    d = np.array(cells, dtype=float).reshape(n, n)
+    if symmetric:
+        d = np.minimum(d, d.T)
+    if data.draw(st.booleans()):
+        np.fill_diagonal(d, 0.0)
+    m = mf.FiniteMetricSpace(tuple(map(str, range(n))), d)
+    radii = (1.0, 2.0, 3.0, 4.0, 5.0)
+    worst = 1
+    for a in range(n):
+        for r in radii:
+            pts = np.flatnonzero(d[a] < r)
+            expect = max(1, greedy_cover_count(d, pts, r / 2.0))
+            assert mf.doubling_constant(m, radii=(r,), centers=[a]) == expect
+            worst = max(worst, expect)
+    assert mf.doubling_constant(m, radii=radii, centers=range(n)) == worst
 
 
 class TestPremeasure:
@@ -220,6 +243,41 @@ class TestLLC:
         assert mf.llc_constants(disk, seed=7) == mf.llc_constants(disk, seed=7)
 
 
+def arc_with_gaps(circle, gaps):
+    return mf.subspace(circle, [i for i in range(circle.n)
+                                if not any(lo <= i < hi for lo, hi in gaps)])
+
+
+@pytest.mark.parametrize("case", ["open-arc", "gapped-circle", "capped-grid",
+                                  "one-way-arc", "uneven-arc"])
+def test_llc_matches_component_oracle(case, circle_256):
+    # Failing inputs, so that witnesses are exercised, and asymmetric ones,
+    # where only one direction of a pair is within delta.
+    grid = None
+    if case == "open-arc":
+        m = arc_with_gaps(circle_256, [(192, 256)])
+    elif case == "gapped-circle":
+        m = arc_with_gaps(circle_256, [(20, 24)])
+    elif case == "capped-grid":  # lambda1 fails even at the grid max
+        m = arc_with_gaps(circle_256, [(20, 24)])
+        grid = (1.0, 1.25)
+    else:
+        arc = arc_with_gaps(circle_256, [(200, 256)])
+        d = arc.dist.copy()
+        if case == "one-way-arc":  # only d[i, j] with i > j joins
+            d[np.triu_indices(arc.n, 1)] *= 10.0
+        else:
+            d *= np.random.default_rng(5).uniform(0.8, 1.25, size=d.shape)
+        m = mf.FiniteMetricSpace(arc.points, d)
+    rep = mf.llc_constants(m, lambda_grid=grid, n_centers=40, seed=1)
+    assert rep.usable
+    expect = llc_by_components(m.dist, rep.delta, rep.grid, rep.centers, rep.radii)
+    got = (rep.lambda1, rep.lambda2, rep.failures1, rep.failures2,
+           rep.evaluated1, rep.evaluated2, rep.skipped)
+    assert got == expect
+    assert rep.failures1 or rep.failures2
+
+
 class TestComponentContainment:
     def test_certified_lambda_bounds_components(self):
         # join-inside constant => small balls sit inside the graph component
@@ -270,6 +328,15 @@ class TestDefaults:
     def test_sparse_space_has_empty_window(self):
         m = mf.random_metric(3, seed=0)
         assert mf.default_radii(m, 10.0 * m.diam()) == ()
+
+
+@pytest.mark.parametrize("n_centers", [0, -1])
+def test_center_count_must_be_positive(n_centers):
+    m = mf.euclidean_grid(3, 1.0)
+    for call in (mf.doubling_constant, mf.llc_constants,
+                 lambda m, **kw: mf.regularity_constant(m, 2.0, **kw)):
+        with pytest.raises(ValueError, match="n_centers"):
+            call(m, radii=(1.5,), n_centers=n_centers)
 
 
 @settings(max_examples=40, deadline=None)

@@ -87,9 +87,9 @@ class TestWarpCommand:
         assert not twice.exists()
 
     def test_non_finite_distance_is_usage_error(self, tmp_path, capsys):
-        dist = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
         path = tmp_path / "inf.json"
-        mf.save_space(mf.FiniteMetricSpace(("p", "a", "b"), dist), path)
+        path.write_text('{"dist": [[0.0, 1.0, Infinity], [1.0, 0.0, 1.0], '
+                        '[Infinity, 1.0, 0.0]], "points": ["p", "a", "b"]}')
         code = main(["warp", str(path), "--basepoint", "p",
                      "-o", str(tmp_path / "w.json")])
         assert code == 2
@@ -124,7 +124,7 @@ class TestCheckCommand:
 
     def test_non_finite_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
-        mf.save_space(mf.FiniteMetricSpace(("a", "b"), np.full((2, 2), np.nan)), path)
+        path.write_text('{"dist": [[NaN, NaN], [NaN, NaN]], "points": ["a", "b"]}')
         assert main(["check", str(path), "--suite", "metric"]) == 2
         assert "non-finite number NaN" in capsys.readouterr().err
 
@@ -181,6 +181,22 @@ class TestCheckCommand:
         mf.save_space(mf.disk_sample(60, seed=1), path)
         code = main(["check", str(path), "--suite", "llc", "--delta", "0.001"])
         assert code == 3
+
+    @pytest.mark.parametrize("suite", ["llc", "regularity"])
+    def test_nonpositive_center_count_is_usage_error(self, tmp_path, capsys, suite):
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(40, seed=1), path)
+        code = main(["check", str(path), "--suite", suite, "--q", "2",
+                     "--n-centers", "-1"])
+        assert code == 2
+        assert "n_centers" in capsys.readouterr().err
+
+    def test_lambda_max_below_one_is_usage_error(self, tmp_path, capsys, circle_256):
+        path = tmp_path / "circle.json"
+        mf.save_space(circle_256, path)
+        for suite in ("llc", "quasicircle"):
+            assert main(["check", str(path), "--suite", suite, "--lambda-max", "0.5"]) == 2
+            assert "lambda" in capsys.readouterr().err
 
     def test_quasicircle_suite(self, tmp_path, circle_256):
         path = tmp_path / "circle.json"

@@ -129,6 +129,19 @@ class TestProfilesMatchNaiveSampler:
             assert repr(got[field]) == repr(value), field  # repr: NaN matches NaN
 
 
+def test_undefined_ratios_do_not_hide_a_failed_claim():
+    # Three coincident destination points give 0/0 output ratios; the claim
+    # check must still see the x/0 ones of the same batch.
+    m = mf.random_metric(10, seed=0)
+    prof = mf.qs_profile(m, coincident(m, [0, 3, 5, 6]), range(10),
+                         claimed=mf.linear_gauge(2))
+    assert prof.exhaustive
+    assert not prof.claim.passed
+    assert prof.claim.worst_ratio == math.inf
+    (a, b, c), _, t_out = prof.claim.worst_witness
+    assert {a, c} <= {0, 3, 5, 6} and t_out == math.inf
+
+
 class TestWarpDistortion:
     def test_warp_is_quasi_mobius_with_slope_16(self):
         m = mf.random_metric(22, seed=13)

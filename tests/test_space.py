@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import metricforge as mf
 from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
-                     metric_violations_by_middle_point, triangle_ok)
+                     metric_violations_by_middle_point, space_json, triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -66,6 +66,10 @@ class TestValidate:
     def test_infinite_distance_is_not_a_metric(self):
         m = space_from([[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]])
         assert {v.witness for v in mf.validate_metric(m).by_axiom("finite")} == {(0, 2), (2, 0)}
+
+    def test_nan_mass_is_not_a_measure(self):
+        report = mf.validate_metric(space_from([[0, 1], [1, 0]], mass=[math.nan, 1.0]))
+        assert [v.witness for v in report.by_axiom("mass")] == [(0,)]
 
 
 class TestBall:
@@ -213,6 +217,41 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite"):
             mf.from_csv(f"a,b\n0.0,{cell}\n1.0,0.0\n")
 
+    @pytest.mark.parametrize("case", ["bare", "full", "one-point", "empty", "odd-labels"])
+    def test_json_layout_is_the_stdlib_layout(self, case):
+        if case == "bare":
+            m = mf.random_metric(6, seed=2)
+        elif case == "full":
+            m = mf.sphere_cap_complement(n=30, eps=0.5, seed=1)
+        elif case == "one-point":
+            m = mf.FiniteMetricSpace(("a",), np.zeros((1, 1)), coords=np.zeros((1, 2)),
+                                     mass=[1.0], boundary={0})
+        elif case == "empty":
+            m = mf.FiniteMetricSpace((), np.zeros((0, 0)), coords=np.zeros((0, 2)),
+                                     mass=np.zeros(0), boundary=())
+        else:  # quotes, escapes, non-ASCII; -0.0 keeps its sign
+            m = mf.FiniteMetricSpace(('q"uote', "back\\slash", "é∞", "new\nline"),
+                                     np.array([[0.0, -0.0, 1e-300, 0.1],
+                                               [-0.0, 0.0, 1 / 3, 5e300],
+                                               [1e-300, 1 / 3, 0.0, 2.0],
+                                               [0.1, 5e300, 2.0, 0.0]]),
+                                     mass=[-0.0, 0.5, 1e-7, 3.0])
+        assert mf.to_json(m) == space_json(m)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["dist", "coords", "mass"])
+    def test_writers_refuse_non_finite_numbers(self, value, field):
+        arrays = {"dist": 1.0 - np.eye(2), "coords": np.zeros((2, 2)), "mass": np.ones(2)}
+        arrays[field].flat[1] = value
+        m = mf.FiniteMetricSpace(("a", "b"), **arrays)
+        with pytest.raises(ValueError, match="non-finite"):
+            mf.to_json(m)
+        if field == "dist":
+            with pytest.raises(ValueError, match="non-finite"):
+                mf.to_csv(m)
+        else:  # CSV holds only the distances
+            assert mf.to_csv(m)
+
     def test_save_load_by_suffix(self, tmp_path):
         m = mf.random_metric(5, seed=0)
         for name in ("s.json", "s.csv"):
@@ -286,7 +325,8 @@ def test_violation_counts_and_witnesses_match_naive_lister(n, data):
                       st.floats(-1.0, 4.0, allow_nan=False),
                       st.sampled_from([math.nan, math.inf, -math.inf]))
     dist = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
-    mass = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    weights = st.one_of(st.floats(-1.0, 1.0), st.just(math.nan))
+    mass = np.array(data.draw(st.lists(weights, min_size=n, max_size=n)))
     report = mf.validate_metric(space_from(dist, mass=mass))
     expect = metric_violations(dist, mass=mass)
     assert report.total == len(expect)
