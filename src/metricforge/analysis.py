@@ -371,7 +371,8 @@ class QuasicircleReport:
 def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
                       max_doubling: int = 8, delta: float | None = None,
                       lambda_grid=None, centers=None, radii=None,
-                      n_centers: int = 48, seed: int = 0) -> QuasicircleReport:
+                      n_centers: int = 48, n_radii: int = 8,
+                      seed: int = 0) -> QuasicircleReport:
     """Screen a closed-curve sample for quasicircle behavior."""
     if m.n < 3:
         return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
@@ -380,7 +381,7 @@ def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
         delta = default_delta(m)
     llc = llc_constants(m, delta=delta, lambda_grid=lambda_grid,
                         centers=centers, radii=radii,
-                        n_centers=n_centers, seed=seed)
+                        n_centers=n_centers, n_radii=n_radii, seed=seed)
     m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii or None,
                               seed=seed)
     passed = (llc.usable and llc.lambda1 <= max_lambda

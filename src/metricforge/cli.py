@@ -37,7 +37,9 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return "inf" if math.isinf(v) else ("nan" if math.isnan(v) else v)
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return "nan" if math.isnan(v) else v
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -163,6 +165,12 @@ def _suite_metric(m, args):
     return doc, EXIT_PASS if report.ok else EXIT_FAIL
 
 
+def _given(args, *names):
+    """The options among ``names`` given on the command line, as keywords;
+    the library defaults stand for the others."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _lambda_grid(args):
     """Quarter-octave grid 1 .. --lambda-max, or None for the default grid."""
     if not args.lambda_max:
@@ -176,8 +184,7 @@ def _lambda_grid(args):
 def _suite_llc(m, args):
     try:
         rep = analysis.llc_constants(m, delta=args.delta, lambda_grid=_lambda_grid(args),
-                                     n_centers=args.n_centers, n_radii=args.n_radii,
-                                     seed=args.seed)
+                                     seed=args.seed, **_given(args, "n_centers", "n_radii"))
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
     doc = {"suite": "llc", **dataclasses.asdict(rep)}
@@ -197,8 +204,8 @@ def _suite_regularity(m, args):
         raise SystemExit2("--suite regularity requires --q")
     try:
         rep = analysis.regularity_constant(m, args.q, radii=_parse_radii(args.radii),
-                                           n_centers=args.n_centers, seed=args.seed,
-                                           eps=args.eps)
+                                           seed=args.seed, eps=args.eps,
+                                           **_given(args, "n_centers"))
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
     doc = {"suite": "regularity", **dataclasses.asdict(rep)}
@@ -225,8 +232,11 @@ def _suite_distortion(m, args):
     if args.claim_eta:
         claimed, claimed_desc = _parse_gauge(args.claim_eta)
     profile_fn = distortion.qs_profile if args.kind == "qs" else distortion.qm_profile
-    prof = profile_fn(m, dst, mapping, n_samples=args.samples, seed=args.seed,
-                      claimed=claimed, claimed_desc=claimed_desc)
+    try:
+        prof = profile_fn(m, dst, mapping, n_samples=args.samples, seed=args.seed,
+                          claimed=claimed, claimed_desc=claimed_desc)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
     doc = {"suite": "distortion", **dataclasses.asdict(prof)}
     if args.csv:
         _export_envelope_csv(prof, Path(args.csv))
@@ -240,7 +250,7 @@ def _suite_quasicircle(m, args):
         rep = analysis.quasicircle_check(m, max_lambda=args.max_lambda,
                                          max_doubling=args.max_doubling,
                                          delta=args.delta, lambda_grid=_lambda_grid(args),
-                                         seed=args.seed)
+                                         seed=args.seed, **_given(args, "n_centers", "n_radii"))
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
     doc = {"suite": "quasicircle", **dataclasses.asdict(rep)}
@@ -334,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--radii", help="comma-separated radii")
     c.add_argument("--eps", type=float)
     c.add_argument("--delta", type=float)
-    c.add_argument("--n-centers", dest="n_centers", type=int, default=32)
-    c.add_argument("--n-radii", dest="n_radii", type=int, default=8)
+    c.add_argument("--n-centers", dest="n_centers", type=int,
+                   help="sampled centers (default 32; 48 for quasicircle)")
+    c.add_argument("--n-radii", dest="n_radii", type=int, help="radii per center (default 8)")
     c.add_argument("--lambda-max", dest="lambda_max", type=float)
     c.add_argument("--claim-k", dest="claim_k", type=float)
     c.add_argument("--claim-lambda1", dest="claim_lambda1", type=float)

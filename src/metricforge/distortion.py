@@ -137,7 +137,11 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     worst_ratio = -np.inf
     worst_witness = None
     exhaustive = n <= exhaustive_cutoff
+    if not exhaustive and n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1 for a sampled profile, got {n_samples}")
 
+    # Coincident points give x/0 and 0/0 ratios: expected, and recorded.
+    @np.errstate(divide="ignore", invalid="ignore")
     def absorb(cols):
         nonlocal counts, worst_ratio, worst_witness
         k = cols.shape[1]
@@ -158,9 +162,7 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
         touched = scratch > -np.inf
         env_in[touched] = scratch[touched]
         if claimed is not None:
-            bound = claimed(t_in)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = t_out / bound
+            ratio = t_out / claimed(t_in)
             # A 0/0 ratio claims nothing; argmax would stop at the first one.
             ratio[np.isnan(ratio)] = -np.inf
             k = int(np.argmax(ratio))

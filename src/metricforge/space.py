@@ -118,55 +118,55 @@ _WITNESS_CAP = 25  # per axiom; full counts are still reported
 _ROW_BLOCK = 64  # rows relaxed or tested together, so their candidates stay in cache
 
 
-def _min_plus(d: np.ndarray, w: np.ndarray) -> None:
+def _through(d: np.ndarray) -> np.ndarray:
+    """``min(d, d ⊗ d)``: every entry against every two-step path, as a new array.
+
+    Entry (i, k) is the min of ``d[i, k]`` and of ``d[i, m] + d[m, k]`` over
+    all m, computed band by band of rows on a contiguous copy.  When ``d``
+    equals its transpose, ``d[i, m] + d[m, k]`` and ``d[k, m] + d[m, i]`` are
+    the same float (addition commutes), so only the columns ``k >= i`` are
+    computed and each band is mirrored below the diagonal: half the work.
+    ``np.fmin`` skips NaN candidates.
+    """
+    n = len(d)
+    symmetric = np.array_equal(d, d.T)
+    out = np.empty_like(d)
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1, c0 = r0 + _ROW_BLOCK, r0 if symmetric else 0
+        band = d[r0:r1, c0:].copy()
+        for m in range(n):
+            np.fmin(band, d[r0:r1, m, None] + d[m, c0:], out=band)
+        out[r0:r1, c0:] = band
+        if symmetric:
+            out[r0:, r0:r1] = band.T
+    return out
+
+
+def _min_plus(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
     """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``.
 
     Column m relaxes row i as ``d[i, :] = min(d[i, :], d[i, m] + w[m, :])``.
-    An entry ``d[i, k]`` that drops after column k relaxed row i is stale;
-    sweeps revisit only stale entries until none is left.  Each entry stays
-    a left-associated chain sum and rounding is monotone (``x <= y`` gives
-    ``fl(x + c) <= fl(y + c)``), so the fixpoint is exactly the least such
-    sum.  NaN candidates are ignored.  Rows are independent, so blocks of
-    rows are relaxed one at a time.
+    ``stale`` (consumed) marks the entries ``d[i, m]`` that row i has not yet
+    been relaxed through, such as those ``_through(w)`` lowered (see
+    :mod:`metricforge.warp`); an entry that drops becomes stale again, and
+    sweeps visit only stale entries until none is left.  Rows are
+    independent, so blocks of rows are relaxed one at a time.
     """
     for r0 in range(0, d.shape[0], _ROW_BLOCK):
-        blk = d[r0:r0 + _ROW_BLOCK]
-        stale = np.ones(blk.shape, dtype=bool)
-        while stale.any():
+        blk, todo = d[r0:r0 + _ROW_BLOCK], stale[r0:r0 + _ROW_BLOCK]
+        while todo.any():
             for m in range(w.shape[0]):
-                rows = np.flatnonzero(stale[:, m])
+                rows = np.flatnonzero(todo[:, m])
                 if rows.size == 0:
                     continue
-                if rows.size == len(blk):
-                    rows = slice(None)  # a view: no gather, no scatter
-                stale[rows, m] = False
+                todo[rows, m] = False
                 cand = blk[rows, m, None] + w[m]
                 cur = blk[rows]
                 drop = cand < cur
                 if drop.any():
                     np.copyto(cur, cand, where=drop)
                     blk[rows] = cur
-                    stale[rows] |= drop
-
-
-def _triangle_fails(d: np.ndarray, tol: float) -> bool:
-    """Whether some triple has ``d[i, k] > d[i, m] + d[m, k] + tol``.
-
-    Bands of rows are tested against ``min(d, d ⊗ d)``, over the columns
-    ``k >= i`` when ``d`` is symmetric (see :func:`validate_metric`).
-    ``np.fmin`` skips NaN candidates, which fail no triple either.
-    """
-    n = len(d)
-    symmetric = np.array_equal(d, d.T)
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1, c0 = r0 + _ROW_BLOCK, r0 if symmetric else 0
-        band = d[r0:r1, c0:]
-        through = band.copy()
-        for m in range(n):
-            np.fmin(through, d[r0:r1, m, None] + d[m, c0:], out=through)
-        if (band > through + tol).any():
-            return True
-    return False
+                    todo[rows] |= drop
 
 
 @np.errstate(invalid="ignore")  # non-finite entries are reported, not warned about
@@ -179,14 +179,13 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     non-finite distance fails the ``finite`` axiom, so it never passes.
 
     The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + tol`` is first
-    tested for all triples at once, band by band of rows.  Rounding is
-    monotone, so some middle point m fails (i, k) exactly when ``d(i,k)``
-    exceeds the min over m of ``d(i,m) + d(m,k)``, plus tol.  When ``d``
-    equals its transpose, ``d(i,m) + d(m,k)`` and ``d(k,m) + d(m,i)`` are
-    the same float, so (i, k) fails exactly when (k, i) does and the pairs
-    with ``k >= i`` suffice: half the work.  Otherwise every pair is tested.
-    Only when this test finds a failure does a scan per middle point count
-    the failing triples and list witnesses.
+    tested for all triples at once, against the first min-plus round
+    ``min(d, d ⊗ d)`` that ``warp`` also starts from (``_through``).
+    Rounding is monotone, so some middle point m fails (i, k) exactly when
+    ``d(i,k)`` exceeds the min over m of ``d(i,m) + d(m,k)``, plus tol.  On
+    a symmetric ``d`` that round costs half a full one.  Only when this
+    test finds a failure does a scan per middle point count the failing
+    triples and list witnesses.
     """
     d = m.dist
     n = m.n
@@ -223,7 +222,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     bad = np.argwhere(np.triu(d <= tol, 1))
     push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
 
-    if _triangle_fails(d, tol):
+    if (d > _through(d) + tol).any():
         for j in range(n):
             through = d[:, j, None] + d[j]
             bad = d > through + tol

@@ -6,12 +6,17 @@ Given a basepoint p, every pair gets the rescaled separation
 
 which in general fails the triangle inequality.  The warped metric d-hat is
 the chain infimum of rho over finite point sequences: on a finite set, the
-min-plus closure of the complete rho-weighted graph, relaxed from rho until
-no entry is stale.  Rounding is monotone and every entry stays a
-left-associated chain sum, so the result equals brute-force chain
-enumeration bit for bit; zero distances are ordinary edges.  An ideal point
-labeled "∞" is adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p))
-is the per-point shrink factor.
+min-plus closure of the complete rho-weighted graph.  Its first round
+``min(rho, rho ⊗ rho)`` is ``space._through``, the triangle pass of
+``validate_metric``; only the entries it lowered are relaxed further
+(``space._min_plus``).  Exact: a round-1 sum ``rho[i,m] + rho[m,k]`` is the
+same float from either end (addition commutes), an entry round 1 left alone
+is already relaxed through, and rounding is monotone (``x <= y`` gives
+``fl(x + c) <= fl(y + c)``), so by induction on chain length the fixpoint is
+the least left-associated chain sum: brute-force chain enumeration, bit for
+bit.  Zero distances are ordinary edges.  An ideal point labeled "∞" is
+adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p)) is the
+per-point shrink factor.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _min_plus, ball_mask
+from .space import FiniteMetricSpace, _min_plus, _through, ball_mask
 
 INFINITY_LABEL = "∞"
 
@@ -76,9 +81,9 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
         raise ValueError("cannot warp: distances must be finite and nonnegative")
     h = point_scales(m, p)
     w = rho_matrix(m, p)
-    w = np.minimum(w, w.T)  # exact symmetry regardless of input rounding
-    dhat = w.copy()
-    _min_plus(dhat, w)
+    w = np.minimum(w, w.T) + 0.0  # exact symmetry; no -0.0 for np.fmin to keep or drop
+    dhat = _through(w)
+    _min_plus(dhat, w, stale=dhat < w)
     dhat = np.minimum(dhat, dhat.T)  # chains summed from either end
     n = m.n
     full = np.zeros((n + 1, n + 1))

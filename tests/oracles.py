@@ -203,6 +203,24 @@ def brute_chain_min(weights, a, b):
     return best
 
 
+def chain_closure(weights):
+    """Min over chains of left-associated edge sums, for every pair at once.
+
+    Unblocked Jacobi rounds ``D = min(D, min over m of D[:, m] + W[m, :])``
+    from ``D = W`` to a fixpoint, then the min over both orientations: the
+    matrix twin of :func:`brute_chain_min`, for inputs too large for it.
+    """
+    W = np.asarray(weights, dtype=float)
+    D = W.copy()
+    while True:
+        nxt = D.copy()
+        for m in range(len(W)):
+            nxt = np.minimum(nxt, D[:, m, None] + W[m, :])
+        if np.array_equal(nxt, D):
+            return np.minimum(D, D.T)
+        D = nxt
+
+
 def cover_is_valid(dist, target, radii_by_index, centers, kept_radii):
     """Set-level check of the disjoint-core / 5r-coverage contract.
 

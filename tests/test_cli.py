@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import metricforge as mf
-from metricforge.cli import main
+from metricforge.cli import _jsonable, main
 
 
 @pytest.fixture()
@@ -176,6 +178,30 @@ class TestCheckCommand:
         assert json.loads(out.read_text())["claim"]["passed"] is True
         assert csv_out.read_text().startswith("bin_upper,envelope,count")
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_sampled_distortion_without_samples_is_usage_error(self, tmp_path, capsys,
+                                                               samples):
+        src = tmp_path / "m.json"
+        mf.save_space(mf.random_metric(40, seed=3), src)
+        dst = tmp_path / "w.json"
+        main(["warp", str(src), "--basepoint", "p0", "-o", str(dst)])
+        out = tmp_path / "qm.json"
+        code = main(["check", str(src), "--suite", "distortion", "--kind", "qm",
+                     "--dst", str(dst), "--claim-theta", "0.001t",
+                     "--samples", samples, "-o", str(out)])
+        assert code == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinities_keep_their_sign(self, tmp_path, three_point_file):
+        assert _jsonable([math.inf, -math.inf, np.float64(-np.inf), math.nan]) == [
+            "inf", "-inf", "-inf", "nan"]
+        # Three points hold no four distinct ones: the claim saw no tuple.
+        out = tmp_path / "qm.json"
+        main(["check", str(three_point_file), "--suite", "distortion", "--kind", "qm",
+              "--dst", str(three_point_file), "--claim-theta", "1t", "-o", str(out)])
+        assert json.loads(out.read_text())["claim"]["worst_ratio"] == "-inf"
+
     def test_llc_unusable_delta_is_diagnostic(self, tmp_path):
         path = tmp_path / "disk.json"
         mf.save_space(mf.disk_sample(60, seed=1), path)
@@ -204,6 +230,22 @@ class TestCheckCommand:
         code = main(["check", str(path), "--suite", "quasicircle",
                      "--max-lambda", "2", "--max-doubling", "8"])
         assert code == 0
+
+    @pytest.mark.parametrize("option", ["--n-centers", "--n-radii"])
+    def test_quasicircle_forwards_sample_counts(self, tmp_path, option):
+        # A disk is no quasicircle: its failures depend on the sampled configurations.
+        disk = mf.disk_sample(200, seed=1)
+        path = tmp_path / "disk.json"
+        mf.save_space(disk, path)
+        reports = []
+        for extra in ([], [option, "3"]):
+            out = tmp_path / f"qc{len(extra)}.json"
+            main(["check", str(path), "--suite", "quasicircle", "-o", str(out)] + extra)
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] != reports[1]
+        # Left out, the library default stands: 48 centers, not the 32 of llc.
+        lib = dataclasses.asdict(mf.quasicircle_check(disk))
+        assert reports[0] == json.loads(json.dumps(lib | {"suite": "quasicircle"}))
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         path = tmp_path / "disk.json"

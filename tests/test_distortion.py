@@ -142,6 +142,18 @@ def test_undefined_ratios_do_not_hide_a_failed_claim():
     assert {a, c} <= {0, 3, 5, 6} and t_out == math.inf
 
 
+@pytest.mark.parametrize("kind,n", [("QM", 40), ("QS", 70)])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_profile_needs_a_sample(kind, n, samples):
+    # Above the exhaustive cutoff no tuple would be evaluated, and a claim
+    # that checked nothing would pass.
+    m = mf.random_metric(n, seed=1)
+    fn = mf.qm_profile if kind == "QM" else mf.qs_profile
+    with pytest.raises(ValueError, match="n_samples"):
+        fn(m, m, range(n), n_samples=samples, claimed=mf.linear_gauge(0.001))
+    assert fn(mf.random_metric(8, seed=1), m, range(8), n_samples=samples).exhaustive
+
+
 class TestWarpDistortion:
     def test_warp_is_quasi_mobius_with_slope_16(self):
         m = mf.random_metric(22, seed=13)

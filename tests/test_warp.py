@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
-from oracles import brute_chain_min
+from oracles import brute_chain_min, chain_closure
 
 
 def warped_corpus(count, max_n, start_seed=0):
@@ -116,6 +116,13 @@ class TestWarpProperties:
                 assert w.warped.dist[a, b] == brute_chain_min(rho, a, b)
         assert w.warped.dist[1, 2] == 0.0
 
+    def test_negative_zero_distances_warp_to_positive_zero(self):
+        # A file may spell a zero distance -0.0; chains of zeros sum to 0.0.
+        dist = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, -0.0, 0.0]])
+        w = mf.warp(mf.FiniteMetricSpace(("p", "a", "b"), dist), 0)
+        assert (w.warped.dist[:3, :3] == 0.0).all()
+        assert not np.signbit(w.warped.dist).any()
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
     def test_non_finite_or_negative_distance_rejected(self, bad):
         dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -141,6 +148,26 @@ def test_kernel_matches_brute_chain_min_with_ties_and_zeros(n, p, data):
         for b in range(a + 1, n):
             assert w.warped.dist[a, b] == brute_chain_min(rho, a, b)
             assert w.warped.dist[b, a] == w.warped.dist[a, b]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(65, 200), seed=st.integers(0, 2**32 - 1), p=st.integers(0, 199),
+       kind=st.sampled_from(["ties", "random_metric"]))
+def test_kernel_matches_chain_closure_across_row_bands(n, seed, p, kind):
+    # Above 64 points the kernel's first round spans several row bands,
+    # each mirrored below the diagonal, and the entries it lowers seed the
+    # later sweeps.  Integer distances in 0..3 give ties and zero edges;
+    # random_metric gives chains that shorten about half the pairs.
+    if kind == "ties":
+        dist = np.random.default_rng(seed).integers(0, 4, size=(n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+        m = mf.FiniteMetricSpace(tuple(str(i) for i in range(n)), dist)
+    else:
+        m = mf.random_metric(n, seed=seed)
+    w = mf.warp(m, p % n)
+    rho = mf.rho_matrix(m, p % n)
+    expect = chain_closure(np.minimum(rho, rho.T))
+    assert w.warped.dist[:n, :n].tobytes() == expect.tobytes()
 
 
 class TestInftyBall:
