@@ -16,14 +16,12 @@ from .space import (
     Violation,
     ball,
     covering_radius,
-    from_csv,
     from_json,
     greedy_cover_5r,
     load_space,
     sample_scale,
     save_space,
     subspace,
-    to_csv,
     to_json,
     validate_metric,
 )

@@ -111,10 +111,7 @@ def cmd_generate(args) -> int:
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "command", "out") and v is not None}
     kind = params.pop("kind")
-    try:
-        m = generators.generate(kind, **params)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+    m = generators.generate(kind, **params)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     space.save_space(m, out)
@@ -128,7 +125,7 @@ def cmd_warp(args) -> int:
     m = _load(args.input)
     try:
         w = warp_space(m, m.index(args.basepoint))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise SystemExit2(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -142,10 +139,7 @@ def cmd_warp(args) -> int:
 def cmd_double(args) -> int:
     t0 = time.monotonic()
     m = _load(args.input)
-    try:
-        ds = glue.double(m)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+    ds = glue.double(m)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     space.save_space(ds.doubled, out)
@@ -182,11 +176,8 @@ def _lambda_grid(args):
 
 
 def _suite_llc(m, args):
-    try:
-        rep = analysis.llc_constants(m, delta=args.delta, lambda_grid=_lambda_grid(args),
-                                     seed=args.seed, **_given(args, "n_centers", "n_radii"))
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+    rep = analysis.llc_constants(m, delta=args.delta, lambda_grid=_lambda_grid(args),
+                                 seed=args.seed, **_given(args, "n_centers", "n_radii"))
     doc = {"suite": "llc", **dataclasses.asdict(rep)}
     if not rep.usable:
         return doc, EXIT_DIAGNOSTIC
@@ -202,13 +193,12 @@ def _suite_llc(m, args):
 def _suite_regularity(m, args):
     if args.q is None:
         raise SystemExit2("--suite regularity requires --q")
-    try:
-        rep = analysis.regularity_constant(m, args.q, radii=_parse_radii(args.radii),
-                                           seed=args.seed, eps=args.eps,
-                                           **_given(args, "n_centers"))
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+    rep = analysis.regularity_constant(m, args.q, radii=_parse_radii(args.radii),
+                                       seed=args.seed, eps=args.eps,
+                                       **_given(args, "n_centers"))
     doc = {"suite": "regularity", **dataclasses.asdict(rep)}
+    if rep.evaluated == 0:  # no ball fits the radii: a claim here would check nothing
+        return doc, EXIT_DIAGNOSTIC
     ok = True
     if args.claim_k is not None:
         ok = rep.K_hat <= args.claim_k
@@ -227,16 +217,11 @@ def _suite_distortion(m, args):
     except KeyError as exc:
         raise SystemExit2(f"destination is missing a source label: {exc}") from exc
     claimed = claimed_desc = None
-    if args.claim_theta:
-        claimed, claimed_desc = _parse_gauge(args.claim_theta)
-    if args.claim_eta:
-        claimed, claimed_desc = _parse_gauge(args.claim_eta)
+    if args.claim_theta or args.claim_eta:
+        claimed, claimed_desc = _parse_gauge(args.claim_theta or args.claim_eta)
     profile_fn = distortion.qs_profile if args.kind == "qs" else distortion.qm_profile
-    try:
-        prof = profile_fn(m, dst, mapping, n_samples=args.samples, seed=args.seed,
-                          claimed=claimed, claimed_desc=claimed_desc)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+    prof = profile_fn(m, dst, mapping, n_samples=args.samples, seed=args.seed,
+                      claimed=claimed, claimed_desc=claimed_desc)
     doc = {"suite": "distortion", **dataclasses.asdict(prof)}
     if args.csv:
         _export_envelope_csv(prof, Path(args.csv))
@@ -246,13 +231,10 @@ def _suite_distortion(m, args):
 
 
 def _suite_quasicircle(m, args):
-    try:
-        rep = analysis.quasicircle_check(m, max_lambda=args.max_lambda,
-                                         max_doubling=args.max_doubling,
-                                         delta=args.delta, lambda_grid=_lambda_grid(args),
-                                         seed=args.seed, **_given(args, "n_centers", "n_radii"))
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+    rep = analysis.quasicircle_check(m, max_lambda=args.max_lambda,
+                                     max_doubling=args.max_doubling,
+                                     delta=args.delta, lambda_grid=_lambda_grid(args),
+                                     seed=args.seed, **_given(args, "n_centers", "n_radii"))
     doc = {"suite": "quasicircle", **dataclasses.asdict(rep)}
     if rep.degenerate or not rep.usable:
         return doc, EXIT_DIAGNOSTIC
@@ -351,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--claim-k", dest="claim_k", type=float)
     c.add_argument("--claim-lambda1", dest="claim_lambda1", type=float)
     c.add_argument("--claim-lambda2", dest="claim_lambda2", type=float)
-    c.add_argument("--claim-theta", dest="claim_theta")
-    c.add_argument("--claim-eta", dest="claim_eta")
+    gauge = c.add_mutually_exclusive_group()
+    gauge.add_argument("--claim-theta", dest="claim_theta")
+    gauge.add_argument("--claim-eta", dest="claim_eta")
     c.add_argument("--dst", help="destination space file for distortion")
     c.add_argument("--kind", choices=["qs", "qm"], default="qm")
     c.add_argument("--samples", type=int, default=distortion.DEFAULT_SAMPLES)
@@ -368,7 +351,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, ValueError) as exc:  # usage errors and input the library refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -137,6 +137,8 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     worst_ratio = -np.inf
     worst_witness = None
     exhaustive = n <= exhaustive_cutoff
+    if exhaustive and n < arity:
+        raise ValueError(f"{kind} profile needs at least {arity} points, got {n}")
     if not exhaustive and n_samples < 1:
         raise ValueError(f"n_samples must be at least 1 for a sampled profile, got {n_samples}")
 

@@ -8,8 +8,6 @@ this module are pure functions on that read-only data.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -45,6 +43,10 @@ class FiniteMetricSpace:
     boundary : set of int, optional
         Indices of points marked as the metric boundary.  Marking is always
         an explicit input; it is never inferred from a bare point cloud.
+
+    Construction is where structure is checked: duplicate labels, array
+    shapes that do not match the point count, and boundary indices outside
+    ``[0, n)`` raise ``ValueError``, so no malformed space exists.
     """
 
     points: tuple
@@ -55,22 +57,25 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        if len(set(self.points)) != len(self.points):
+        n = len(self.points)
+        if len(set(self.points)) != n:
             dup = next(p for p, k in Counter(self.points).items() if k > 1)
             raise ValueError(f"duplicate point label {dup!r}")
-        d = np.asarray(self.dist, dtype=np.float64)
-        d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
-        if self.coords is not None:
-            c = np.asarray(self.coords, dtype=np.float64)
-            c.setflags(write=False)
-            object.__setattr__(self, "coords", c)
-        if self.mass is not None:
-            w = np.asarray(self.mass, dtype=np.float64)
-            w.setflags(write=False)
-            object.__setattr__(self, "mass", w)
+        for name in ("dist", "coords", "mass"):
+            if getattr(self, name) is not None:
+                a = np.asarray(getattr(self, name), dtype=np.float64)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+        if self.dist.shape != (n, n):
+            raise ValueError(f"distance matrix shape {self.dist.shape} does not match {n} points")
+        if self.coords is not None and (self.coords.ndim != 2 or len(self.coords) != n):
+            raise ValueError(f"coords shape {self.coords.shape} is not {n} rows of coordinates")
+        if self.mass is not None and self.mass.shape != (n,):
+            raise ValueError(f"mass shape {self.mass.shape} does not match {n} points")
         if self.boundary is not None:
             object.__setattr__(self, "boundary", frozenset(int(i) for i in self.boundary))
+            if any(not 0 <= i < n for i in self.boundary):
+                raise ValueError(f"boundary holds an index outside [0, {n})")
 
     @property
     def n(self) -> int:
@@ -173,10 +178,11 @@ def _min_plus(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.
 
-    Structural defects (non-square matrix, length mismatches) raise
-    ``ValueError`` before any axiom is checked.  Axiom failures are
-    collected into the report with witness tuples, capped per axiom; a
-    non-finite distance fails the ``finite`` axiom, so it never passes.
+    The space is well formed by construction (see
+    :class:`FiniteMetricSpace`), so only the axioms are checked here.  Axiom
+    failures are collected into the report with witness tuples, capped per
+    axiom; a non-finite distance fails the ``finite`` axiom, so it never
+    passes.
 
     The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + tol`` is first
     tested for all triples at once, against the first min-plus round
@@ -189,14 +195,6 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     """
     d = m.dist
     n = m.n
-    if d.ndim != 2 or d.shape != (n, n):
-        raise ValueError(f"distance matrix shape {d.shape} does not match {n} points")
-    if m.coords is not None and len(m.coords) != n:
-        raise ValueError("coords length does not match point count")
-    if m.mass is not None and m.mass.shape != (n,):
-        raise ValueError("mass length does not match point count")
-    if m.boundary is not None and any(not (0 <= i < n) for i in m.boundary):
-        raise ValueError("boundary contains out-of-range indices")
 
     found: dict[str, list] = {}  # witnesses kept per axiom, in check order
     total = 0
@@ -354,9 +352,10 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON carries the full record; CSV carries labels + distances.
-# Floats survive both formats exactly (shortest round-trip repr).  Both
-# writers refuse non-finite numbers and both loaders reject them.
+# Serialization: JSON is the one file format and carries the full record.
+# Floats survive exactly (shortest round-trip repr).  The writer refuses
+# non-finite numbers, the loader rejects them, and the constructor rejects
+# a record whose shapes or boundary indices do not fit its points.
 # ---------------------------------------------------------------------------
 
 def _non_finite(token: str):
@@ -427,37 +426,9 @@ def from_json(text: str) -> FiniteMetricSpace:
     )
 
 
-def to_csv(m: FiniteMetricSpace) -> str:
-    """Distance-matrix CSV: header row of labels, symmetric float body.
-
-    Coordinates, masses, and boundary marks are JSON-only.
-    """
-    _require_finite(m.dist)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([str(p) for p in m.points])
-    for row in m.dist:
-        w.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
-
-
-def from_csv(text: str) -> FiniteMetricSpace:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ValueError("empty CSV input")
-    labels = tuple(rows[0])
-    body = np.asarray([[float(x) for x in row] for row in rows[1:]], dtype=np.float64)
-    _require_finite(body)
-    return FiniteMetricSpace(points=labels, dist=body)
-
-
 def save_space(m: FiniteMetricSpace, path) -> None:
-    path = Path(path)
-    text = to_csv(m) if path.suffix.lower() == ".csv" else to_json(m)
-    path.write_text(text, encoding="utf-8")
+    Path(path).write_text(to_json(m), encoding="utf-8")
 
 
 def load_space(path) -> FiniteMetricSpace:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    return from_csv(text) if path.suffix.lower() == ".csv" else from_json(text)
+    return from_json(Path(path).read_text(encoding="utf-8"))

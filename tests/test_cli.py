@@ -164,6 +164,18 @@ class TestCheckCommand:
                      "--q", "2", "--claim-k", "1.0"])
         assert code == 1
 
+    def test_regularity_without_an_evaluated_ball_is_diagnostic(self, tmp_path):
+        # Unit spacing on a 3x3 grid leaves no radius in the default window.
+        grid_path = tmp_path / "grid.json"
+        assert main(["generate", "--kind", "grid", "--side", "3", "--spacing", "1",
+                     "-o", str(grid_path)]) == 0
+        out = tmp_path / "reg.json"
+        code = main(["check", str(grid_path), "--suite", "regularity",
+                     "--q", "2", "--claim-k", "1.0", "-o", str(out)])
+        assert code == 3
+        report = json.loads(out.read_text())
+        assert report["evaluated"] == 0 and "ok" not in report
+
     def test_distortion_suite_against_warp(self, tmp_path):
         src = tmp_path / "m.json"
         mf.save_space(mf.random_metric(24, seed=3), src)
@@ -193,14 +205,25 @@ class TestCheckCommand:
         assert "n_samples" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinities_keep_their_sign(self, tmp_path, three_point_file):
+    def test_infinities_keep_their_sign(self, tmp_path, three_point_file, capsys):
         assert _jsonable([math.inf, -math.inf, np.float64(-np.inf), math.nan]) == [
             "inf", "-inf", "-inf", "nan"]
-        # Three points hold no four distinct ones: the claim saw no tuple.
+        # Three points hold no four distinct ones: a claim would see no tuple.
         out = tmp_path / "qm.json"
-        main(["check", str(three_point_file), "--suite", "distortion", "--kind", "qm",
-              "--dst", str(three_point_file), "--claim-theta", "1t", "-o", str(out)])
-        assert json.loads(out.read_text())["claim"]["worst_ratio"] == "-inf"
+        code = main(["check", str(three_point_file), "--suite", "distortion", "--kind", "qm",
+                     "--dst", str(three_point_file), "--claim-theta", "1t", "-o", str(out)])
+        assert code == 2
+        assert "needs at least 4 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gauge_claims_are_exclusive(self, tmp_path, three_point_file, capsys):
+        out = tmp_path / "qs.json"
+        code = main(["check", str(three_point_file), "--suite", "distortion", "--kind", "qs",
+                     "--dst", str(three_point_file), "--claim-theta", "0.001t",
+                     "--claim-eta", "100t", "-o", str(out)])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_llc_unusable_delta_is_diagnostic(self, tmp_path):
         path = tmp_path / "disk.json"
@@ -256,6 +279,51 @@ class TestCheckCommand:
                          "--seed", "11", "-o", str(out)])
             assert code in (0, 1)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# One structural defect each, planted in a well-formed file.
+DEFECTS = {
+    "non-square dist": lambda doc: doc.update(dist=[row[:-1] for row in doc["dist"]]),
+    "1-D dist": lambda doc: doc.update(dist=doc["dist"][0]),
+    "short mass": lambda doc: doc.update(mass=doc["mass"][:-1]),
+    "coords rows": lambda doc: doc.update(coords=doc["coords"][:-1]),
+    "boundary index": lambda doc: doc["boundary"].append(len(doc["points"])),
+}
+
+# Every command that reads a space; "{bad}" is the malformed file.
+READERS = {
+    "warp": ["warp", "{bad}", "--basepoint", "r0"],
+    "double": ["double", "{bad}"],
+    **{f"check {suite}": ["check", "{bad}", "--suite", suite, "--q", "2",
+                          "--dst", "{good}"]
+       for suite in ("metric", "llc", "regularity", "distortion", "quasicircle")},
+    "check --dst": ["check", "{good}", "--suite", "distortion", "--dst", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_malformed_space_is_usage_error(tmp_path, capsys, defect, command):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    m = mf.sphere_cap_complement(n=30, eps=0.5, seed=1)
+    mf.save_space(m, good)
+    doc = json.loads(good.read_text())
+    DEFECTS[defect](doc)
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [a.format(good=good, bad=bad) for a in READERS[command]] + ["-o", str(out)]
+    assert main(argv) == 2
+    assert f"cannot parse space file {bad}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [bad, good]  # no output, report or manifest
+
+
+def test_csv_space_file_is_usage_error(tmp_path, capsys):
+    # JSON is the only space format; a distance-matrix CSV no longer parses.
+    path = tmp_path / "space.csv"
+    path.write_text("a,b\n0.0,1.0\n1.0,0.0\n")
+    assert main(["check", str(path), "--suite", "metric"]) == 2
+    assert f"cannot parse space file {path}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def run_module(*args):

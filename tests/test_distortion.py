@@ -154,6 +154,19 @@ def test_sampled_profile_needs_a_sample(kind, n, samples):
     assert fn(mf.random_metric(8, seed=1), m, range(8), n_samples=samples).exhaustive
 
 
+@pytest.mark.parametrize("kind,n", [("QS", 1), ("QS", 2), ("QM", 1), ("QM", 2), ("QM", 3)])
+def test_exhaustive_profile_needs_a_tuple(kind, n):
+    # Fewer points than a tuple holds: nothing would be evaluated, and a
+    # claim that checked nothing would pass.
+    m = mf.random_metric(n, seed=1)
+    fn = mf.qm_profile if kind == "QM" else mf.qs_profile
+    with pytest.raises(ValueError, match="needs at least"):
+        fn(m, m, range(n), claimed=mf.linear_gauge(0.001))
+    arity = 4 if kind == "QM" else 3
+    least = mf.random_metric(arity, seed=1)
+    assert sum(fn(least, least, range(arity)).counts) > 0
+
+
 class TestWarpDistortion:
     def test_warp_is_quasi_mobius_with_slope_16(self):
         m = mf.random_metric(22, seed=13)
