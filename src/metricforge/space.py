@@ -73,7 +73,10 @@ class FiniteMetricSpace:
         if self.mass is not None and self.mass.shape != (n,):
             raise ValueError(f"mass shape {self.mass.shape} does not match {n} points")
         if self.boundary is not None:
-            object.__setattr__(self, "boundary", frozenset(int(i) for i in self.boundary))
+            marks = tuple(self.boundary)
+            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in marks):
+                raise ValueError("boundary holds an entry that is not an integer index")
+            object.__setattr__(self, "boundary", frozenset(int(i) for i in marks))
             if any(not 0 <= i < n for i in self.boundary):
                 raise ValueError(f"boundary holds an index outside [0, {n})")
 
@@ -93,7 +96,7 @@ class FiniteMetricSpace:
 
     def with_boundary(self, indices: Iterable[int]) -> "FiniteMetricSpace":
         """Copy of this space with the given indices marked as boundary."""
-        return replace(self, boundary=frozenset(int(i) for i in indices))
+        return replace(self, boundary=tuple(indices))
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,9 @@ class ValidationReport:
 
 _WITNESS_CAP = 25  # per axiom; full counts are still reported
 
-_ROW_BLOCK = 64  # rows relaxed or tested together, so their candidates stay in cache
+_ROW_BLOCK = 64  # rows per band of _through, so a band's candidates stay in cache
+
+_TILE = 16  # rows and columns per tile of warp's stale sweeps
 
 
 def _through(d: np.ndarray) -> np.ndarray:
@@ -147,31 +152,38 @@ def _through(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_plus(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
+def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
     """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``.
 
-    Column m relaxes row i as ``d[i, :] = min(d[i, :], d[i, m] + w[m, :])``.
+    Middle m relaxes entry (i, k) as ``d[i, k] = min(d[i, k], d[i, m] + w[m, k])``.
     ``stale`` (consumed) marks the entries ``d[i, m]`` that row i has not yet
     been relaxed through, such as those ``_through(w)`` lowered (see
-    :mod:`metricforge.warp`); an entry that drops becomes stale again, and
-    sweeps visit only stale entries until none is left.  Rows are
-    independent, so blocks of rows are relaxed one at a time.
+    :mod:`metricforge.warp`).  A relaxation reads and writes one row of
+    ``d``, so the rows are closed one tile I of ``_TILE`` rows at a time.
+    Each sweep of I relaxes through a snapshot ``ds`` of its stale entries,
+    and an entry that drops is stale for the next sweep, until none is left.
+    The columns are cut into tiles K of ``_TILE`` too.  With ``a[m]`` the
+    min of ``ds[I, m]`` and ``b[m, K]`` the min of ``w[m, k]`` over k in K,
+    k != m (a step from m to itself lowers nothing), rounding is monotone,
+    so a middle with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of
+    the tile and is left out; a tile with no middle left is skipped.  Only
+    the tile itself writes ``d[I, K]``, so its maximum from the start of
+    the sweep is current.
     """
-    for r0 in range(0, d.shape[0], _ROW_BLOCK):
-        blk, todo = d[r0:r0 + _ROW_BLOCK], stale[r0:r0 + _ROW_BLOCK]
-        while todo.any():
-            for m in range(w.shape[0]):
-                rows = np.flatnonzero(todo[:, m])
-                if rows.size == 0:
-                    continue
-                todo[rows, m] = False
-                cand = blk[rows, m, None] + w[m]
-                cur = blk[rows]
-                drop = cand < cur
-                if drop.any():
-                    np.copyto(cur, cand, where=drop)
-                    blk[rows] = cur
-                    todo[rows] |= drop
+    starts = np.arange(0, len(d), _TILE)
+    b = np.minimum.reduceat(np.where(np.eye(len(d), dtype=bool), np.inf, w), starts, axis=1)
+    for rows in (slice(r0, r0 + _TILE) for r0 in starts):
+        while stale[rows].any():
+            ds = np.where(stale[rows], d[rows], np.inf)
+            stale[rows] = False
+            a = ds.min(axis=0)
+            keep = a[:, None] + b < np.maximum.reduceat(d[rows].max(axis=0), starts)
+            for c in np.flatnonzero(keep.any(axis=0)):
+                cols, mids = slice(starts[c], starts[c] + _TILE), np.flatnonzero(keep[:, c])
+                cand = (ds[:, mids, None] + w[mids, cols]).min(axis=1)
+                drop = cand < d[rows, cols]
+                np.copyto(d[rows, cols], cand, where=drop)
+                stale[rows, cols] |= drop
 
 
 @np.errstate(invalid="ignore")  # non-finite entries are reported, not warned about
@@ -190,8 +202,9 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     Rounding is monotone, so some middle point m fails (i, k) exactly when
     ``d(i,k)`` exceeds the min over m of ``d(i,m) + d(m,k)``, plus tol.  On
     a symmetric ``d`` that round costs half a full one.  Only when this
-    test finds a failure does a scan per middle point count the failing
-    triples and list witnesses.
+    test flags a pair does a scan per middle point count the failing
+    triples and list witnesses, and it looks only at the flagged pairs
+    (i, k): by the same monotone rounding they hold every failing triple.
     """
     d = m.dist
     n = m.n
@@ -220,13 +233,14 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     bad = np.argwhere(np.triu(d <= tol, 1))
     push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
 
-    if (d > _through(d) + tol).any():
+    rows, cols = np.nonzero(d > _through(d) + tol)
+    if rows.size:
+        flagged = d[rows, cols]
         for j in range(n):
-            through = d[:, j, None] + d[j]
-            bad = d > through + tol
-            push("triangle", int(np.count_nonzero(bad)),
-                 (((int(i), j, int(k)), d[i, k] - through[i, k])
-                  for i, k in np.argwhere(bad)))
+            through = d[rows, j] + d[j, cols]
+            bad = np.flatnonzero(flagged > through + tol)
+            push("triangle", bad.size,
+                 (((int(rows[s]), j, int(cols[s])), flagged[s] - through[s]) for s in bad))
 
     if m.mass is not None:
         bad = np.flatnonzero(~(m.mass >= 0))  # NaN fails too
@@ -243,11 +257,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
 
 def ball(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> set:
     """Indices within distance ``r`` of ``center`` (strict unless closed)."""
-    if r < 0:
-        raise ValueError("ball radius must be nonnegative")
-    row = m.dist[center]
-    mask = row <= r if closed else row < r
-    return set(int(i) for i in np.nonzero(mask)[0])
+    return set(int(i) for i in np.flatnonzero(ball_mask(m, center, r, closed)))
 
 
 def ball_mask(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> np.ndarray:
@@ -347,7 +357,7 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
         dist=m.dist[np.ix_(idx, idx)],
         coords=None if m.coords is None else m.coords[idx],
         mass=None if m.mass is None else m.mass[idx],
-        boundary=None if boundary is None else frozenset(boundary),
+        boundary=boundary,
     )
 
 
@@ -422,7 +432,7 @@ def from_json(text: str) -> FiniteMetricSpace:
         dist=np.asarray(doc["dist"], dtype=np.float64),
         coords=None if "coords" not in doc else np.asarray(doc["coords"], dtype=np.float64),
         mass=None if "mass" not in doc else np.asarray(doc["mass"], dtype=np.float64),
-        boundary=None if "boundary" not in doc else frozenset(doc["boundary"]),
+        boundary=doc.get("boundary"),
     )
 
 

@@ -9,7 +9,7 @@ the chain infimum of rho over finite point sequences: on a finite set, the
 min-plus closure of the complete rho-weighted graph.  Its first round
 ``min(rho, rho ⊗ rho)`` is ``space._through``, the triangle pass of
 ``validate_metric``; only the entries it lowered are relaxed further
-(``space._min_plus``).  Exact: a round-1 sum ``rho[i,m] + rho[m,k]`` is the
+(``space._relax_stale``).  Exact: a round-1 sum ``rho[i,m] + rho[m,k]`` is the
 same float from either end (addition commutes), an entry round 1 left alone
 is already relaxed through, and rounding is monotone (``x <= y`` gives
 ``fl(x + c) <= fl(y + c)``), so by induction on chain length the fixpoint is
@@ -17,6 +17,18 @@ the least left-associated chain sum: brute-force chain enumeration, bit for
 bit.  Zero distances are ordinary edges.  An ideal point labeled "∞" is
 adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p)) is the
 per-point shrink factor.
+
+The fixpoint depends neither on the order of the points nor on the order
+of the relaxations, so the later sweeps run on the points sorted by
+d(x, p), and the order is undone after them.  Sorted, a tile of 16 points
+holds points at like scales, and its entries of rho are alike.  A sweep
+relaxes through the values its stale entries had when it began; one that
+drops later is stale for the next sweep.  It skips a middle m for a tile
+of pairs (I, K) when the least sum m could give, ``fl(a + b)`` with a the
+least stale ``d-hat[i, m]`` over i in I and b the least ``rho[m, k]`` over
+k in K, k != m, is no less than the tile's largest ``d-hat[i, k]``: by
+monotone rounding every candidate of the tile is then at least the entry
+it would replace.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _min_plus, _through, ball_mask
+from .space import FiniteMetricSpace, _relax_stale, _through, ball_mask
 
 INFINITY_LABEL = "∞"
 
@@ -83,20 +95,20 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     w = rho_matrix(m, p)
     w = np.minimum(w, w.T) + 0.0  # exact symmetry; no -0.0 for np.fmin to keep or drop
     dhat = _through(w)
-    _min_plus(dhat, w, stale=dhat < w)
-    dhat = np.minimum(dhat, dhat.T)  # chains summed from either end
-    n = m.n
-    full = np.zeros((n + 1, n + 1))
-    full[:n, :n] = dhat
-    full[:n, n] = h
-    full[n, :n] = h
-    warped = FiniteMetricSpace(
-        points=m.points + (INFINITY_LABEL,),
-        dist=full,
-        coords=None,
-        mass=None,
-        boundary=None,
-    )
+    stale = dhat < w
+    if stale.any():  # sweep in d(x, p) order, so tiles hold points at like scales
+        order = np.argsort(m.dist[p], kind="stable")
+        grid = np.ix_(order, order)
+        w = w[grid]  # one sorted copy at a time keeps the heap peak low
+        dhat = dhat[grid]
+        _relax_stale(dhat, w, stale[grid])
+        back = np.argsort(order)
+        dhat = dhat[np.ix_(back, back)]
+    del w, stale  # freed before the output is allocated, so warp's peak stays low
+    full = np.zeros((m.n + 1, m.n + 1))
+    np.minimum(dhat, dhat.T, out=full[:-1, :-1])  # chains summed from either end
+    full[:-1, -1] = full[-1, :-1] = h
+    warped = FiniteMetricSpace(m.points + (INFINITY_LABEL,), full)
     return WarpedSpace(base=m, basepoint=p, h=h, warped=warped)
 
 

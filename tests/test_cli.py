@@ -288,6 +288,8 @@ DEFECTS = {
     "short mass": lambda doc: doc.update(mass=doc["mass"][:-1]),
     "coords rows": lambda doc: doc.update(coords=doc["coords"][:-1]),
     "boundary index": lambda doc: doc["boundary"].append(len(doc["points"])),
+    "boundary float": lambda doc: doc["boundary"].append(0.7),
+    "boundary bool": lambda doc: doc["boundary"].append(True),
 }
 
 # Every command that reads a space; "{bad}" is the malformed file.

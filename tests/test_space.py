@@ -235,6 +235,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="non-finite"):
             mf.to_json(m)
 
+    @pytest.mark.parametrize("entry", ["0.7", "1.9", "1.0", "true", "false", '"1"'])
+    def test_json_boundary_entries_must_be_integers(self, entry):
+        # A fractional, boolean or string entry is refused, not read as a
+        # different index.
+        text = '{"points": ["a", "b", "c"], "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], '
+        with pytest.raises(ValueError, match="not an integer index"):
+            mf.from_json(text + f'"boundary": [0, {entry}]}}')
+
+    def test_numpy_integer_boundary_entries_are_indices(self):
+        m = space_from([[0, 1], [1, 0]], boundary=np.array([1], dtype=np.int32))
+        assert m.boundary == {1}
+        with pytest.raises(ValueError, match="not an integer index"):
+            space_from([[0, 1], [1, 0]], boundary=np.array([True]))
+
     def test_save_load_by_suffix(self, tmp_path):
         m = mf.random_metric(5, seed=0)
         path = tmp_path / "s.json"
@@ -375,3 +389,25 @@ def test_triangle_pass_across_row_bands(plant, n, seed, data):
     got = [(v.axiom, v.witness, v.excess) for v in report.violations]
     assert repr(got) == repr(kept)
 
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), data=st.data())
+def test_triangle_scan_of_flagged_pairs_matches_naive_lister(n, data):
+    # A metric with ties (off-diagonal 1 or 2), then a few raised entries,
+    # some within a few tolerances of the bound: the triangle pass flags
+    # only some pairs, and counting over those alone must give the naive
+    # lister's total, witness order and excesses.
+    cells = data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n * n, max_size=n * n))
+    d = np.triu(np.array(cells).reshape(n, n), 1)
+    d = d + d.T
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assume(i != k)
+        d[i, k] = data.draw(st.sampled_from([2 + 1e-9, 2 + 2e-9, 2 + 5e-9, 2.5, 3.0, 5.0]))
+        if data.draw(st.booleans()):
+            d[k, i] = d[i, k]
+    report = mf.validate_metric(space_from(d))
+    expect = [v for v in metric_violations(d) if v[0] == "triangle"]
+    got = [(v.axiom, v.witness, v.excess) for v in report.by_axiom("triangle")]
+    assert report.total == len(metric_violations(d))
+    assert repr(got) == repr(expect[:25])

@@ -170,6 +170,31 @@ def test_kernel_matches_chain_closure_across_row_bands(n, seed, p, kind):
     assert w.warped.dist[:n, :n].tobytes() == expect.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(17, 120), seed=st.integers(0, 2**32 - 1), p=st.integers(0, 119),
+       kind=st.sampled_from(["ties", "random_metric"]))
+def test_warp_commutes_with_relabelling(n, seed, p, kind):
+    # warp sweeps in d(x, p) order, in tiles of 16 with a partial last tile
+    # above 16 points, and undoes the order after; relabelling the input
+    # must only relabel the output, bit for bit.  Integer distances in 0..3
+    # tie many points at the same d(x, p), so the sorted order differs
+    # between the two labellings.
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        dist = rng.integers(0, 4, size=(n, n)).astype(float)
+        np.fill_diagonal(dist, 0.0)
+    else:
+        dist = mf.random_metric(n, seed=seed).dist
+    perm = rng.permutation(n)
+    labels = tuple(str(i) for i in range(n))
+    m = mf.FiniteMetricSpace(labels, dist)
+    relabelled = mf.FiniteMetricSpace(tuple(labels[i] for i in perm), dist[np.ix_(perm, perm)])
+    expect = mf.warp(m, p % n).warped.dist
+    got = mf.warp(relabelled, int(np.flatnonzero(perm == p % n)[0])).warped.dist
+    back = np.append(np.argsort(perm), n)  # the adjoined ∞ stays last
+    assert got[np.ix_(back, back)].tobytes() == expect.tobytes()
+
+
 class TestInftyBall:
     def test_three_point_rows(self, three_point):
         w = mf.warp(three_point, 0)
