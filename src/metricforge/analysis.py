@@ -175,6 +175,10 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     mass.  K_hat is the max over evaluated (a, r) of
     max(mu(B̄(a,r)) / r^Q, r^Q / mu(B̄(a,r))).
     """
+    if not (math.isfinite(Q) and Q > 0):
+        raise ValueError(f"Q must be finite and positive, got {Q}")
+    if eps is not None and not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if eps is None and m.mass is None:
         raise ValueError("regularity needs point masses or an eps cover scale")
     use_premeasure = eps is not None
@@ -264,6 +268,15 @@ def _reach(adj: np.ndarray, allowed: np.ndarray, start: int) -> np.ndarray:
     return reach
 
 
+def _proximity_scale(m: FiniteMetricSpace, delta: float | None) -> float:
+    """``delta`` as given, which must be positive, or the default scale."""
+    if delta is None:
+        return default_delta(m)
+    if not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta}")
+    return delta
+
+
 def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
                   lambda_grid=None, centers=None, radii=None,
                   n_centers: int = 32, n_radii: int = 8,
@@ -276,8 +289,7 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     of B(a, r/λ).  Configurations with r above the diameter are vacuous for
     lambda2 and skipped; both estimates are monotone along the grid.
     """
-    if delta is None:
-        delta = default_delta(m)
+    delta = _proximity_scale(m, delta)
     if lambda_grid is None:
         lambda_grid = DEFAULT_LAMBDA_GRID
     grid = tuple(float(v) for v in lambda_grid)
@@ -374,11 +386,10 @@ def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
                       n_centers: int = 48, n_radii: int = 8,
                       seed: int = 0) -> QuasicircleReport:
     """Screen a closed-curve sample for quasicircle behavior."""
+    delta = _proximity_scale(m, delta)
     if m.n < 3:
         return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
                                  degenerate=True, usable=False, failures=())
-    if delta is None:
-        delta = default_delta(m)
     llc = llc_constants(m, delta=delta, lambda_grid=lambda_grid,
                         centers=centers, radii=radii,
                         n_centers=n_centers, n_radii=n_radii, seed=seed)

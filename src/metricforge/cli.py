@@ -167,10 +167,10 @@ def _given(args, *names):
 
 def _lambda_grid(args):
     """Quarter-octave grid 1 .. --lambda-max, or None for the default grid."""
-    if not args.lambda_max:
+    if args.lambda_max is None:
         return None
-    if args.lambda_max < 1.0:
-        raise SystemExit2("--lambda-max must be at least 1")
+    if not 1.0 <= args.lambda_max < math.inf:  # NaN fails too
+        raise SystemExit2(f"--lambda-max must be finite and at least 1, got {args.lambda_max}")
     steps = int(math.ceil(4 * math.log2(args.lambda_max))) + 1
     return tuple(2.0 ** (k / 4.0) for k in range(steps))
 

@@ -10,15 +10,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
-from scipy.spatial.distance import cdist
 
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, _closure
 
 
 def _positive(name, value):
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _euclidean(coords: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances of the rows of ``coords``.
+
+    The squares are summed one coordinate at a time from 0, then rooted: the
+    same float steps as scipy's ``cdist``, so the same bits, and exactly
+    symmetric, since ``(a - b)**2`` and ``(b - a)**2`` are the same float.
+    """
+    acc = np.zeros((len(coords), len(coords)))
+    for x in coords.T:
+        step = np.subtract.outer(x, x)
+        acc += np.square(step, out=step)
+    return np.sqrt(acc, out=acc)
 
 
 def euclidean_grid(side: int, spacing: float) -> FiniteMetricSpace:
@@ -28,7 +40,7 @@ def euclidean_grid(side: int, spacing: float) -> FiniteMetricSpace:
     ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     coords = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.float64) * spacing
     labels = tuple(f"g{i}_{j}" for i, j in zip(ii.ravel(), jj.ravel()))
-    dist = cdist(coords, coords)
+    dist = _euclidean(coords)
     mass = np.full(len(labels), spacing * spacing)
     return FiniteMetricSpace(labels, dist, coords=coords, mass=mass)
 
@@ -46,7 +58,7 @@ def disk_sample(n: int, radius: float = 1.0, seed: int = 0,
     rr = radius * np.sqrt(rng.uniform(size=n))
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
     coords = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
-    dist = cdist(coords, coords)
+    dist = _euclidean(coords)
     labels = tuple(f"p{i}" for i in range(n))
     mass = np.full(n, math.pi * radius * radius / n)
     boundary = None
@@ -75,7 +87,7 @@ def disk_grid(spacing: float, radius: float = 1.0,
     coords = pts[keep]
     norms = norms[keep]
     labels = tuple(f"d{i}" for i in range(len(coords)))
-    dist = cdist(coords, coords)
+    dist = _euclidean(coords)
     mass = np.full(len(coords), spacing * spacing)
     boundary = None
     if mark_boundary:
@@ -126,7 +138,7 @@ def sphere_cap_complement(eps: float, n: int, seed: int = 0) -> FiniteMetricSpac
     coords = np.vstack([rim, np.asarray(interior).reshape(need, 3)])
     labels = tuple([f"r{i}" for i in range(m_rim)]
                    + [f"p{i}" for i in range(need)])
-    dist = cdist(coords, coords)
+    dist = _euclidean(coords)
     area = 4.0 * math.pi - math.pi * eps * eps  # cap area is pi * eps^2
     mass = np.full(n, area / n)
     return FiniteMetricSpace(labels, dist, coords=coords, mass=mass,
@@ -142,7 +154,7 @@ def halfplane_sample(n: int, seed: int = 0, width: float = 2.0,
     y = rng.uniform(0.0, height, size=n)
     y = np.maximum(y, 1e-12)  # keep strictly inside the open half-plane
     coords = np.stack([x, y], axis=1)
-    dist = cdist(coords, coords)
+    dist = _euclidean(coords)
     labels = tuple(f"p{i}" for i in range(n))
     mass = np.full(n, width * height / n)
     return FiniteMetricSpace(labels, dist, coords=coords, mass=mass)
@@ -153,11 +165,13 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
 
     A random Hamiltonian path keeps the graph connected; extra edges appear
     with the given density.  Weights are uniform in [0.5, 2], so distances
-    are strictly positive and the shortest-path closure is a metric.
+    are strictly positive and the shortest-path closure is a metric.  The
+    closure is ``warp``'s min-plus one, with ``inf`` for a missing edge.
     """
     _positive("n", n)
     rng = np.random.default_rng(seed)
-    w = np.zeros((n, n))
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
     if n > 1:
         perm = rng.permutation(n)
         pw = rng.uniform(0.5, 2.0, size=n - 1)
@@ -165,14 +179,11 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
         w[perm[1:], perm[:-1]] = pw
         extra = np.triu(rng.uniform(size=(n, n)) < edge_density, 1)
         ew = rng.uniform(0.5, 2.0, size=(n, n))
-        keep = extra & (w == 0)
+        keep = extra & (w == np.inf)
         w[keep] = ew[keep]
-        w = np.maximum(w, w.T)
-    dist = dijkstra(w, directed=False)
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
+        w = np.minimum(w, w.T)
     labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace(labels, dist)
+    return FiniteMetricSpace(labels, _closure(w))
 
 
 _KINDS = {

@@ -186,6 +186,26 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
                 stale[rows, cols] |= drop
 
 
+def _closure(w: np.ndarray) -> np.ndarray:
+    """Min-plus closure of a symmetric, nonnegative ``w``, as a new array.
+
+    Entry (i, k) is the least chain sum from i to k, summed from either
+    end: ``_through(w)``, then ``_relax_stale`` on the entries it lowered,
+    then the mirror ``min(d, dᵀ)`` (``_through``'s output is symmetric
+    already, so the mirror runs only after the sweeps).  ``inf`` means "no
+    edge": ``inf + x`` is ``inf``, never NaN, so a pair with no chain stays
+    ``inf``.  The sweeps' tiles hold consecutive points, so a caller that
+    can order the points by scale passes them in that order (see
+    :mod:`metricforge.warp`).
+    """
+    d = _through(w)
+    stale = d < w
+    if stale.any():
+        _relax_stale(d, w, stale)
+        np.minimum(d, d.T, out=d)  # numpy buffers the overlapping transpose
+    return d
+
+
 @np.errstate(invalid="ignore")  # non-finite entries are reported, not warned about
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.

@@ -6,7 +6,8 @@ Given a basepoint p, every pair gets the rescaled separation
 
 which in general fails the triangle inequality.  The warped metric d-hat is
 the chain infimum of rho over finite point sequences: on a finite set, the
-min-plus closure of the complete rho-weighted graph.  Its first round
+min-plus closure of the complete rho-weighted graph (``space._closure``,
+which ``generators.random_metric`` uses too).  Its first round
 ``min(rho, rho ⊗ rho)`` is ``space._through``, the triangle pass of
 ``validate_metric``; only the entries it lowered are relaxed further
 (``space._relax_stale``).  Exact: a round-1 sum ``rho[i,m] + rho[m,k]`` is the
@@ -19,9 +20,9 @@ adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p)) is the
 per-point shrink factor.
 
 The fixpoint depends neither on the order of the points nor on the order
-of the relaxations, so the later sweeps run on the points sorted by
-d(x, p), and the order is undone after them.  Sorted, a tile of 16 points
-holds points at like scales, and its entries of rho are alike.  A sweep
+of the relaxations, so the closure runs on the points sorted by d(x, p),
+and the order is undone after it.  Sorted, a tile of 16 points holds
+points at like scales, and its entries of rho are alike.  A sweep
 relaxes through the values its stale entries had when it began; one that
 drops later is stale for the next sweep.  It skips a middle m for a tile
 of pairs (I, K) when the least sum m could give, ``fl(a + b)`` with a the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _relax_stale, _through, ball_mask
+from .space import FiniteMetricSpace, _closure, ball_mask
 
 INFINITY_LABEL = "∞"
 
@@ -92,21 +93,14 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     if not np.isfinite(m.dist).all() or (m.dist < 0).any():
         raise ValueError("cannot warp: distances must be finite and nonnegative")
     h = point_scales(m, p)
-    w = rho_matrix(m, p)
+    order = np.argsort(m.dist[p], kind="stable")  # tiles then hold points at like scales
+    grid = np.ix_(order, order)
+    w = rho_matrix(m, p)[grid]
     w = np.minimum(w, w.T) + 0.0  # exact symmetry; no -0.0 for np.fmin to keep or drop
-    dhat = _through(w)
-    stale = dhat < w
-    if stale.any():  # sweep in d(x, p) order, so tiles hold points at like scales
-        order = np.argsort(m.dist[p], kind="stable")
-        grid = np.ix_(order, order)
-        w = w[grid]  # one sorted copy at a time keeps the heap peak low
-        dhat = dhat[grid]
-        _relax_stale(dhat, w, stale[grid])
-        back = np.argsort(order)
-        dhat = dhat[np.ix_(back, back)]
-    del w, stale  # freed before the output is allocated, so warp's peak stays low
+    dhat = _closure(w)
+    del w  # freed before the output is allocated, so warp's peak stays low
     full = np.zeros((m.n + 1, m.n + 1))
-    np.minimum(dhat, dhat.T, out=full[:-1, :-1])  # chains summed from either end
+    full[grid] = dhat  # back to the input order
     full[:-1, -1] = full[-1, :-1] = h
     warped = FiniteMetricSpace(m.points + (INFINITY_LABEL,), full)
     return WarpedSpace(base=m, basepoint=p, h=h, warped=warped)

@@ -148,6 +148,16 @@ class TestRegularity:
         with pytest.raises(ValueError):
             mf.regularity_constant(m, 2.0)
 
+    @pytest.mark.parametrize("Q", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_exponent_must_be_finite_and_positive(self, Q):
+        with pytest.raises(ValueError, match="Q must be finite and positive"):
+            mf.regularity_constant(mf.euclidean_grid(5, 0.25), Q)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.5])
+    def test_cover_scale_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            mf.regularity_constant(mf.euclidean_grid(5, 0.25), 2.0, eps=eps)
+
     def test_refinement_stays_in_envelope(self):
         coarse = mf.euclidean_grid(33, 1 / 32)
         fine = mf.euclidean_grid(65, 1 / 64)
@@ -291,6 +301,15 @@ class TestComponentContainment:
                 ball_pts = sorted(mf.ball(disk, a, r))
                 comp = component_of(adj, ball_pts, a)
                 assert inner <= comp
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, -math.inf])
+@pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
+def test_proximity_scale_must_be_positive(check, delta):
+    # Also on two points, where the quasicircle screen is degenerate.
+    for m in (mf.disk_sample(30, seed=1), mf.random_metric(2, seed=0)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            check(m, delta=delta)
 
 
 class TestQuasicircle:

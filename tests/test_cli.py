@@ -247,6 +247,43 @@ class TestCheckCommand:
             assert main(["check", str(path), "--suite", suite, "--lambda-max", "0.5"]) == 2
             assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "inf", "nan", "-2"])
+    def test_lambda_max_must_be_finite_and_at_least_one(self, tmp_path, capsys, circle_256,
+                                                        value):
+        # 0 once fell back to the default grid, and inf overflowed the grid size.
+        path = tmp_path / "circle.json"
+        mf.save_space(circle_256, path)
+        for suite in ("llc", "quasicircle"):
+            out = tmp_path / f"{suite}.json"
+            code = main(["check", str(path), "--suite", suite, "--lambda-max", value,
+                         "-o", str(out)])
+            assert code == 2
+            assert "--lambda-max must be finite and at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--q", "nan"], ["--q", "inf"], ["--q", "0"],
+                                        ["--q", "-1"], ["--q", "2", "--eps", "nan"],
+                                        ["--q", "2", "--eps", "0"]])
+    def test_regularity_parameters_are_checked(self, tmp_path, capsys, option):
+        path = tmp_path / "grid.json"
+        mf.save_space(mf.euclidean_grid(9, 0.125), path)
+        out = tmp_path / "reg.json"
+        code = main(["check", str(path), "--suite", "regularity", *option, "-o", str(out)])
+        assert code == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite", ["llc", "quasicircle"])
+    @pytest.mark.parametrize("delta", ["0", "-0.5", "nan"])
+    def test_nonpositive_delta_is_usage_error(self, tmp_path, capsys, suite, delta):
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(60, seed=1), path)
+        out = tmp_path / "r.json"
+        code = main(["check", str(path), "--suite", suite, "--delta", delta, "-o", str(out)])
+        assert code == 2
+        assert "delta must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quasicircle_suite(self, tmp_path, circle_256):
         path = tmp_path / "circle.json"
         mf.save_space(circle_256, path)
@@ -344,6 +381,30 @@ class TestEntryPoint:
                           "--spacing", "1.0", "-o", str(out))
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_runtime_needs_no_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: the import loads no scipy, and
+        # with scipy blocked every generator, warp and a check still run.
+        script = (
+            "import sys\n"
+            "import metricforge, metricforge.cli\n"
+            "assert not any(k.split('.')[0] == 'scipy' for k in sys.modules), sys.modules\n"
+            "sys.modules['scipy'] = None\n"
+            "from metricforge.cli import main\n"
+            "out = sys.argv[1]\n"
+            "kinds = [['grid', '--side', '4', '--spacing', '1'], ['disk', '--n', '20'],\n"
+            "         ['disk-grid', '--spacing', '0.5'], ['sphere-cap', '--eps', '0.5', '--n', '20'],\n"
+            "         ['halfplane', '--n', '20'], ['random-metric', '--n', '20']]\n"
+            "for kind in kinds:\n"
+            "    assert main(['generate', '--kind', *kind, '-o', out]) == 0\n"
+            "assert main(['warp', out, '--basepoint', 'p0', '-o', out + '.w']) == 0\n"
+            "assert main(['check', out + '.w', '--suite', 'metric']) == 0\n"
+        )
+        src = str(Path(mf.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "g.json")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_usage_error_exit_code(self):
         proc = run_module("generate", "--kind", "grid", "--side", "0",

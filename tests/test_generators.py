@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial.distance import cdist
 
 import metricforge as mf
+from metricforge.generators import _euclidean
+from metricforge.space import _closure
 from oracles import rim_gap, triangle_ok
 
 
@@ -139,3 +145,56 @@ def test_all_generators_validate():
     ]
     for m in spaces:
         assert mf.validate_metric(m).ok
+
+
+# Every generator with coordinates, in 2-D and (sphere-cap) 3-D.
+COORDINATE_SPACES = {
+    "grid": lambda s: mf.euclidean_grid(4 + s, 0.1 + 0.07 * s),
+    "disk": lambda s: mf.disk_sample(40 + 9 * s, radius=0.5 + s, seed=s),
+    "disk-grid": lambda s: mf.disk_grid(0.1 + 0.03 * s, radius=1.0 + 0.5 * s),
+    "sphere-cap": lambda s: mf.sphere_cap_complement(0.2 + 0.1 * s, 40 + 9 * s, seed=s),
+    "halfplane": lambda s: mf.halfplane_sample(40 + 9 * s, seed=s, width=1.0 + s),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(COORDINATE_SPACES))
+def test_generated_distances_are_cdist_bit_for_bit(kind, seed):
+    m = COORDINATE_SPACES[kind](seed)
+    assert m.coords.shape[1] == (3 if kind == "sphere-cap" else 2)
+    assert m.dist.tobytes() == cdist(m.coords, m.coords).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-8, 1.0, 1e6]))
+def test_euclidean_is_cdist_bit_for_bit(n, k, seed, scale):
+    coords = scale * np.random.default_rng(seed).normal(size=(n, k))
+    assert _euclidean(coords).tobytes() == cdist(coords, coords).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 90), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 0.4), ties=st.booleans())
+def test_closure_is_dijkstra_bit_for_bit(n, seed, density, ties):
+    # Unlike random_metric's graphs, these have no Hamiltonian path, so a
+    # sparse one falls apart and the pairs between its components stay inf.
+    # Integer weights in 1..3 tie many chain sums.
+    rng = np.random.default_rng(seed)
+    weights = (rng.integers(1, 4, size=(n, n)).astype(float) if ties
+               else rng.uniform(0.5, 2.0, size=(n, n)))
+    w = np.where(np.triu(rng.uniform(size=(n, n)) < density, 1), weights, np.inf)
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    expect = dijkstra(np.where(np.isinf(w), 0.0, w), directed=False)  # 0: no edge
+    expect = np.minimum(expect, expect.T)
+    assert _closure(w).tobytes() == expect.tobytes()
+
+
+def test_closure_keeps_components_apart():
+    inf = np.inf
+    w = np.array([[0.0, 1.0, inf, inf],
+                  [1.0, 0.0, inf, inf],
+                  [inf, inf, 0.0, 2.0],
+                  [inf, inf, 2.0, 0.0]])
+    assert np.array_equal(_closure(w), w)
