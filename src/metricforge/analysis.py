@@ -39,6 +39,30 @@ def default_radii(m: FiniteMetricSpace, delta: float, count: int = 8) -> tuple:
     return tuple(float(r) for r in np.geomspace(lo, hi, count))
 
 
+def _finite_positive(name: str, value: float) -> float:
+    """``value`` as a float; raises unless it is finite and positive."""
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return float(value)
+
+
+def _scales(m: FiniteMetricSpace, delta: float | None, radii, count: int = 8):
+    """``(delta, radii)``: the proximity scale and the radii an estimator uses.
+
+    ``delta`` as given, which must be positive, or :func:`default_delta`;
+    ``radii`` as given, each finite and positive, or ``count`` radii from
+    :func:`default_radii`.  Every estimator resolves its scales here, so
+    none evaluates a ball of NaN, infinite or nonpositive radius.
+    """
+    if delta is None:
+        delta = default_delta(m)
+    elif not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta}")
+    if radii is None:
+        return delta, default_radii(m, delta, count)
+    return delta, tuple(_finite_positive("radii", r) for r in radii)
+
+
 def _pick_centers(m, centers, n_centers, seed):
     if centers is not None:
         cs = np.asarray([int(c) for c in centers], dtype=int)
@@ -67,20 +91,17 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     discretization artifact rather than by geometry.  Each step takes the
     ball covering the most uncovered points (the lowest index on ties), and
     points no ball covers count once each.  Gains are exact popcounts.
+    With no radius to evaluate, the diameter is the one radius.
     """
+    _, radii = _scales(m, None, radii)
     if m.n == 1:
         return 1
-    delta = default_delta(m)
-    if radii is None:
-        radii = default_radii(m, delta)
-        if not radii:
-            radii = (m.diam(),) if m.diam() > 0 else ()
+    if not radii and m.diam() > 0:
+        radii = (m.diam(),)
     cs = _pick_centers(m, centers, n_centers, seed)
     D = m.dist
     best = 1
     for r in radii:
-        if r <= 0:
-            raise ValueError("radii must be positive")
         rows = np.packbits(D <= r / 2.0, axis=1)  # row i: the closed ball at i
         for a in cs:
             inside = D[a] < r
@@ -133,8 +154,7 @@ def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float,
     ``cells`` lets callers evaluating many subsets reuse the assignment
     from :func:`_first_fit_cells`.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _finite_positive("eps", eps)
     idx = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
     if idx.size == 0:
         raise ValueError("target set must be nonempty")
@@ -173,19 +193,18 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     spaces know their own density); passing ``eps`` switches to the greedy
     eps-cover pre-measure, which is also the fallback for spaces without
     mass.  K_hat is the max over evaluated (a, r) of
-    max(mu(B̄(a,r)) / r^Q, r^Q / mu(B̄(a,r))).
+    max(mu(B̄(a,r)) / r^Q, r^Q / mu(B̄(a,r))).  Radii above the diameter
+    are left out.
     """
-    if not (math.isfinite(Q) and Q > 0):
-        raise ValueError(f"Q must be finite and positive, got {Q}")
-    if eps is not None and not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    _finite_positive("Q", Q)
+    if eps is not None:
+        _finite_positive("eps", eps)
     if eps is None and m.mass is None:
         raise ValueError("regularity needs point masses or an eps cover scale")
     use_premeasure = eps is not None
-    delta = default_delta(m)
-    if radii is None:
-        radii = default_radii(m, delta)
-    radii = tuple(float(r) for r in radii)
+    _, radii = _scales(m, None, radii)
+    diam = m.diam()
+    fits = [r for r in radii if r <= diam]
     cs = _pick_centers(m, centers, n_centers, seed)
     cells = _first_fit_cells(m, eps) if use_premeasure else None
     k_hat = 1.0
@@ -194,9 +213,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     infinite = False
     for a in cs:
         row = m.dist[a]
-        for r in radii:
-            if r <= 0 or r > m.diam():
-                continue
+        for r in fits:
             members = row <= r
             if use_premeasure:
                 mu = hausdorff_premeasure(m, np.nonzero(members)[0], Q, eps, cells=cells)
@@ -268,15 +285,6 @@ def _reach(adj: np.ndarray, allowed: np.ndarray, start: int) -> np.ndarray:
     return reach
 
 
-def _proximity_scale(m: FiniteMetricSpace, delta: float | None) -> float:
-    """``delta`` as given, which must be positive, or the default scale."""
-    if delta is None:
-        return default_delta(m)
-    if not delta > 0:  # NaN fails too
-        raise ValueError(f"delta must be positive, got {delta}")
-    return delta
-
-
 def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
                   lambda_grid=None, centers=None, radii=None,
                   n_centers: int = 32, n_radii: int = 8,
@@ -289,18 +297,14 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     of B(a, r/λ).  Configurations with r above the diameter are vacuous for
     lambda2 and skipped; both estimates are monotone along the grid.
     """
-    delta = _proximity_scale(m, delta)
-    if lambda_grid is None:
-        lambda_grid = DEFAULT_LAMBDA_GRID
-    grid = tuple(float(v) for v in lambda_grid)
-    if not grid or grid[0] < 1.0:
-        raise ValueError("lambda grid must start at 1.0 or above")
+    delta, radii = _scales(m, delta, radii, n_radii)
+    grid = tuple(float(v) for v in (DEFAULT_LAMBDA_GRID if lambda_grid is None
+                                    else lambda_grid))
+    if not grid or not all(1.0 <= v < math.inf for v in grid):  # NaN fails too
+        raise ValueError("lambda grid values must be finite and at least 1.0")
     D = m.dist
     adj = (D <= delta) | (D <= delta).T  # undirected: either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)
-    if radii is None:
-        radii = default_radii(m, delta, n_radii)
-    radii = tuple(float(r) for r in radii)
     if not radii or (m.n and not _reach(adj, np.ones(m.n, dtype=bool), 0).all()):
         return LLCReport(math.inf, math.inf, float(delta), grid, (), (),
                          usable=False, evaluated1=0, evaluated2=0, skipped=0,
@@ -386,13 +390,12 @@ def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
                       n_centers: int = 48, n_radii: int = 8,
                       seed: int = 0) -> QuasicircleReport:
     """Screen a closed-curve sample for quasicircle behavior."""
-    delta = _proximity_scale(m, delta)
+    delta, radii = _scales(m, delta, radii, n_radii)
     if m.n < 3:
         return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
                                  degenerate=True, usable=False, failures=())
     llc = llc_constants(m, delta=delta, lambda_grid=lambda_grid,
-                        centers=centers, radii=radii,
-                        n_centers=n_centers, n_radii=n_radii, seed=seed)
+                        centers=centers, radii=radii, n_centers=n_centers, seed=seed)
     m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii or None,
                               seed=seed)
     passed = (llc.usable and llc.lambda1 <= max_lambda

@@ -75,15 +75,11 @@ def _write_manifest(out_path: Path, command: str, params: dict, inputs, outputs,
 def _load(path_str: str) -> space.FiniteMetricSpace:
     path = Path(path_str)
     if not path.exists():
-        raise SystemExit2(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     try:
         return space.load_space(path)
     except Exception as exc:
-        raise SystemExit2(f"cannot parse space file {path}: {exc}") from exc
-
-
-class SystemExit2(Exception):
-    """Usage/structural failure carrying a message for stderr."""
+        raise ValueError(f"cannot parse space file {path}: {exc}") from exc
 
 
 def _parse_radii(text):
@@ -97,7 +93,7 @@ def _parse_gauge(text: str):
     """Linear gauge strings like '16t', '2.5 t', or plain 't'."""
     match = _GAUGE_RE.match(text)
     if not match:
-        raise SystemExit2(f"cannot parse gauge {text!r}; expected '<coef>t'")
+        raise ValueError(f"cannot parse gauge {text!r}; expected '<coef>t'")
     coef = float(match.group(1)) if match.group(1) else 1.0
     return distortion.linear_gauge(coef), f"{coef}t"
 
@@ -126,7 +122,7 @@ def cmd_warp(args) -> int:
     try:
         w = warp_space(m, m.index(args.basepoint))
     except KeyError as exc:
-        raise SystemExit2(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     space.save_space(w.warped, out)
@@ -170,7 +166,7 @@ def _lambda_grid(args):
     if args.lambda_max is None:
         return None
     if not 1.0 <= args.lambda_max < math.inf:  # NaN fails too
-        raise SystemExit2(f"--lambda-max must be finite and at least 1, got {args.lambda_max}")
+        raise ValueError(f"--lambda-max must be finite and at least 1, got {args.lambda_max}")
     steps = int(math.ceil(4 * math.log2(args.lambda_max))) + 1
     return tuple(2.0 ** (k / 4.0) for k in range(steps))
 
@@ -192,7 +188,7 @@ def _suite_llc(m, args):
 
 def _suite_regularity(m, args):
     if args.q is None:
-        raise SystemExit2("--suite regularity requires --q")
+        raise ValueError("--suite regularity requires --q")
     rep = analysis.regularity_constant(m, args.q, radii=_parse_radii(args.radii),
                                        seed=args.seed, eps=args.eps,
                                        **_given(args, "n_centers"))
@@ -208,14 +204,14 @@ def _suite_regularity(m, args):
 
 def _suite_distortion(m, args):
     if not args.dst:
-        raise SystemExit2("--suite distortion requires --dst (destination space file)")
+        raise ValueError("--suite distortion requires --dst (destination space file)")
     dst = _load(args.dst)
     # Pair points by shared label; extra destination points (the adjoined
     # "∞" of a warped file) simply have no preimage.
     try:
         mapping = [dst.index(lbl) for lbl in m.points]
     except KeyError as exc:
-        raise SystemExit2(f"destination is missing a source label: {exc}") from exc
+        raise ValueError(f"destination is missing a source label: {exc}") from exc
     claimed = claimed_desc = None
     if args.claim_theta or args.claim_eta:
         claimed, claimed_desc = _parse_gauge(args.claim_theta or args.claim_eta)
@@ -278,8 +274,8 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise SystemExit2(message)
+    def error(self, message):  # main maps it to exit 2, as it does refused input
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +347,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (SystemExit2, ValueError) as exc:  # usage errors and input the library refused
+    except ValueError as exc:  # usage errors and input the library refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,6 +7,7 @@ Boundary marks are generator outputs, never inferred afterwards.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -187,26 +188,25 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
 
 
 _KINDS = {
-    "grid": lambda p: euclidean_grid(int(p["side"]), float(p["spacing"])),
-    "disk": lambda p: disk_sample(int(p["n"]), float(p.get("radius", 1.0)),
-                                  int(p.get("seed", 0)), bool(p.get("mark_boundary", False))),
-    "disk-grid": lambda p: disk_grid(float(p["spacing"]), float(p.get("radius", 1.0)),
-                                     bool(p.get("mark_boundary", True))),
-    "sphere-cap": lambda p: sphere_cap_complement(float(p["eps"]), int(p["n"]),
-                                                  int(p.get("seed", 0))),
-    "halfplane": lambda p: halfplane_sample(int(p["n"]), int(p.get("seed", 0)),
-                                            float(p.get("width", 2.0)),
-                                            float(p.get("height", 1.0))),
-    "random-metric": lambda p: random_metric(int(p["n"]), int(p.get("seed", 0)),
-                                             float(p.get("edge_density", 0.35))),
+    "grid": euclidean_grid,
+    "disk": disk_sample,
+    "disk-grid": disk_grid,
+    "sphere-cap": sphere_cap_complement,
+    "halfplane": halfplane_sample,
+    "random-metric": random_metric,
 }
 
 
 def generate(kind: str, **params) -> FiniteMetricSpace:
-    """Dispatch a generator by kind name (the CLI entry point)."""
+    """Dispatch a generator by kind name (the CLI entry point).
+
+    The parameters bind to the generator's own signature, so its defaults
+    are the only ones, and a parameter the kind does not take is refused.
+    """
     if kind not in _KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; known: {sorted(_KINDS)}")
     try:
-        return _KINDS[kind](params)
-    except KeyError as exc:
-        raise ValueError(f"generator {kind!r} is missing parameter {exc}") from None
+        inspect.signature(_KINDS[kind]).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"generator {kind!r}: {exc}") from None
+    return _KINDS[kind](**params)

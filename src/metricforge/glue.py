@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, _min_plus_into
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +58,8 @@ def double(m: FiniteMetricSpace) -> DoubledSpace:
     # Cross block for one side-1 row x against all side-2 points (nonbd):
     # a boundary row equals its base row exactly (z = x attains the min and
     # no detour can beat it); other rows minimize over the marked points.
-    A = D[:, bd]                      # (n, b) distances to the boundary
-    cross = np.empty((n, len(nonbd)))
-    to_nonbd = D[np.ix_(bd, nonbd)]   # (b, m)
-    chunk = max(1, 2_000_000 // (len(bd) * len(nonbd)))  # ~2M temporaries per slab
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        cross[start:stop] = np.min(A[start:stop, :, None] + to_nonbd[None, :, :], axis=1)
+    cross = np.full((n, len(nonbd)), np.inf)
+    _min_plus_into(cross, D[:, bd], D[np.ix_(bd, nonbd)])
     cross[bd] = D[np.ix_(bd, nonbd)]
 
     size = 2 * n - len(bd)

@@ -24,6 +24,11 @@ import numpy as np
 METRIC_TOL = 1e-9
 
 
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token}: distances must be finite and "
+                     "nonnegative, coordinates and masses finite")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space given by labels and a dense distance matrix.
@@ -45,8 +50,9 @@ class FiniteMetricSpace:
         an explicit input; it is never inferred from a bare point cloud.
 
     Construction is where structure is checked: duplicate labels, array
-    shapes that do not match the point count, and boundary indices outside
-    ``[0, n)`` raise ``ValueError``, so no malformed space exists.
+    shapes that do not match the point count, a NaN or infinite number in
+    ``dist``, ``coords`` or ``mass``, and boundary indices outside ``[0, n)``
+    raise ``ValueError``, so no malformed space exists.
     """
 
     points: tuple
@@ -64,6 +70,9 @@ class FiniteMetricSpace:
         for name in ("dist", "coords", "mass"):
             if getattr(self, name) is not None:
                 a = np.asarray(getattr(self, name), dtype=np.float64)
+                # min and max propagate NaN and reach ±inf: no n x n temporary
+                if a.size and not np.isfinite([a.min(), a.max()]).all():
+                    _non_finite(repr(float(a[~np.isfinite(a)][0])))
                 a.setflags(write=False)
                 object.__setattr__(self, name, a)
         if self.dist.shape != (n, n):
@@ -128,6 +137,16 @@ _ROW_BLOCK = 64  # rows per band of _through, so a band's candidates stay in cac
 _TILE = 16  # rows and columns per tile of warp's stale sweeps
 
 
+def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``out = min(out, a ⊗ b)`` in place, one middle point m at a time.
+
+    Entry (i, k) is lowered to ``a[i, m] + b[m, k]`` wherever that is less,
+    with one (rows, columns) temporary per m.
+    """
+    for m in range(len(b)):
+        np.fmin(out, a[:, m, None] + b[m], out=out)
+
+
 def _through(d: np.ndarray) -> np.ndarray:
     """``min(d, d ⊗ d)``: every entry against every two-step path, as a new array.
 
@@ -136,7 +155,6 @@ def _through(d: np.ndarray) -> np.ndarray:
     equals its transpose, ``d[i, m] + d[m, k]`` and ``d[k, m] + d[m, i]`` are
     the same float (addition commutes), so only the columns ``k >= i`` are
     computed and each band is mirrored below the diagonal: half the work.
-    ``np.fmin`` skips NaN candidates.
     """
     n = len(d)
     symmetric = np.array_equal(d, d.T)
@@ -144,8 +162,7 @@ def _through(d: np.ndarray) -> np.ndarray:
     for r0 in range(0, n, _ROW_BLOCK):
         r1, c0 = r0 + _ROW_BLOCK, r0 if symmetric else 0
         band = d[r0:r1, c0:].copy()
-        for m in range(n):
-            np.fmin(band, d[r0:r1, m, None] + d[m, c0:], out=band)
+        _min_plus_into(band, d[r0:r1], d[:, c0:])
         out[r0:r1, c0:] = band
         if symmetric:
             out[r0:, r0:r1] = band.T
@@ -206,15 +223,13 @@ def _closure(w: np.ndarray) -> np.ndarray:
     return d
 
 
-@np.errstate(invalid="ignore")  # non-finite entries are reported, not warned about
 def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.
 
     The space is well formed by construction (see
-    :class:`FiniteMetricSpace`), so only the axioms are checked here.  Axiom
-    failures are collected into the report with witness tuples, capped per
-    axiom; a non-finite distance fails the ``finite`` axiom, so it never
-    passes.
+    :class:`FiniteMetricSpace`), finite numbers included, so only the axioms
+    are checked here.  Axiom failures are collected into the report with
+    witness tuples, capped per axiom.
 
     The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + tol`` is first
     tested for all triples at once, against the first min-plus round
@@ -239,9 +254,6 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
         kept += (Violation(axiom, w, float(e))
                  for w, e in itertools.islice(witnesses, _WITNESS_CAP - len(kept)))
 
-    bad = np.argwhere(~np.isfinite(d))
-    push("finite", len(bad), (((int(i), int(j)), abs(d[i, j])) for i, j in bad))
-
     diag = np.abs(np.diagonal(d))
     bad = np.flatnonzero(diag > tol)
     push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
@@ -263,7 +275,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
                  (((int(rows[s]), j, int(cols[s])), flagged[s] - through[s]) for s in bad))
 
     if m.mass is not None:
-        bad = np.flatnonzero(~(m.mass >= 0))  # NaN fails too
+        bad = np.flatnonzero(m.mass < 0)
         push("mass", bad.size, (((int(i),), -m.mass[i]) for i in bad))
 
     if m.boundary is not None:
@@ -383,21 +395,11 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # Serialization: JSON is the one file format and carries the full record.
-# Floats survive exactly (shortest round-trip repr).  The writer refuses
-# non-finite numbers, the loader rejects them, and the constructor rejects
-# a record whose shapes or boundary indices do not fit its points.
+# Floats survive exactly (shortest round-trip repr).  The loader names a
+# NaN or Infinity token as it reads it; the constructor rejects any other
+# non-finite number and a record whose shapes or boundary indices do not fit
+# its points, so every space the writer sees is finite.
 # ---------------------------------------------------------------------------
-
-def _non_finite(token: str):
-    raise ValueError(f"non-finite number {token}: distances must be finite and "
-                     "nonnegative, coordinates and masses finite")
-
-
-def _require_finite(*arrays) -> None:
-    for a in arrays:
-        if a is not None and not np.isfinite(a).all():
-            _non_finite(repr(float(a[~np.isfinite(a)][0])))
-
 
 def _json_list(items: list, depth: int, brackets: str = "[]") -> str:
     """Nested lists of encoded items in the layout of ``json.dumps(indent=1)``.
@@ -431,7 +433,6 @@ def to_json(m: FiniteMetricSpace) -> str:
     Floats are written by ``float.__repr__``, as the encoder does, but the
     encoder's pure-Python indent path is bypassed for the float arrays.
     """
-    _require_finite(m.dist, m.coords, m.mass)
     doc = {
         "points": json.dumps(list(m.points), indent=1).replace("\n", "\n "),
         "dist": _json_floats(m.dist, 1),

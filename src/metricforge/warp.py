@@ -90,7 +90,7 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
         raise ValueError(f"basepoint index {p} out of range")
     if INFINITY_LABEL in m.points:
         raise ValueError(f"label {INFINITY_LABEL!r} is reserved for the adjoined point")
-    if not np.isfinite(m.dist).all() or (m.dist < 0).any():
+    if (m.dist < 0).any():  # finite already: the space checks that itself
         raise ValueError("cannot warp: distances must be finite and nonnegative")
     h = point_scales(m, p)
     order = np.argsort(m.dist[p], kind="stable")  # tiles then hold points at like scales

@@ -29,18 +29,13 @@ def triangle_ok(dist, tol=1e-9):
 def metric_violations(dist, tol=1e-9, mass=None):
     """Every failed metric axiom, as (axiom, witness, excess) in report order.
 
-    Plain loops over Python floats: non-finite entries row-major, diagonal
-    entries, then the upper triangle for symmetry and positivity, then
-    triangle triples with the middle point outermost and (i, k) row-major,
-    then negative or NaN masses.
+    Plain loops over Python floats: diagonal entries, then the upper
+    triangle for symmetry and positivity, then triangle triples with the
+    middle point outermost and (i, k) row-major, then negative masses.
     """
     d = [[float(x) for x in row] for row in dist]
     n = len(d)
     out = []
-    for i in range(n):
-        for j in range(n):
-            if not math.isfinite(d[i][j]):
-                out.append(("finite", (i, j), abs(d[i][j])))
     for i in range(n):
         if abs(d[i][i]) > tol:
             out.append(("diagonal", (i,), abs(d[i][i])))
@@ -59,7 +54,7 @@ def metric_violations(dist, tol=1e-9, mass=None):
                 if d[i][k] > through + tol:
                     out.append(("triangle", (i, j, k), d[i][k] - through))
     for i, w in enumerate([] if mass is None else mass):
-        if not w >= 0:
+        if w < 0:
             out.append(("mass", (i,), -float(w)))
     return out
 
@@ -73,10 +68,7 @@ def metric_violations_by_middle_point(dist, tol=1e-9, cap=25):
     """
     d = np.asarray(dist, dtype=float)
     n = len(d)
-    found = {"finite": [], "diagonal": [], "symmetry": [], "positivity": [],
-             "triangle": []}
-    for i, j in zip(*np.nonzero(~np.isfinite(d))):
-        found["finite"].append(((int(i), int(j)), abs(d[i, j])))
+    found = {"diagonal": [], "symmetry": [], "positivity": [], "triangle": []}
     for i in range(n):
         if abs(d[i, i]) > tol:
             found["diagonal"].append(((i,), abs(d[i, i])))

@@ -94,8 +94,9 @@ class TestPremeasure:
 
     def test_bad_inputs(self):
         m = mf.random_metric(4, seed=0)
-        with pytest.raises(ValueError):
-            mf.hausdorff_premeasure(m, {0}, 2.0, 0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                mf.hausdorff_premeasure(m, {0}, 2.0, eps)
         with pytest.raises(ValueError):
             mf.hausdorff_premeasure(m, set(), 2.0, 0.5)
 
@@ -310,6 +311,32 @@ def test_proximity_scale_must_be_positive(check, delta):
     for m in (mf.disk_sample(30, seed=1), mf.random_metric(2, seed=0)):
         with pytest.raises(ValueError, match="delta must be positive"):
             check(m, delta=delta)
+
+
+ESTIMATORS = {
+    "doubling": mf.doubling_constant,
+    "regularity": lambda m, **kw: mf.regularity_constant(m, 2.0, **kw),
+    "llc": mf.llc_constants,
+    "quasicircle": mf.quasicircle_check,
+}
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_radii_must_be_finite_and_positive(estimator, r):
+    # Beside a good radius, and also on two points, where the quasicircle
+    # screen is degenerate: a bad radius is refused, never skipped.
+    for m in (mf.disk_sample(80, seed=1), mf.disk_sample(2, seed=0)):
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            ESTIMATORS[estimator](m, radii=(0.5, r))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
+@pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
+def test_lambda_grid_values_must_be_finite_and_at_least_one(check, value):
+    m = mf.disk_sample(80, seed=1)
+    with pytest.raises(ValueError, match="lambda grid values must be finite and at least 1"):
+        check(m, lambda_grid=(1.0, value, 2.0))
 
 
 class TestQuasicircle:

@@ -56,6 +56,15 @@ class TestGenerate:
         code = main(["generate", "--kind", "grid", "-o", str(tmp_path / "x.json")])
         assert code == 2  # missing side/spacing
 
+    def test_option_the_kind_does_not_take_is_usage_error(self, tmp_path, capsys):
+        # A grid has no seed; the option was once ignored and still recorded.
+        out = tmp_path / "x.json"
+        code = main(["generate", "--kind", "grid", "--side", "3", "--spacing", "1",
+                     "--seed", "4", "-o", str(out)])
+        assert code == 2
+        assert "generator 'grid'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWarpCommand:
     def test_warp_writes_expected_distance(self, tmp_path, three_point_file):
@@ -271,6 +280,18 @@ class TestCheckCommand:
         code = main(["check", str(path), "--suite", "regularity", *option, "-o", str(out)])
         assert code == 2
         assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-0.5"])
+    def test_bad_radius_is_usage_error(self, tmp_path, capsys, radius):
+        # A NaN radius once evaluated an empty ball and passed with "ok": true.
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(80, seed=1), path)
+        out = tmp_path / "reg.json"
+        code = main(["check", str(path), "--suite", "regularity", "--q", "2",
+                     "--radii", f"0.5,{radius}", "-o", str(out)])
+        assert code == 2
+        assert "radii must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("suite", ["llc", "quasicircle"])

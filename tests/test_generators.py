@@ -133,6 +133,14 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             mf.generate("mystery", n=3)
 
+    def test_parameters_bind_to_the_generator(self):
+        # The generator's own defaults stand for what is left out.
+        assert np.array_equal(mf.generate("disk", n=30).dist, mf.disk_sample(30).dist)
+        with pytest.raises(ValueError, match="generator 'grid': missing"):
+            mf.generate("grid", side=3)
+        with pytest.raises(ValueError, match="generator 'disk-grid': .*'seed'"):
+            mf.generate("disk-grid", spacing=0.5, seed=1)
+
 
 def test_all_generators_validate():
     spaces = [

@@ -125,8 +125,13 @@ class TestWarpProperties:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
     def test_non_finite_or_negative_distance_rejected(self, bad):
+        # The space refuses a non-finite distance itself; warp a negative one.
         dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         dist[1, 2] = dist[2, 1] = bad
+        if not np.isfinite(bad):
+            with pytest.raises(ValueError, match="non-finite"):
+                mf.FiniteMetricSpace(("p", "a", "b"), dist)
+            return
         m = mf.FiniteMetricSpace(("p", "a", "b"), dist)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             mf.warp(m, 0)
