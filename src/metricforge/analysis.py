@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, sample_scale
+from .space import FiniteMetricSpace, _finite_positive, sample_scale
 
 DELTA_FACTOR = 2.5      # default proximity scale, in units of sample resolution
 RADII_FLOOR = 3.0       # radii below RADII_FLOOR * delta are discretization noise
@@ -37,13 +37,6 @@ def default_radii(m: FiniteMetricSpace, delta: float, count: int = 8) -> tuple:
     if hi <= 0 or lo <= 0 or lo >= hi:
         return ()
     return tuple(float(r) for r in np.geomspace(lo, hi, count))
-
-
-def _finite_positive(name: str, value: float) -> float:
-    """``value`` as a float; raises unless it is finite and positive."""
-    if not 0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-    return float(value)
 
 
 def _scales(m: FiniteMetricSpace, delta: float | None, radii, count: int = 8):
@@ -300,8 +293,11 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     delta, radii = _scales(m, delta, radii, n_radii)
     grid = tuple(float(v) for v in (DEFAULT_LAMBDA_GRID if lambda_grid is None
                                     else lambda_grid))
-    if not grid or not all(1.0 <= v < math.inf for v in grid):  # NaN fails too
-        raise ValueError("lambda grid values must be finite and at least 1.0")
+    # The scan stops at the first passing value, so the grid must ascend.
+    if not (grid and 1.0 <= grid[0] and grid[-1] < math.inf  # NaN fails too
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ValueError("lambda grid values must be finite and at least 1.0, "
+                         "in ascending order")
     D = m.dist
     adj = (D <= delta) | (D <= delta).T  # undirected: either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)

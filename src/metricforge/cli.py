@@ -2,7 +2,7 @@
 
 Every command writes its outputs deterministically (re-running a command
 with the same arguments reproduces the report byte for byte) plus a
-manifest recording the full parameter set, seeds, version, and wall-clock
+manifest recording the options given, seeds, version, and wall-clock
 duration.  Exit codes: 0 pass, 1 threshold failure, 2 usage or structural
 error, 3 unusable configuration (diagnostic).
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -83,7 +84,7 @@ def _load(path_str: str) -> space.FiniteMetricSpace:
 
 
 def _parse_radii(text):
-    return tuple(float(v) for v in text.split(",")) if text else None
+    return tuple(float(v) for v in text.split(","))
 
 
 _GAUGE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*t\s*$")
@@ -104,8 +105,7 @@ def _parse_gauge(text: str):
 
 def cmd_generate(args) -> int:
     t0 = time.monotonic()
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command", "out") and v is not None}
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     kind = params.pop("kind")
     m = generators.generate(kind, **params)
     out = Path(args.out)
@@ -144,8 +144,19 @@ def cmd_double(args) -> int:
     return EXIT_PASS
 
 
-def _suite_metric(m, args):
-    report = space.validate_metric(m)
+def _call(fn, *args, **opts):
+    """``fn(*args, **opts)``, with the options bound to ``fn``'s signature
+    first: one it does not take, or a required one left out, is a usage
+    error, and its own defaults stand for the options not given."""
+    try:
+        inspect.signature(fn).bind(*args, **opts)
+    except TypeError as exc:
+        raise ValueError(f"{fn.__name__.lstrip('_')}: {exc}") from None
+    return fn(*args, **opts)
+
+
+def _suite_metric(m, **opts):
+    report = _call(space.validate_metric, m, **opts)
     doc = {
         "suite": "metric",
         "ok": report.ok,
@@ -155,82 +166,60 @@ def _suite_metric(m, args):
     return doc, EXIT_PASS if report.ok else EXIT_FAIL
 
 
-def _given(args, *names):
-    """The options among ``names`` given on the command line, as keywords;
-    the library defaults stand for the others."""
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-
-
-def _lambda_grid(args):
+def _lambda_grid(lambda_max):
     """Quarter-octave grid 1 .. --lambda-max, or None for the default grid."""
-    if args.lambda_max is None:
+    if lambda_max is None:
         return None
-    if not 1.0 <= args.lambda_max < math.inf:  # NaN fails too
-        raise ValueError(f"--lambda-max must be finite and at least 1, got {args.lambda_max}")
-    steps = int(math.ceil(4 * math.log2(args.lambda_max))) + 1
+    if not 1.0 <= lambda_max < math.inf:  # NaN fails too
+        raise ValueError(f"--lambda-max must be finite and at least 1, got {lambda_max}")
+    steps = int(math.ceil(4 * math.log2(lambda_max))) + 1
     return tuple(2.0 ** (k / 4.0) for k in range(steps))
 
 
-def _suite_llc(m, args):
-    rep = analysis.llc_constants(m, delta=args.delta, lambda_grid=_lambda_grid(args),
-                                 seed=args.seed, **_given(args, "n_centers", "n_radii"))
+def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=None,
+               **opts):
+    rep = _call(analysis.llc_constants, m, lambda_grid=_lambda_grid(lambda_max), **opts)
     doc = {"suite": "llc", **dataclasses.asdict(rep)}
     if not rep.usable:
         return doc, EXIT_DIAGNOSTIC
-    ok = True
-    if args.claim_lambda1 is not None:
-        ok &= rep.lambda1 <= args.claim_lambda1
-    if args.claim_lambda2 is not None:
-        ok &= rep.lambda2 <= args.claim_lambda2
+    ok = rep.lambda1 <= claim_lambda1 and rep.lambda2 <= claim_lambda2
     doc["ok"] = bool(ok)
     return doc, EXIT_PASS if ok else EXIT_FAIL
 
 
-def _suite_regularity(m, args):
-    if args.q is None:
-        raise ValueError("--suite regularity requires --q")
-    rep = analysis.regularity_constant(m, args.q, radii=_parse_radii(args.radii),
-                                       seed=args.seed, eps=args.eps,
-                                       **_given(args, "n_centers"))
+def _suite_regularity(m, claim_k=math.inf, **opts):
+    rep = _call(analysis.regularity_constant, m, **opts)
     doc = {"suite": "regularity", **dataclasses.asdict(rep)}
     if rep.evaluated == 0:  # no ball fits the radii: a claim here would check nothing
         return doc, EXIT_DIAGNOSTIC
-    ok = True
-    if args.claim_k is not None:
-        ok = rep.K_hat <= args.claim_k
+    ok = rep.K_hat <= claim_k
     doc["ok"] = bool(ok)
     return doc, EXIT_PASS if ok else EXIT_FAIL
 
 
-def _suite_distortion(m, args):
-    if not args.dst:
-        raise ValueError("--suite distortion requires --dst (destination space file)")
-    dst = _load(args.dst)
+def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=None,
+                      **opts):
+    dst = _load(dst)
     # Pair points by shared label; extra destination points (the adjoined
     # "∞" of a warped file) simply have no preimage.
     try:
         mapping = [dst.index(lbl) for lbl in m.points]
     except KeyError as exc:
         raise ValueError(f"destination is missing a source label: {exc}") from exc
-    claimed = claimed_desc = None
-    if args.claim_theta or args.claim_eta:
-        claimed, claimed_desc = _parse_gauge(args.claim_theta or args.claim_eta)
-    profile_fn = distortion.qs_profile if args.kind == "qs" else distortion.qm_profile
-    prof = profile_fn(m, dst, mapping, n_samples=args.samples, seed=args.seed,
-                      claimed=claimed, claimed_desc=claimed_desc)
+    if claim_theta or claim_eta:
+        opts["claimed"], opts["claimed_desc"] = _parse_gauge(claim_theta or claim_eta)
+    profile_fn = distortion.qs_profile if kind == "qs" else distortion.qm_profile
+    prof = _call(profile_fn, m, dst, mapping, **opts)
     doc = {"suite": "distortion", **dataclasses.asdict(prof)}
-    if args.csv:
-        _export_envelope_csv(prof, Path(args.csv))
+    if csv:
+        _export_envelope_csv(prof, Path(csv))
     ok = prof.claim.passed if prof.claim is not None else True
     doc["ok"] = bool(ok)
     return doc, EXIT_PASS if ok else EXIT_FAIL
 
 
-def _suite_quasicircle(m, args):
-    rep = analysis.quasicircle_check(m, max_lambda=args.max_lambda,
-                                     max_doubling=args.max_doubling,
-                                     delta=args.delta, lambda_grid=_lambda_grid(args),
-                                     seed=args.seed, **_given(args, "n_centers", "n_radii"))
+def _suite_quasicircle(m, lambda_max=None, **opts):
+    rep = _call(analysis.quasicircle_check, m, lambda_grid=_lambda_grid(lambda_max), **opts)
     doc = {"suite": "quasicircle", **dataclasses.asdict(rep)}
     if rep.degenerate or not rep.usable:
         return doc, EXIT_DIAGNOSTIC
@@ -258,13 +247,13 @@ _SUITES = {
 
 def cmd_check(args) -> int:
     t0 = time.monotonic()
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    opts = {k: v for k, v in params.items() if k not in ("input", "suite", "out")}
     m = _load(args.input)
-    doc, code = _SUITES[args.suite](m, args)
-    out = Path(args.out) if args.out else Path(args.input).with_suffix(f".{args.suite}.json")
+    doc, code = _call(_SUITES[args.suite], m, **opts)
+    out = Path(params.get("out") or Path(args.input).with_suffix(f".{args.suite}.json"))
     _write_json(out, doc)
-    _write_manifest(out, "check",
-                    {k: v for k, v in vars(args).items() if k not in ("func", "command")},
-                    [args.input], [out], t0)
+    _write_manifest(out, "check", params, [args.input], [out], t0)
     print(f"suite={args.suite} exit={code} report={out}")
     return code
 
@@ -284,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a test-bed space")
+    # Only the options given reach the namespace: the library's defaults
+    # stand for the others, and each option binds to the function taking it.
+    g = sub.add_parser("generate", help="generate a test-bed space",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--kind", required=True,
                    choices=["grid", "disk", "disk-grid", "sphere-cap",
                             "halfplane", "random-metric"])
@@ -297,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--width", type=float)
     g.add_argument("--height", type=float)
     g.add_argument("--edge-density", dest="edge_density", type=float)
-    g.add_argument("--mark-boundary", dest="mark_boundary", action="store_true",
-                   default=None)
+    g.add_argument("--mark-boundary", dest="mark_boundary", action="store_true")
     g.add_argument("-o", "--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -313,18 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("-o", "--out", required=True)
     d.set_defaults(func=cmd_double)
 
-    c = sub.add_parser("check", help="run a verification suite")
+    c = sub.add_parser("check", help="run a verification suite",
+                       argument_default=argparse.SUPPRESS)
     c.add_argument("input")
     c.add_argument("--suite", required=True, choices=sorted(_SUITES))
     c.add_argument("-o", "--out")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--q", type=float)
-    c.add_argument("--radii", help="comma-separated radii")
+    c.add_argument("--seed", type=int)
+    c.add_argument("--q", dest="Q", type=float)
+    c.add_argument("--radii", type=_parse_radii, help="comma-separated radii")
     c.add_argument("--eps", type=float)
     c.add_argument("--delta", type=float)
-    c.add_argument("--n-centers", dest="n_centers", type=int,
-                   help="sampled centers (default 32; 48 for quasicircle)")
-    c.add_argument("--n-radii", dest="n_radii", type=int, help="radii per center (default 8)")
+    c.add_argument("--n-centers", dest="n_centers", type=int, help="sampled centers")
+    c.add_argument("--n-radii", dest="n_radii", type=int, help="radii per center")
     c.add_argument("--lambda-max", dest="lambda_max", type=float)
     c.add_argument("--claim-k", dest="claim_k", type=float)
     c.add_argument("--claim-lambda1", dest="claim_lambda1", type=float)
@@ -333,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     gauge.add_argument("--claim-theta", dest="claim_theta")
     gauge.add_argument("--claim-eta", dest="claim_eta")
     c.add_argument("--dst", help="destination space file for distortion")
-    c.add_argument("--kind", choices=["qs", "qm"], default="qm")
-    c.add_argument("--samples", type=int, default=distortion.DEFAULT_SAMPLES)
-    c.add_argument("--max-lambda", dest="max_lambda", type=float, default=2.0)
-    c.add_argument("--max-doubling", dest="max_doubling", type=int, default=8)
+    c.add_argument("--kind", choices=["qs", "qm"])
+    c.add_argument("--samples", dest="n_samples", type=int)
+    c.add_argument("--max-lambda", dest="max_lambda", type=float)
+    c.add_argument("--max-doubling", dest="max_doubling", type=int)
     c.add_argument("--csv", help="export the distortion envelope as CSV")
     c.set_defaults(func=cmd_check)
     return parser

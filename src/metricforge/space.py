@@ -29,6 +29,13 @@ def _non_finite(token: str):
                      "nonnegative, coordinates and masses finite")
 
 
+def _finite_positive(name: str, value: float) -> float:
+    """``value`` as a float; raises unless it is finite and positive."""
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space given by labels and a dense distance matrix.
@@ -294,8 +301,8 @@ def ball(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> s
 
 def ball_mask(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> np.ndarray:
     """Boolean-mask twin of :func:`ball` for vectorized callers."""
-    if r < 0:
-        raise ValueError("ball radius must be nonnegative")
+    if not r >= 0:  # NaN fails too
+        raise ValueError(f"ball radius must be nonnegative, got {r}")
     row = m.dist[center]
     return row <= r if closed else row < r
 

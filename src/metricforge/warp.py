@@ -34,11 +34,12 @@ it would replace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _closure, ball_mask
+from .space import FiniteMetricSpace, _closure, _finite_positive, ball_mask
 
 INFINITY_LABEL = "∞"
 
@@ -108,8 +109,7 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
 
 def infty_ball(w: WarpedSpace, r: float) -> set:
     """Open ball around the adjoined point, as warped-space indices."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _finite_positive("r", r)
     return set(int(i) for i in np.nonzero(ball_mask(w.warped, w.infty, r))[0])
 
 
@@ -142,8 +142,9 @@ def check_inclusions(w: WarpedSpace, a: int, r: float, C: float) -> InclusionRep
     in both the open and the closed variant.  Set membership on finite data
     is exact, so comparisons are strict/non-strict with no tolerance.
     """
-    if C <= 1:
-        raise ValueError("C must exceed 1")
+    _finite_positive("r", r)
+    if not 1 < C < math.inf:  # NaN fails too
+        raise ValueError(f"C must exceed 1 and be finite, got {C}")
     if not (0 <= a < w.base.n):
         raise ValueError("center must be a base point")
     s = float(w.h[a])  # d-hat(a, ∞)

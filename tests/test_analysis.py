@@ -339,6 +339,16 @@ def test_lambda_grid_values_must_be_finite_and_at_least_one(check, value):
         check(m, lambda_grid=(1.0, value, 2.0))
 
 
+@pytest.mark.parametrize("grid", [(8.0, 4.0, 2.0, 1.5, 1.0), (1.0, 1.5, 1.5, 2.0)])
+@pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
+def test_lambda_grid_must_ascend(check, grid):
+    # The scan takes the first passing value: a descending grid once reported
+    # lambda1 = lambda2 = 8 where the ascending one gives 1 and 1.5.
+    m = mf.disk_sample(150, seed=2)
+    with pytest.raises(ValueError, match="in ascending order"):
+        check(m, lambda_grid=grid, seed=1)
+
+
 class TestQuasicircle:
     def test_circle_passes(self, circle_256):
         rep = mf.quasicircle_check(circle_256, max_lambda=2.0, max_doubling=8, seed=3)

@@ -244,8 +244,8 @@ class TestCheckCommand:
     def test_nonpositive_center_count_is_usage_error(self, tmp_path, capsys, suite):
         path = tmp_path / "disk.json"
         mf.save_space(mf.disk_sample(40, seed=1), path)
-        code = main(["check", str(path), "--suite", suite, "--q", "2",
-                     "--n-centers", "-1"])
+        q = ["--q", "2"] if suite == "regularity" else []
+        code = main(["check", str(path), "--suite", suite, *q, "--n-centers", "-1"])
         assert code == 2
         assert "n_centers" in capsys.readouterr().err
 
@@ -328,6 +328,59 @@ class TestCheckCommand:
         lib = dataclasses.asdict(mf.quasicircle_check(disk))
         assert reports[0] == json.loads(json.dumps(lib | {"suite": "quasicircle"}))
 
+    @pytest.mark.parametrize("suite, options, call", [
+        ("llc", [], mf.llc_constants),
+        ("regularity", ["--q", "2"], lambda m: mf.regularity_constant(m, 2.0)),
+    ])
+    def test_report_without_options_is_the_library_default(self, tmp_path, suite,
+                                                           options, call):
+        disk = mf.disk_sample(200, seed=1)
+        path = tmp_path / "disk.json"
+        mf.save_space(disk, path)
+        out = tmp_path / "r.json"
+        assert main(["check", str(path), "--suite", suite, *options, "-o", str(out)]) in (0, 1)
+        lib = dataclasses.asdict(call(disk)) | {"suite": suite}
+        report = json.loads(out.read_text())
+        report.pop("ok")
+        assert report == json.loads(json.dumps(_jsonable(lib)))
+
+    @pytest.mark.parametrize("suite, options, name", [
+        ("metric", ["--seed", "3"], "'seed'"),
+        ("llc", ["--q", "2"], "'Q'"),
+        ("llc", ["--claim-k", "1"], "'claim_k'"),
+        ("regularity", ["--q", "2", "--delta", "0.3"], "'delta'"),
+        ("regularity", ["--q", "2", "--n-radii", "3"], "'n_radii'"),
+        ("quasicircle", ["--samples", "5"], "'n_samples'"),
+        ("distortion", ["--dst", "{path}", "--lambda-max", "2"], "'lambda_max'"),
+    ])
+    def test_option_the_suite_does_not_take_is_usage_error(self, tmp_path, capsys, suite,
+                                                           options, name):
+        # Such an option was once dropped: the report answered another question.
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(40, seed=1), path)
+        argv = [a.format(path=path) for a in options]
+        code = main(["check", str(path), "--suite", suite, *argv,
+                     "-o", str(tmp_path / "r.json")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("suite, name", [("distortion", "'dst'"), ("regularity", "'Q'")])
+    def test_missing_required_option_is_usage_error(self, tmp_path, capsys, suite, name):
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(40, seed=1), path)
+        assert main(["check", str(path), "--suite", suite]) == 2
+        assert f"missing a required argument: {name}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_llc_takes_the_radii_given(self, tmp_path):
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(80, seed=1), path)
+        out = tmp_path / "llc.json"
+        assert main(["check", str(path), "--suite", "llc", "--radii", "0.5,1",
+                     "-o", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["radii"] == [0.5, 1.0]
+
     def test_reports_are_byte_identical_across_runs(self, tmp_path):
         path = tmp_path / "disk.json"
         mf.save_space(mf.disk_sample(150, seed=5), path)
@@ -354,9 +407,11 @@ DEFECTS = {
 READERS = {
     "warp": ["warp", "{bad}", "--basepoint", "r0"],
     "double": ["double", "{bad}"],
-    **{f"check {suite}": ["check", "{bad}", "--suite", suite, "--q", "2",
-                          "--dst", "{good}"]
-       for suite in ("metric", "llc", "regularity", "distortion", "quasicircle")},
+    "check metric": ["check", "{bad}", "--suite", "metric"],
+    "check llc": ["check", "{bad}", "--suite", "llc"],
+    "check regularity": ["check", "{bad}", "--suite", "regularity", "--q", "2"],
+    "check distortion": ["check", "{bad}", "--suite", "distortion", "--dst", "{good}"],
+    "check quasicircle": ["check", "{bad}", "--suite", "quasicircle"],
     "check --dst": ["check", "{good}", "--suite", "distortion", "--dst", "{bad}"],
 }
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,25 @@ class TestInclusions:
         w = mf.warp(three_point, 0)
         with pytest.raises(ValueError):
             mf.check_inclusions(w, 0, 0.1, 1.0)
+
+
+BALL_CALLS = {
+    "check_inclusions r": lambda w, v: mf.check_inclusions(w, 3, v, 2.0),
+    "check_inclusions C": lambda w, v: mf.check_inclusions(w, 3, 0.01, v),
+    "infty_ball": lambda w, v: mf.infty_ball(w, v),
+    "ball": lambda w, v: mf.ball(w.base, 0, v),
+}
+
+
+@pytest.mark.parametrize("call, value", [
+    *((call, v) for call in sorted(BALL_CALLS) for v in (math.nan, -0.5)),
+    ("check_inclusions C", math.inf),
+])
+def test_ball_checks_refuse_nan_and_negative_values(call, value):
+    # A NaN radius once gave empty balls, and check_inclusions reported ok=True.
+    w = mf.warp(mf.disk_sample(80, seed=1), 0)
+    with pytest.raises(ValueError):
+        BALL_CALLS[call](w, value)
 
 
 class TestWarpSerialization:
