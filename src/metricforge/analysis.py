@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _finite_positive, sample_scale
+from .space import FiniteMetricSpace, _at_least_one, _finite_positive, sample_scale
 
 DELTA_FACTOR = 2.5      # default proximity scale, in units of sample resolution
 RADII_FLOOR = 3.0       # radii below RADII_FLOOR * delta are discretization noise
@@ -54,6 +54,18 @@ def _scales(m: FiniteMetricSpace, delta: float | None, radii, count: int = 8):
     if radii is None:
         return delta, default_radii(m, delta, count)
     return delta, tuple(_finite_positive("radii", r) for r in radii)
+
+
+def _grid(lambda_grid) -> tuple:
+    """The λ grid as floats, or the default grid for None.  The scan stops at
+    the first passing value, so the grid must ascend from at least 1."""
+    grid = tuple(float(v) for v in (DEFAULT_LAMBDA_GRID if lambda_grid is None
+                                    else lambda_grid))
+    if not (grid and 1.0 <= grid[0] and grid[-1] < math.inf  # NaN fails too
+            and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ValueError("lambda grid values must be finite and at least 1.0, "
+                         "in ascending order")
+    return grid
 
 
 def _pick_centers(m, centers, n_centers, seed):
@@ -291,13 +303,7 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     lambda2 and skipped; both estimates are monotone along the grid.
     """
     delta, radii = _scales(m, delta, radii, n_radii)
-    grid = tuple(float(v) for v in (DEFAULT_LAMBDA_GRID if lambda_grid is None
-                                    else lambda_grid))
-    # The scan stops at the first passing value, so the grid must ascend.
-    if not (grid and 1.0 <= grid[0] and grid[-1] < math.inf  # NaN fails too
-            and all(a < b for a, b in zip(grid, grid[1:]))):
-        raise ValueError("lambda grid values must be finite and at least 1.0, "
-                         "in ascending order")
+    grid = _grid(lambda_grid)
     D = m.dist
     adj = (D <= delta) | (D <= delta).T  # undirected: either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)
@@ -387,10 +393,13 @@ def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
                       seed: int = 0) -> QuasicircleReport:
     """Screen a closed-curve sample for quasicircle behavior."""
     delta, radii = _scales(m, delta, radii, n_radii)
+    grid = _grid(lambda_grid)
+    _at_least_one("max_lambda", max_lambda)
+    _at_least_one("max_doubling", max_doubling)
     if m.n < 3:
         return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
                                  degenerate=True, usable=False, failures=())
-    llc = llc_constants(m, delta=delta, lambda_grid=lambda_grid,
+    llc = llc_constants(m, delta=delta, lambda_grid=grid,
                         centers=centers, radii=radii, n_centers=n_centers, seed=seed)
     m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii or None,
                               seed=seed)

@@ -178,6 +178,8 @@ def _lambda_grid(lambda_max):
 
 def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=None,
                **opts):
+    space._at_least_one("--claim-lambda1", claim_lambda1)
+    space._at_least_one("--claim-lambda2", claim_lambda2)
     rep = _call(analysis.llc_constants, m, lambda_grid=_lambda_grid(lambda_max), **opts)
     doc = {"suite": "llc", **dataclasses.asdict(rep)}
     if not rep.usable:
@@ -188,6 +190,7 @@ def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=Non
 
 
 def _suite_regularity(m, claim_k=math.inf, **opts):
+    space._at_least_one("--claim-k", claim_k)
     rep = _call(analysis.regularity_constant, m, **opts)
     doc = {"suite": "regularity", **dataclasses.asdict(rep)}
     if rep.evaluated == 0:  # no ball fits the radii: a claim here would check nothing

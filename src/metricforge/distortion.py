@@ -5,6 +5,12 @@ Distortion profiling is exhaustive on small spaces (every ordered tuple of
 distinct indices) and seeded-uniform above the cutoff.  Envelopes are
 binned by the input ratio on a fixed log grid with explicit under/overflow
 bins, so out-of-range tuples are recorded rather than dropped.
+
+Source and pulled-back destination distances sit side by side as (src, dst)
+items of one array, so each distance pair of a tuple is one gather.  A bin is
+read off the grid from log10 of the input ratio and mended by one comparison
+each way, so it is the bin ``np.searchsorted(edges, t, side="right")`` gives,
+zeros, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ EXHAUSTIVE_QUAD_CUTOFF = 30
 DEFAULT_SAMPLES = 1_000_000
 
 _EDGES = np.logspace(math.log10(BIN_LO), math.log10(BIN_HI), BIN_COUNT + 1)
+# Bin b holds _BELOW[b] <= t < _ABOVE[b]; the NaN pad keeps inf in the overflow bin.
+_BELOW = np.concatenate(([-np.inf], _EDGES))
+_ABOVE = np.concatenate((_EDGES, [np.nan]))
+_LOG_LO, _PER_DECADE = math.log10(BIN_LO), BIN_COUNT / math.log10(BIN_HI / BIN_LO)
 
 
 def cross_ratio(m: FiniteMetricSpace, x: int, y: int, z: int, w: int) -> float:
@@ -108,17 +118,30 @@ _PAIRS = {
 }
 
 
-def _ratios(cols, pairs, flats, n, t_in, t_out):
-    """Ratios of tuple columns by flat gathers from the two n*n matrices."""
-    n = np.intp(n)  # int32 columns times an intp give intp flat indices
-    num, den = ([cols[i] * n + cols[j] for i, j in side] for side in pairs)
-    for d, out in zip(flats, (t_in, t_out)):
-        top, bottom = d.take(num[0]), d.take(den[0])
-        for idx in num[1:]:
-            top *= d.take(idx)
-        for idx in den[1:]:
-            bottom *= d.take(idx)
-        np.divide(top, bottom, out=out)
+def _ratios(cols, pairs, both, n, t_in, t_out):
+    """Ratios of tuple columns, one gather of (src, dst) items per pair."""
+    rows = cols[:2] * np.intp(n)  # intp flat offsets; every pair starts at column 0 or 1
+
+    def product(side):
+        (i, j), *rest = side
+        p = both.take(rows[i] + cols[j], axis=0)
+        for i, j in rest:
+            p *= both.take(rows[i] + cols[j], axis=0)
+        return p
+
+    top, bottom = map(product, pairs)
+    np.divide(top[:, 0], bottom[:, 0], out=t_in)
+    np.divide(top[:, 1], bottom[:, 1], out=t_out)
+
+
+def _slots(t):
+    """``np.searchsorted(_EDGES, t, side="right")``: a guess from log10, off by
+    at most one near an edge, mended by one comparison each way."""
+    g = np.floor((np.log10(np.maximum(t, BIN_LO / 2)) - _LOG_LO) * _PER_DECADE) + 1
+    b = np.fmax(np.fmin(g, BIN_COUNT + 1), 0).astype(np.intp)  # NaN: overflow bin
+    b += t >= _ABOVE[b]
+    b -= t < _BELOW[b]
+    return b
 
 
 def _profile(kind, src, dst, mapping, n_samples, seed,
@@ -127,8 +150,8 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     pairs = _PAIRS[kind]
     arity = 3 if kind == "QS" else 4
     n = src.n
-    # dst pulled back through the mapping: flat index i*n + j on both sides.
-    flats = (src.dist.ravel(), dst.dist[np.ix_(f, f)].ravel())
+    # (src, dst) items, dst pulled back through the mapping; pair (i, j) at i*n + j.
+    both = np.stack((src.dist, dst.dist[np.ix_(f, f)]), axis=-1).reshape(n * n, 2)
     nbins = BIN_COUNT + 2
     env = np.full(nbins, -np.inf)
     env_in = np.full(nbins, -np.inf)
@@ -149,11 +172,11 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
         k = cols.shape[1]
         if k == 0:
             return
-        t_in, t_out = np.empty(k), np.empty(k)
+        t_in, t_out, slots = np.empty(k), np.empty(k), np.empty(k, dtype=np.intp)
         for s in range(0, k, _CHUNK):
             e = s + _CHUNK
-            _ratios(cols[:, s:e], pairs, flats, n, t_in[s:e], t_out[s:e])
-        slots = np.searchsorted(_EDGES, t_in, side="right")
+            _ratios(cols[:, s:e], pairs, both, n, t_in[s:e], t_out[s:e])
+            slots[s:e] = _slots(t_in[s:e])
         counts += np.bincount(slots, minlength=nbins)
         np.maximum.at(env, slots, t_out)
         # Rows attaining the (possibly new) bin max replace the recorded
@@ -184,7 +207,9 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
             cols = rng.integers(0, n, size=(batch, arity), dtype=np.int32).T.copy()
             ok = _distinct(cols)
             skipped += batch - int(np.count_nonzero(ok))
-            absorb(cols.compress(ok, axis=1))
+            cols = cols.compress(ok, axis=1)  # frees the uncompressed draw
+            absorb(cols)
+            del cols, ok  # freed before the next batch is drawn
             done += batch
 
     claim = None

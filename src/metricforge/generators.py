@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _closure
-
-
-def _positive(name, value):
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+from .space import FiniteMetricSpace, _closure, _finite_positive
 
 
 def _euclidean(coords: np.ndarray) -> np.ndarray:
@@ -36,8 +31,8 @@ def _euclidean(coords: np.ndarray) -> np.ndarray:
 
 def euclidean_grid(side: int, spacing: float) -> FiniteMetricSpace:
     """side x side square grid with the given spacing; mass = spacing^2."""
-    _positive("side", side)
-    _positive("spacing", spacing)
+    _finite_positive("side", side)
+    _finite_positive("spacing", spacing)
     ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     coords = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.float64) * spacing
     labels = tuple(f"g{i}_{j}" for i, j in zip(ii.ravel(), jj.ravel()))
@@ -53,8 +48,8 @@ def disk_sample(n: int, radius: float = 1.0, seed: int = 0,
     With ``mark_boundary``, points in the outer annulus of width
     2.5 * radius / sqrt(n) (about 2.5 typical spacings) are marked.
     """
-    _positive("n", n)
-    _positive("radius", radius)
+    _finite_positive("n", n)
+    _finite_positive("radius", radius)
     rng = np.random.default_rng(seed)
     rr = radius * np.sqrt(rng.uniform(size=n))
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
@@ -77,8 +72,8 @@ def disk_grid(spacing: float, radius: float = 1.0,
     Grid points with |p| <= radius are kept; the rim is the outermost cell
     ring, |p| > radius - spacing.  mass = spacing^2.
     """
-    _positive("spacing", spacing)
-    _positive("radius", radius)
+    _finite_positive("spacing", spacing)
+    _finite_positive("radius", radius)
     k = int(math.floor(radius / spacing))
     axis = np.arange(-k, k + 1, dtype=np.float64) * spacing
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
@@ -106,8 +101,8 @@ def sphere_cap_complement(eps: float, n: int, seed: int = 0) -> FiniteMetricSpac
     interior points are uniform on the complement, kept clear of the rim so
     the marked set is exactly the points on the rim.
     """
-    _positive("eps", eps)
-    _positive("n", n)
+    _finite_positive("eps", eps)
+    _finite_positive("n", n)
     if eps >= 2.0:
         raise ValueError("eps must be below the sphere diameter 2")
     if n < 16:
@@ -149,7 +144,9 @@ def sphere_cap_complement(eps: float, n: int, seed: int = 0) -> FiniteMetricSpac
 def halfplane_sample(n: int, seed: int = 0, width: float = 2.0,
                      height: float = 1.0) -> FiniteMetricSpace:
     """Uniform sample of an open half-plane strip [-w/2, w/2] x (0, h]."""
-    _positive("n", n)
+    _finite_positive("n", n)
+    _finite_positive("width", width)
+    _finite_positive("height", height)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-width / 2.0, width / 2.0, size=n)
     y = rng.uniform(0.0, height, size=n)
@@ -169,7 +166,9 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
     are strictly positive and the shortest-path closure is a metric.  The
     closure is ``warp``'s min-plus one, with ``inf`` for a missing edge.
     """
-    _positive("n", n)
+    _finite_positive("n", n)
+    if not 0.0 <= edge_density <= 1.0:  # NaN fails too
+        raise ValueError(f"edge_density must be in [0, 1], got {edge_density}")
     rng = np.random.default_rng(seed)
     w = np.full((n, n), np.inf)
     np.fill_diagonal(w, 0.0)

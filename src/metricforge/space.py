@@ -36,6 +36,12 @@ def _finite_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def _at_least_one(name: str, bound) -> None:
+    """Raises unless ``bound``, on a constant never below 1, is at least 1."""
+    if not bound >= 1:  # NaN fails too; inf bounds nothing
+        raise ValueError(f"{name} must be at least 1, got {bound}")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite metric space given by labels and a dense distance matrix.

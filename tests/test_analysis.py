@@ -349,6 +349,25 @@ def test_lambda_grid_must_ascend(check, grid):
         check(m, lambda_grid=grid, seed=1)
 
 
+@pytest.mark.parametrize("n", [2, 150])
+@pytest.mark.parametrize("grid", [(8.0, 4.0, math.nan), (0.5, 1.0), (1.0, math.inf)])
+def test_quasicircle_checks_the_grid_on_any_size(n, grid):
+    # Fewer than 3 points once returned a degenerate report before the grid
+    # was looked at, where a bad radius is refused on any size.
+    with pytest.raises(ValueError, match="lambda grid"):
+        mf.quasicircle_check(mf.disk_sample(n, seed=2), lambda_grid=grid)
+
+
+@pytest.mark.parametrize("n", [2, 150])
+@pytest.mark.parametrize("option", ["max_lambda", "max_doubling"])
+@pytest.mark.parametrize("bound", [math.nan, 0.5, 0, -1])
+def test_quasicircle_thresholds_must_be_at_least_one(n, option, bound):
+    # No estimate meets a NaN bound or one below 1: that is a usage error,
+    # not a failed screen.
+    with pytest.raises(ValueError, match=f"{option} must be at least 1"):
+        mf.quasicircle_check(mf.disk_sample(n, seed=2), **{option: bound})
+
+
 class TestQuasicircle:
     def test_circle_passes(self, circle_256):
         rep = mf.quasicircle_check(circle_256, max_lambda=2.0, max_doubling=8, seed=3)

@@ -66,6 +66,21 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")  # --spacing inf once warned before exit 2
+    @pytest.mark.parametrize("options, name", [
+        (["--kind", "random-metric", "--n", "20", "--edge-density", "nan"], "edge_density"),
+        (["--kind", "random-metric", "--n", "20", "--edge-density", "-1"], "edge_density"),
+        (["--kind", "halfplane", "--n", "20", "--height", "0"], "height"),
+        (["--kind", "halfplane", "--n", "20", "--width", "-2"], "width"),
+        (["--kind", "grid", "--side", "3", "--spacing", "inf"], "spacing"),
+    ])
+    def test_out_of_range_parameter_is_usage_error(self, tmp_path, capsys, options, name):
+        out = tmp_path / "x.json"
+        assert main(["generate", *options, "-o", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestWarpCommand:
     def test_warp_writes_expected_distance(self, tmp_path, three_point_file):
         out = tmp_path / "warped.json"
@@ -311,6 +326,26 @@ class TestCheckCommand:
         code = main(["check", str(path), "--suite", "quasicircle",
                      "--max-lambda", "2", "--max-doubling", "8"])
         assert code == 0
+
+    @pytest.mark.parametrize("suite, option", [
+        ("quasicircle", "--max-lambda"), ("quasicircle", "--max-doubling"),
+        ("regularity", "--claim-k"),
+        ("llc", "--claim-lambda1"), ("llc", "--claim-lambda2"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "0.5", "0", "-1"])
+    def test_threshold_below_one_is_usage_error(self, tmp_path, capsys, suite, option,
+                                                value):
+        # No constant here is below 1: such a threshold was once reported as
+        # a failed check, exit 1, where it is a usage error.
+        path = tmp_path / "disk.json"
+        mf.save_space(mf.disk_sample(40, seed=1), path)
+        extra = ["--q", "2"] if suite == "regularity" else []
+        code = main(["check", str(path), "--suite", suite, *extra, option, value,
+                     "-o", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err or option.lstrip("-").replace("-", "_") in err
+        assert sorted(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("option", ["--n-centers", "--n-radii"])
     def test_quasicircle_forwards_sample_counts(self, tmp_path, option):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import metricforge as mf
@@ -82,6 +84,42 @@ class TestProfileContracts:
         a = mf.qm_profile(m, m, range(m.n), n_samples=5000, seed=9)
         b = mf.qm_profile(m, m, range(m.n), n_samples=5000, seed=9)
         assert a == b
+
+
+def near_edges(ulps=4):
+    """Every bin edge and the floats within ``ulps`` of it on either side."""
+    out = []
+    for e in distortion._EDGES:
+        below = above = e
+        for _ in range(ulps):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            out += [below, above]
+        out.append(e)
+    return np.array(out)
+
+
+# 0/0 on x86 gives the NaN with the sign bit set.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, -1.0, -1e300, 1e300, -1e-300, 1e-300,
+           math.inf, -math.inf, math.nan, float(np.copysign(np.nan, -1.0))]
+
+
+class TestSlots:
+    def assert_searchsorted(self, t):
+        t = np.asarray(t, dtype=np.float64)
+        want = np.searchsorted(distortion._EDGES, t, side="right")
+        np.testing.assert_array_equal(distortion._slots(t), want)
+
+    def test_edges_and_their_neighbours(self):
+        self.assert_searchsorted(near_edges())
+
+    def test_zeros_negatives_infinities_and_nans(self):
+        self.assert_searchsorted(SPECIAL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(1e-5, 1e5) | st.sampled_from(near_edges()),
+                    min_size=1, max_size=40))
+    def test_matches_searchsorted(self, t):
+        self.assert_searchsorted(t)
 
 
 def coincident(m, cluster):

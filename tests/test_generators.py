@@ -103,6 +103,14 @@ class TestHalfplane:
         assert mf.validate_metric(m).ok
 
 
+    @pytest.mark.parametrize("side", ["width", "height"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_strip_must_be_finite_and_positive(self, side, value):
+        # A zero height once gave every point mass 0.
+        with pytest.raises(ValueError, match=f"{side} must be finite and positive"):
+            mf.halfplane_sample(20, **{side: value})
+
+
 class TestRandomMetric:
     def test_example_space_validates(self):
         m = mf.random_metric(5, seed=1)
@@ -120,6 +128,29 @@ class TestRandomMetric:
     def test_exactly_symmetric(self):
         m = mf.random_metric(30, seed=5)
         assert np.array_equal(m.dist, m.dist.T)
+
+
+    @pytest.mark.parametrize("density", [math.nan, -1.0, 1.5, math.inf])
+    def test_edge_density_must_be_a_probability(self, density):
+        # NaN and -1 once gave a bare random path graph.
+        with pytest.raises(ValueError, match="edge_density must be in"):
+            mf.random_metric(20, edge_density=density)
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_edge_density_bounds_are_allowed(self, density):
+        assert mf.validate_metric(mf.random_metric(12, seed=3, edge_density=density)).ok
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: mf.euclidean_grid(3, v), "spacing"),
+    (lambda v: mf.disk_sample(10, radius=v), "radius"),
+    (lambda v: mf.disk_grid(0.5, radius=v), "radius"),
+    (lambda v: mf.sphere_cap_complement(v, 30), "eps"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_lengths_must_be_finite(call, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        call(value)
 
 
 class TestDispatcher:
