@@ -6,11 +6,9 @@ distinct indices) and seeded-uniform above the cutoff.  Envelopes are
 binned by the input ratio on a fixed log grid with explicit under/overflow
 bins, so out-of-range tuples are recorded rather than dropped.
 
-Source and pulled-back destination distances sit side by side as (src, dst)
-items of one array, so each distance pair of a tuple is one gather.  A bin is
-read off the grid from log10 of the input ratio and mended by one comparison
-each way, so it is the bin ``np.searchsorted(edges, t, side="right")`` gives,
-zeros, inf and NaN included.
+A bin is read off the grid from log10 of the input ratio and mended by one
+comparison each way, so it is the bin ``np.searchsorted(edges, t, side="right")``
+gives, zeros, inf and NaN included.
 """
 
 from __future__ import annotations
@@ -118,20 +116,17 @@ _PAIRS = {
 }
 
 
-def _ratios(cols, pairs, both, n, t_in, t_out):
-    """Ratios of tuple columns, one gather of (src, dst) items per pair."""
-    rows = cols[:2] * np.intp(n)  # intp flat offsets; every pair starts at column 0 or 1
-
-    def product(side):
-        (i, j), *rest = side
-        p = both.take(rows[i] + cols[j], axis=0)
-        for i, j in rest:
-            p *= both.take(rows[i] + cols[j], axis=0)
-        return p
-
-    top, bottom = map(product, pairs)
-    np.divide(top[:, 0], bottom[:, 0], out=t_in)
-    np.divide(top[:, 1], bottom[:, 1], out=t_out)
+def _ratios(cols, pairs, flats, n, t_in, t_out):
+    """Ratios of tuple columns by flat gathers from the two n*n matrices."""
+    n = np.intp(n)  # int32 columns times an intp give intp flat indices
+    num, den = ([cols[i] * n + cols[j] for i, j in side] for side in pairs)
+    for d, out in zip(flats, (t_in, t_out)):
+        top, bottom = d.take(num[0]), d.take(den[0])
+        for idx in num[1:]:
+            top *= d.take(idx)
+        for idx in den[1:]:
+            bottom *= d.take(idx)
+        np.divide(top, bottom, out=out)
 
 
 def _slots(t):
@@ -150,8 +145,8 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     pairs = _PAIRS[kind]
     arity = 3 if kind == "QS" else 4
     n = src.n
-    # (src, dst) items, dst pulled back through the mapping; pair (i, j) at i*n + j.
-    both = np.stack((src.dist, dst.dist[np.ix_(f, f)]), axis=-1).reshape(n * n, 2)
+    # dst pulled back through the mapping: flat index i*n + j on both sides.
+    flats = (src.dist.ravel(), dst.dist[np.ix_(f, f)].ravel())
     nbins = BIN_COUNT + 2
     env = np.full(nbins, -np.inf)
     env_in = np.full(nbins, -np.inf)
@@ -175,7 +170,7 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
         t_in, t_out, slots = np.empty(k), np.empty(k), np.empty(k, dtype=np.intp)
         for s in range(0, k, _CHUNK):
             e = s + _CHUNK
-            _ratios(cols[:, s:e], pairs, both, n, t_in[s:e], t_out[s:e])
+            _ratios(cols[:, s:e], pairs, flats, n, t_in[s:e], t_out[s:e])
             slots[s:e] = _slots(t_in[s:e])
         counts += np.bincount(slots, minlength=nbins)
         np.maximum.at(env, slots, t_out)

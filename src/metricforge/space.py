@@ -355,9 +355,7 @@ def _normalize_radii(m, target, radii):
             out = [float(v) for v in arr]
         else:
             raise ValueError("radii must map target indices to positive reals")
-    if any(not math.isfinite(r) or r <= 0 for r in out):
-        raise ValueError("radii must be positive and finite")
-    return out
+    return [_finite_positive("radii", r) for r in out]
 
 
 def greedy_cover_5r(m: FiniteMetricSpace, target: Iterable[int], radii) -> CoverResult:
