@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _at_least_one, _finite_positive, sample_scale
+from .space import FiniteMetricSpace, _at_least_one, _finite_positive, _indices, sample_scale
 
 DELTA_FACTOR = 2.5      # default proximity scale, in units of sample resolution
 RADII_FLOOR = 3.0       # radii below RADII_FLOOR * delta are discretization noise
@@ -159,8 +159,9 @@ def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float,
     ``cells`` lets callers evaluating many subsets reuse the assignment
     from :func:`_first_fit_cells`.
     """
+    _finite_positive("Q", Q)
     eps = _finite_positive("eps", eps)
-    idx = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
+    idx = np.asarray(_indices("target set", S, m.n), dtype=int)
     if idx.size == 0:
         raise ValueError("target set must be nonempty")
     if cells is None:

@@ -6,6 +6,10 @@ distinct indices) and seeded-uniform above the cutoff.  Envelopes are
 binned by the input ratio on a fixed log grid with explicit under/overflow
 bins, so out-of-range tuples are recorded rather than dropped.
 
+Tuples are enumerated or drawn, gathered and binned ``_CHUNK`` at a time,
+so memory is the pulled-back distance matrix plus chunk-sized arrays.
+``_BATCH`` is only the unit of ``envelope_input`` ties (see ``_profile``).
+
 A bin is read off the grid from log10 of the input ratio and mended by one
 comparison each way, so it is the bin ``np.searchsorted(edges, t, side="right")``
 gives, zeros, inf and NaN included.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace
+from .space import FiniteMetricSpace, _indices
 
 BIN_LO, BIN_HI, BIN_COUNT = 1e-4, 1e4, 48
 EXHAUSTIVE_TRIPLE_CUTOFF = 60
@@ -78,21 +82,12 @@ class DistortionProfile:
 
 
 def _check_mapping(src, dst, mapping):
-    f = np.asarray([int(v) for v in mapping], dtype=int)
+    f = np.asarray(_indices("mapping", mapping, dst.n), dtype=int)
     if f.shape != (src.n,):
         raise ValueError("mapping must assign a destination index to every source point")
     if len(np.unique(f)) != src.n:
         raise ValueError("mapping must be injective")
-    if f.min() < 0 or f.max() >= dst.n:
-        raise ValueError("mapping hits out-of-range destination indices")
     return f
-
-
-def _exhaustive_tuples(n, arity):
-    """Every ordered tuple of distinct indices, one column per tuple."""
-    grids = np.meshgrid(*[np.arange(n)] * arity, indexing="ij")
-    cols = np.stack([g.ravel() for g in grids])
-    return cols.compress(_distinct(cols), axis=1)
 
 
 def _distinct(cols):
@@ -105,8 +100,8 @@ def _distinct(cols):
     return ok
 
 
-_BATCH = 200_000  # sampled tuples drawn, then binned, together
-_CHUNK = 16_384  # tuples per ratio gather, so its temporaries stay in cache
+_BATCH = 200_000  # sampled draws to a batch: the unit of envelope_input ties
+_CHUNK = 16_384  # tuples drawn, gathered and binned together
 
 # Index pairs whose distances multiply into the numerator and denominator:
 # d(a,b) / d(a,c) for QS triples, d(x,z) d(y,w) / (d(x,w) d(y,z)) for QM.
@@ -116,17 +111,37 @@ _PAIRS = {
 }
 
 
-def _ratios(cols, pairs, flats, n, t_in, t_out):
-    """Ratios of tuple columns by flat gathers from the two n*n matrices."""
+def _chunks(n, arity, n_samples, seed, exhaustive):
+    """Tuple columns, at most _CHUNK at a time, each with whether a batch ends
+    there: every ordered tuple in lexicographic order as one batch when
+    exhaustive, else seeded uniform draws, _BATCH to a batch."""
+    if exhaustive:
+        total = n ** arity
+        for s in range(0, total, _CHUNK):
+            ordinals = np.arange(s, min(s + _CHUNK, total))
+            yield np.stack(np.unravel_index(ordinals, (n,) * arity)), s + _CHUNK >= total
+        return
+    rng = np.random.default_rng(seed)
+    for b in range(0, n_samples, _BATCH):
+        end = min(b + _BATCH, n_samples)
+        for s in range(b, end, _CHUNK):
+            # The same values as one default int64 draw of the whole batch.
+            size = (min(_CHUNK, end - s), arity)
+            yield rng.integers(0, n, size=size, dtype=np.int32).T, s + _CHUNK >= end
+
+
+def _ratios(cols, pairs, flats, n):
+    """Yields the input, then the output ratios of tuple columns, by flat gathers."""
     n = np.intp(n)  # int32 columns times an intp give intp flat indices
     num, den = ([cols[i] * n + cols[j] for i, j in side] for side in pairs)
-    for d, out in zip(flats, (t_in, t_out)):
+    for d in flats:
         top, bottom = d.take(num[0]), d.take(den[0])
         for idx in num[1:]:
             top *= d.take(idx)
         for idx in den[1:]:
             bottom *= d.take(idx)
-        np.divide(top, bottom, out=out)
+        top /= bottom
+        yield top
 
 
 def _slots(t):
@@ -148,10 +163,9 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     # dst pulled back through the mapping: flat index i*n + j on both sides.
     flats = (src.dist.ravel(), dst.dist[np.ix_(f, f)].ravel())
     nbins = BIN_COUNT + 2
-    env = np.full(nbins, -np.inf)
-    env_in = np.full(nbins, -np.inf)
+    # top and tied: this batch's max output per bin, the largest input attaining it.
+    env, env_in, top, tied = np.full((4, nbins), -np.inf)
     counts = np.zeros(nbins, dtype=np.int64)
-    skipped = 0
     worst_ratio = -np.inf
     worst_witness = None
     exhaustive = n <= exhaustive_cutoff
@@ -161,51 +175,33 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
         raise ValueError(f"n_samples must be at least 1 for a sampled profile, got {n_samples}")
 
     # Coincident points give x/0 and 0/0 ratios: expected, and recorded.
-    @np.errstate(divide="ignore", invalid="ignore")
-    def absorb(cols):
-        nonlocal counts, worst_ratio, worst_witness
-        k = cols.shape[1]
-        if k == 0:
-            return
-        t_in, t_out, slots = np.empty(k), np.empty(k), np.empty(k, dtype=np.intp)
-        for s in range(0, k, _CHUNK):
-            e = s + _CHUNK
-            _ratios(cols[:, s:e], pairs, flats, n, t_in[s:e], t_out[s:e])
-            slots[s:e] = _slots(t_in[s:e])
-        counts += np.bincount(slots, minlength=nbins)
-        np.maximum.at(env, slots, t_out)
-        # Rows attaining the (possibly new) bin max replace the recorded
-        # attaining input; bins whose max came from an earlier batch keep it.
-        hit = t_out == env[slots]
-        scratch = np.full(nbins, -np.inf)
-        np.maximum.at(scratch, slots[hit], t_in[hit])
-        touched = scratch > -np.inf
-        env_in[touched] = scratch[touched]
-        if claimed is not None:
-            ratio = t_out / claimed(t_in)
-            # A 0/0 ratio claims nothing; argmax would stop at the first one.
-            ratio[np.isnan(ratio)] = -np.inf
-            k = int(np.argmax(ratio))
-            if ratio[k] > worst_ratio:
-                worst_ratio = float(ratio[k])
-                worst_witness = (tuple(int(v) for v in cols[:, k]),
-                                 float(t_in[k]), float(t_out[k]))
-
-    if exhaustive:
-        absorb(_exhaustive_tuples(n, arity))
-    else:
-        rng = np.random.default_rng(seed)
-        done = 0
-        while done < n_samples:
-            batch = min(_BATCH, n_samples - done)
-            # Same values as the default int64 draw: both take 32-bit bounded draws.
-            cols = rng.integers(0, n, size=(batch, arity), dtype=np.int32).T.copy()
-            ok = _distinct(cols)
-            skipped += batch - int(np.count_nonzero(ok))
-            cols = cols.compress(ok, axis=1)  # frees the uncompressed draw
-            absorb(cols)
-            del cols, ok  # freed before the next batch is drawn
-            done += batch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cols, batch_ends in _chunks(n, arity, n_samples, seed, exhaustive):
+            cols = cols.compress(_distinct(cols), axis=1)
+            t_in, t_out = _ratios(cols, pairs, flats, n)
+            slots = _slots(t_in)
+            counts += np.bincount(slots, minlength=nbins)
+            before = top.copy()
+            np.maximum.at(top, slots, t_out)
+            tied[top > before] = -np.inf  # a larger max drops the earlier ties
+            hit = t_out == top[slots]
+            np.maximum.at(tied, slots[hit], t_in[hit])
+            if claimed is not None and cols.shape[1]:
+                ratio = t_out / claimed(t_in)
+                # A 0/0 ratio claims nothing; argmax would stop at the first one.
+                ratio[np.isnan(ratio)] = -np.inf
+                k = int(np.argmax(ratio))
+                if ratio[k] > worst_ratio:
+                    worst_ratio = float(ratio[k])
+                    worst_witness = (tuple(int(v) for v in cols[:, k]),
+                                     float(t_in[k]), float(t_out[k]))
+            if batch_ends:
+                # A bin whose max this batch attains (NaN never does) takes the
+                # largest input that attains it; the others keep an earlier one.
+                np.maximum(env, top, out=env)
+                touched = (top == env) & (tied > -np.inf)
+                env_in[touched] = tied[touched]
+                top[:], tied[:] = -np.inf, -np.inf
 
     claim = None
     if claimed is not None:
@@ -223,7 +219,7 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
         envelope=env_out,
         envelope_input=env_in_out,
         counts=tuple(int(c) for c in counts),
-        skipped_degenerate=skipped,
+        skipped_degenerate=0 if exhaustive else n_samples - int(counts.sum()),
         exhaustive=exhaustive,
         seed=seed,
         claim=claim,

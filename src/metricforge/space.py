@@ -36,6 +36,17 @@ def _finite_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def _indices(name: str, values, n: int) -> list:
+    """``values`` as ints; raises unless each is an integer, not a bool, in [0, n)."""
+    out = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, out))):
+        raise ValueError(f"{name} holds an entry that is not an integer index")
+    out = list(map(int, out))
+    if out and not (min(out) >= 0 and max(out) < n):
+        raise ValueError(f"{name} holds an index outside [0, {n})")
+    return out
+
+
 def _at_least_one(name: str, bound) -> None:
     """Raises unless ``bound``, on a constant never below 1, is at least 1."""
     if not bound >= 1:  # NaN fails too; inf bounds nothing
@@ -95,12 +106,7 @@ class FiniteMetricSpace:
         if self.mass is not None and self.mass.shape != (n,):
             raise ValueError(f"mass shape {self.mass.shape} does not match {n} points")
         if self.boundary is not None:
-            marks = tuple(self.boundary)
-            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in marks):
-                raise ValueError("boundary holds an entry that is not an integer index")
-            object.__setattr__(self, "boundary", frozenset(int(i) for i in marks))
-            if any(not 0 <= i < n for i in self.boundary):
-                raise ValueError(f"boundary holds an index outside [0, {n})")
+            object.__setattr__(self, "boundary", frozenset(_indices("boundary", self.boundary, n)))
 
     @property
     def n(self) -> int:
@@ -254,6 +260,8 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     triples and list witnesses, and it looks only at the flagged pairs
     (i, k): by the same monotone rounding they hold every failing triple.
     """
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     d = m.dist
     n = m.n
 
@@ -271,14 +279,21 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     bad = np.flatnonzero(diag > tol)
     push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
 
-    asym = np.abs(d - d.T)
-    bad = np.argwhere(np.triu(asym, 1) > tol)
+    # One n x n float temporary at a time: each is built in place and
+    # dropped once used, so the pass's heap peak stays near one matrix.
+    asym = d - d.T
+    np.abs(asym, out=asym)
+    bad = np.argwhere(np.triu(asym > tol, 1))
     push("symmetry", len(bad), (((int(i), int(j)), asym[i, j]) for i, j in bad))
+    del asym
 
     bad = np.argwhere(np.triu(d <= tol, 1))
     push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
 
-    rows, cols = np.nonzero(d > _through(d) + tol)
+    bound = _through(d)
+    bound += tol
+    rows, cols = np.nonzero(d > bound)
+    del bound
     if rows.size:
         flagged = d[rows, cols]
         for j in range(n):

@@ -100,6 +100,24 @@ class TestPremeasure:
         with pytest.raises(ValueError):
             mf.hausdorff_premeasure(m, set(), 2.0, 0.5)
 
+    @pytest.mark.parametrize("Q", [math.nan, -1.0, 0.0, math.inf])
+    def test_exponent_must_be_finite_and_positive(self, Q):
+        grid = mf.euclidean_grid(4, 1.0)
+        with pytest.raises(ValueError, match="Q must be finite and positive"):
+            mf.hausdorff_premeasure(grid, range(grid.n), Q, 0.5)
+
+    @pytest.mark.parametrize("S, match", [
+        ([-1], "outside"), ([16], "outside"),
+        ([1.9], "not an integer index"), ([0, True], "not an integer index"),
+        (np.array([0.0, 1.0]), "not an integer index"),
+    ])
+    def test_target_entries_must_be_indices(self, S, match):
+        # -1 is not the last point, and 1.9 is not point 1.
+        grid = mf.euclidean_grid(4, 1.0)
+        with pytest.raises(ValueError, match=match):
+            mf.hausdorff_premeasure(grid, S, 2.0, 0.5)
+        assert mf.hausdorff_premeasure(grid, np.array([0, 15]), 2.0, 0.5) > 0
+
 
 class TestRegularity:
     def test_grid_q2_mass_proxy(self):

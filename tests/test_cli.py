@@ -426,6 +426,22 @@ class TestCheckCommand:
             assert code in (0, 1)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sampled_distortion_reports_are_byte_identical_across_runs(self, tmp_path):
+        # Above the exhaustive cutoff, and over more than one batch of draws.
+        src, dst = tmp_path / "disk.json", tmp_path / "warped.json"
+        mf.save_space(mf.disk_sample(60, seed=5), src)
+        assert main(["warp", str(src), "--basepoint", "p0", "-o", str(dst)]) == 0
+        runs = []
+        for k in (1, 2):
+            out, csv_out = tmp_path / f"r{k}.json", tmp_path / f"r{k}.csv"
+            code = main(["check", str(src), "--suite", "distortion", "--kind", "qm",
+                         "--dst", str(dst), "--claim-theta", "16t", "--samples", "300000",
+                         "-o", str(out), "--csv", str(csv_out)])
+            assert code in (0, 1)
+            assert json.loads(out.read_text())["exhaustive"] is False
+            runs.append((out.read_bytes(), csv_out.read_bytes()))
+        assert runs[0] == runs[1]
+
 
 # One structural defect each, planted in a well-formed file.
 DEFECTS = {

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestProfileContracts:
         m = mf.random_metric(5, seed=1)
         with pytest.raises(ValueError):
             mf.qs_profile(m, m, [0, 0, 1, 2, 3])
+
+    @pytest.mark.parametrize("mapping, match", [
+        ([0, 1.7, 2, 3, 4], "not an integer index"),
+        ([True, 0, 2, 3, 4], "not an integer index"),
+        (np.arange(5.0), "not an integer index"),
+        ([0, 1, 2, 3, 5], "outside"),
+        ([0, 1, 2, 3, -1], "outside"),
+    ])
+    def test_mapping_entries_must_be_indices(self, mapping, match):
+        # Neither 1.7 nor True may stand for index 1, nor -1 for the last one.
+        m = mf.random_metric(5, seed=1)
+        with pytest.raises(ValueError, match=match):
+            mf.qs_profile(m, m, mapping)
+        assert mf.qs_profile(m, m, np.array([4, 3, 2, 1, 0], dtype=np.int32)).exhaustive
 
     def test_mapping_length_checked(self):
         m = mf.random_metric(5, seed=1)
@@ -142,6 +157,11 @@ class TestProfilesMatchNaiveSampler:
         ("QS", 12, None, "warp", None),
         ("QM", 35, 3000, "coincident", 4.0),
         ("QS", 10, None, "coincident", 2.0),
+        # Every output ratio ties at 1.0, across chunks and batches.
+        ("QM", 40, 2500, "discrete", 2.0),
+        ("QS", 70, 2300, "discrete", None),
+        ("QM", 9, None, "discrete", None),
+        ("QS", 12, None, "discrete", 0.5),
     ])
     def test_every_field_bit_for_bit(self, monkeypatch, kind, n, samples, dst_kind, gauge):
         monkeypatch.setattr(distortion, "_BATCH", 700)
@@ -150,9 +170,12 @@ class TestProfilesMatchNaiveSampler:
         if dst_kind == "warp":
             dst = mf.warp(m, 1).warped  # one point more: ∞ has no preimage
             mapping = np.random.default_rng(n).permutation(n)
-        else:  # 0/0 and x/0 ratios: NaN and inf
+        elif dst_kind == "coincident":  # 0/0 and x/0 ratios: NaN and inf
             dst = coincident(m, [0, 3, 5, 6])
             mapping = range(n)
+        else:
+            dst = mf.FiniteMetricSpace(m.points, 1.0 - np.eye(n))
+            mapping = np.random.default_rng(n).permutation(n)
         claimed = None if gauge is None else mf.linear_gauge(gauge)
         fn = mf.qs_profile if kind == "QS" else mf.qm_profile
         prof = fn(m, dst, mapping, n_samples=samples or 0, seed=7,
@@ -178,6 +201,36 @@ def test_undefined_ratios_do_not_hide_a_failed_claim():
     assert prof.claim.worst_ratio == math.inf
     (a, b, c), _, t_out = prof.claim.worst_witness
     assert {a, c} <= {0, 3, 5, 6} and t_out == math.inf
+
+
+def traced(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestProfileMemory:
+    # Tuples are drawn, gathered and binned a chunk at a time.  Each test
+    # first runs a small profile, so that numpy's first-call allocations
+    # are not in the peak.
+    def test_sampled_peak_does_not_grow_with_the_sample(self):
+        m = mf.disk_sample(600, seed=0)
+        mf.qm_profile(m, m, range(m.n), n_samples=100)
+        _, small = traced(mf.qm_profile, m, m, range(m.n), n_samples=20_000)
+        _, large = traced(mf.qm_profile, m, m, range(m.n), n_samples=1_000_000)
+        assert large - small <= 0.5e6
+
+    def test_exhaustive_peak_at_the_cutoff(self):
+        n = distortion.EXHAUSTIVE_QUAD_CUTOFF
+        few = mf.random_metric(5, seed=1)
+        mf.qm_profile(few, few, range(5))
+        m = mf.random_metric(n, seed=1)
+        prof, peak = traced(mf.qm_profile, m, m, range(n))
+        assert prof.exhaustive and sum(prof.counts) == n * (n - 1) * (n - 2) * (n - 3)
+        assert peak < 5e6
 
 
 @pytest.mark.parametrize("kind,n", [("QM", 40), ("QS", 70)])

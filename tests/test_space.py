@@ -56,6 +56,14 @@ class TestValidate:
         m = space_from([[0, 1, 2 + 1e-10], [1, 0, 1], [2 + 1e-10, 1, 0]])
         assert mf.validate_metric(m).ok
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # NaN would pass every triangle and a negative tol flag sound ones.
+        m = space_from([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+        assert mf.validate_metric(m, tol=0.0).by_axiom("triangle")
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            mf.validate_metric(m, tol=tol)
+
     # A space holds finite numbers only: these are refused where they enter.
     def test_all_nan_matrix_is_not_a_metric(self):
         with pytest.raises(ValueError, match="non-finite number nan"):
