@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _at_least_one, _finite_positive, _indices, sample_scale
+from .space import (FiniteMetricSpace, _at_least_one, _count, _finite_positive, _indices,
+                    _rng, sample_scale)
 
 DELTA_FACTOR = 2.5      # default proximity scale, in units of sample resolution
 RADII_FLOOR = 3.0       # radii below RADII_FLOOR * delta are discretization noise
@@ -42,15 +43,14 @@ def default_radii(m: FiniteMetricSpace, delta: float, count: int = 8) -> tuple:
 def _scales(m: FiniteMetricSpace, delta: float | None, radii, count: int = 8):
     """``(delta, radii)``: the proximity scale and the radii an estimator uses.
 
-    ``delta`` as given, which must be positive, or :func:`default_delta`;
-    ``radii`` as given, each finite and positive, or ``count`` radii from
-    :func:`default_radii`.  Every estimator resolves its scales here, so
-    none evaluates a ball of NaN, infinite or nonpositive radius.
+    ``delta`` as given, which must be finite and positive, or
+    :func:`default_delta`; ``radii`` as given, each finite and positive, or
+    ``count`` (``n_radii``, at least 1) radii from :func:`default_radii`.
+    Every estimator resolves its scales here, so none evaluates a ball of
+    NaN, infinite or nonpositive radius, nor joins points at such a scale.
     """
-    if delta is None:
-        delta = default_delta(m)
-    elif not delta > 0:  # NaN fails too
-        raise ValueError(f"delta must be positive, got {delta}")
+    count = _count("n_radii", count)
+    delta = default_delta(m) if delta is None else _finite_positive("delta", delta)
     if radii is None:
         return delta, default_radii(m, delta, count)
     return delta, tuple(_finite_positive("radii", r) for r in radii)
@@ -69,16 +69,19 @@ def _grid(lambda_grid) -> tuple:
 
 
 def _pick_centers(m, centers, n_centers, seed):
+    rng, n_centers = _rng(seed), _count("n_centers", n_centers)
     if centers is not None:
-        cs = np.asarray([int(c) for c in centers], dtype=int)
-        if ((cs < 0) | (cs >= m.n)).any():
-            raise ValueError(f"centers must be point indices in [0, {m.n})")
-        return cs
-    if n_centers < 1:
-        raise ValueError(f"n_centers must be at least 1, got {n_centers}")
-    rng = np.random.default_rng(seed)
-    k = min(m.n, n_centers)
-    return np.sort(rng.choice(m.n, size=k, replace=False))
+        return np.asarray(_indices("centers", centers, m.n), dtype=int)
+    return np.sort(rng.choice(m.n, size=min(m.n, n_centers), replace=False))
+
+
+def _power(name: str, base: float, Q: float) -> float:
+    """``base ** Q``; raises, naming ``name`` and ``Q``, unless it is finite and positive."""
+    try:
+        power = base ** Q
+    except OverflowError:
+        power = math.inf
+    return _finite_positive(f"{name} ** Q, with {name} {base} and Q {Q},", power)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +162,13 @@ def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float,
     ``cells`` lets callers evaluating many subsets reuse the assignment
     from :func:`_first_fit_cells`.
     """
-    _finite_positive("Q", Q)
-    eps = _finite_positive("eps", eps)
+    scale = _power("eps", _finite_positive("eps", eps), _finite_positive("Q", Q))
     idx = np.asarray(_indices("target set", S, m.n), dtype=int)
     if idx.size == 0:
         raise ValueError("target set must be nonempty")
     if cells is None:
         cells = _first_fit_cells(m, eps)
-    return len(np.unique(cells[idx])) * eps ** Q
+    return len(np.unique(cells[idx])) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +205,13 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     are left out.
     """
     _finite_positive("Q", Q)
-    if eps is not None:
-        _finite_positive("eps", eps)
-    if eps is None and m.mass is None:
-        raise ValueError("regularity needs point masses or an eps cover scale")
     use_premeasure = eps is not None
+    if use_premeasure:
+        _power("eps", _finite_positive("eps", eps), Q)
+    elif m.mass is None:
+        raise ValueError("regularity needs point masses or an eps cover scale")
     _, radii = _scales(m, None, radii)
+    powers = {r: _power("radii", r, Q) for r in radii}
     diam = m.diam()
     fits = [r for r in radii if r <= diam]
     cs = _pick_centers(m, centers, n_centers, seed)
@@ -230,7 +233,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
                 infinite = True
                 worst = (int(a), float(r), math.inf)
                 continue
-            ratio = max(mu / r ** Q, r ** Q / mu)
+            ratio = max(mu / powers[r], powers[r] / mu)
             if ratio > k_hat:
                 k_hat = ratio
                 worst = (int(a), float(r), float(ratio))

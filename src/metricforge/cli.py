@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import math
 import re
@@ -144,19 +143,8 @@ def cmd_double(args) -> int:
     return EXIT_PASS
 
 
-def _call(fn, *args, **opts):
-    """``fn(*args, **opts)``, with the options bound to ``fn``'s signature
-    first: one it does not take, or a required one left out, is a usage
-    error, and its own defaults stand for the options not given."""
-    try:
-        inspect.signature(fn).bind(*args, **opts)
-    except TypeError as exc:
-        raise ValueError(f"{fn.__name__.lstrip('_')}: {exc}") from None
-    return fn(*args, **opts)
-
-
 def _suite_metric(m, **opts):
-    report = _call(space.validate_metric, m, **opts)
+    report = space._call("validate_metric", space.validate_metric, m, **opts)
     doc = {
         "suite": "metric",
         "ok": report.ok,
@@ -170,9 +158,8 @@ def _lambda_grid(lambda_max):
     """Quarter-octave grid 1 .. --lambda-max, or None for the default grid."""
     if lambda_max is None:
         return None
-    if not 1.0 <= lambda_max < math.inf:  # NaN fails too
-        raise ValueError(f"--lambda-max must be finite and at least 1, got {lambda_max}")
-    steps = int(math.ceil(4 * math.log2(lambda_max))) + 1
+    space._at_least_one("--lambda-max", lambda_max)
+    steps = int(math.ceil(4 * math.log2(space._finite_positive("--lambda-max", lambda_max)))) + 1
     return tuple(2.0 ** (k / 4.0) for k in range(steps))
 
 
@@ -180,7 +167,8 @@ def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=Non
                **opts):
     space._at_least_one("--claim-lambda1", claim_lambda1)
     space._at_least_one("--claim-lambda2", claim_lambda2)
-    rep = _call(analysis.llc_constants, m, lambda_grid=_lambda_grid(lambda_max), **opts)
+    rep = space._call("llc_constants", analysis.llc_constants, m,
+                      lambda_grid=_lambda_grid(lambda_max), **opts)
     doc = {"suite": "llc", **dataclasses.asdict(rep)}
     if not rep.usable:
         return doc, EXIT_DIAGNOSTIC
@@ -191,7 +179,7 @@ def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=Non
 
 def _suite_regularity(m, claim_k=math.inf, **opts):
     space._at_least_one("--claim-k", claim_k)
-    rep = _call(analysis.regularity_constant, m, **opts)
+    rep = space._call("regularity_constant", analysis.regularity_constant, m, **opts)
     doc = {"suite": "regularity", **dataclasses.asdict(rep)}
     if rep.evaluated == 0:  # no ball fits the radii: a claim here would check nothing
         return doc, EXIT_DIAGNOSTIC
@@ -212,7 +200,7 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
     if claim_theta or claim_eta:
         opts["claimed"], opts["claimed_desc"] = _parse_gauge(claim_theta or claim_eta)
     profile_fn = distortion.qs_profile if kind == "qs" else distortion.qm_profile
-    prof = _call(profile_fn, m, dst, mapping, **opts)
+    prof = space._call(profile_fn.__name__, profile_fn, m, dst, mapping, **opts)
     doc = {"suite": "distortion", **dataclasses.asdict(prof)}
     if csv:
         _export_envelope_csv(prof, Path(csv))
@@ -222,7 +210,8 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
 
 
 def _suite_quasicircle(m, lambda_max=None, **opts):
-    rep = _call(analysis.quasicircle_check, m, lambda_grid=_lambda_grid(lambda_max), **opts)
+    rep = space._call("quasicircle_check", analysis.quasicircle_check, m,
+                      lambda_grid=_lambda_grid(lambda_max), **opts)
     doc = {"suite": "quasicircle", **dataclasses.asdict(rep)}
     if rep.degenerate or not rep.usable:
         return doc, EXIT_DIAGNOSTIC
@@ -231,11 +220,8 @@ def _suite_quasicircle(m, lambda_max=None, **opts):
 
 def _export_envelope_csv(prof, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["bin_upper,envelope,count"]
-    uppers = list(prof.bin_edges) + ["overflow"]
-    for b in range(len(prof.counts)):
-        upper = uppers[b] if b < len(uppers) else "overflow"
-        lines.append(f"{upper},{prof.envelope[b]},{prof.counts[b]}")
+    rows = zip(list(prof.bin_edges) + ["overflow"], prof.envelope, prof.counts)
+    lines = ["bin_upper,envelope,count", *(f"{u},{e},{c}" for u, e, c in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -253,7 +239,7 @@ def cmd_check(args) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     opts = {k: v for k, v in params.items() if k not in ("input", "suite", "out")}
     m = _load(args.input)
-    doc, code = _call(_SUITES[args.suite], m, **opts)
+    doc, code = space._call(f"--suite {args.suite}", _SUITES[args.suite], m, **opts)
     out = Path(params.get("out") or Path(args.input).with_suffix(f".{args.suite}.json"))
     _write_json(out, doc)
     _write_manifest(out, "check", params, [args.input], [out], t0)

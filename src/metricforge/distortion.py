@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _indices
+from .space import FiniteMetricSpace, _count, _indices, _rng
 
 BIN_LO, BIN_HI, BIN_COUNT = 1e-4, 1e4, 48
 EXHAUSTIVE_TRIPLE_CUTOFF = 60
@@ -39,6 +39,7 @@ _LOG_LO, _PER_DECADE = math.log10(BIN_LO), BIN_COUNT / math.log10(BIN_HI / BIN_L
 
 def cross_ratio(m: FiniteMetricSpace, x: int, y: int, z: int, w: int) -> float:
     """d(x,z) d(y,w) / (d(x,w) d(y,z)) for four distinct points."""
+    x, y, z, w = _indices("cross ratio points", (x, y, z, w), m.n)
     if len({x, y, z, w}) != 4:
         raise ValueError("cross ratio needs four distinct points")
     denom = m.dist[x, w] * m.dist[y, z]
@@ -111,7 +112,7 @@ _PAIRS = {
 }
 
 
-def _chunks(n, arity, n_samples, seed, exhaustive):
+def _chunks(n, arity, n_samples, rng, exhaustive):
     """Tuple columns, at most _CHUNK at a time, each with whether a batch ends
     there: every ordered tuple in lexicographic order as one batch when
     exhaustive, else seeded uniform draws, _BATCH to a batch."""
@@ -121,7 +122,6 @@ def _chunks(n, arity, n_samples, seed, exhaustive):
             ordinals = np.arange(s, min(s + _CHUNK, total))
             yield np.stack(np.unravel_index(ordinals, (n,) * arity)), s + _CHUNK >= total
         return
-    rng = np.random.default_rng(seed)
     for b in range(0, n_samples, _BATCH):
         end = min(b + _BATCH, n_samples)
         for s in range(b, end, _CHUNK):
@@ -171,12 +171,12 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     exhaustive = n <= exhaustive_cutoff
     if exhaustive and n < arity:
         raise ValueError(f"{kind} profile needs at least {arity} points, got {n}")
-    if not exhaustive and n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1 for a sampled profile, got {n_samples}")
+    if not exhaustive:  # an exhaustive profile draws nothing
+        _count("n_samples", n_samples)
 
     # Coincident points give x/0 and 0/0 ratios: expected, and recorded.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for cols, batch_ends in _chunks(n, arity, n_samples, seed, exhaustive):
+        for cols, batch_ends in _chunks(n, arity, n_samples, _rng(seed), exhaustive):
             cols = cols.compress(_distinct(cols), axis=1)
             t_in, t_out = _ratios(cols, pairs, flats, n)
             slots = _slots(t_in)
@@ -202,6 +202,8 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
                 touched = (top == env) & (tied > -np.inf)
                 env_in[touched] = tied[touched]
                 top[:], tied[:] = -np.inf, -np.inf
+            # Freed before the next chunk is drawn: one chunk's arrays at a time.
+            cols = t_in = t_out = slots = hit = ratio = None
 
     claim = None
     if claimed is not None:

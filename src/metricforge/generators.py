@@ -7,12 +7,11 @@ Boundary marks are generator outputs, never inferred afterwards.
 
 from __future__ import annotations
 
-import inspect
 import math
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _closure, _finite_positive
+from .space import FiniteMetricSpace, _call, _closure, _count, _finite_positive, _rng
 
 
 def _euclidean(coords: np.ndarray) -> np.ndarray:
@@ -29,10 +28,17 @@ def _euclidean(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
+def _box(lengths: str, *sides: float) -> None:
+    """Raises, naming ``lengths``, unless the squares of the sides of a box
+    that holds the sample sum to a finite, positive float: then no distance or
+    mass of the sample overflows, and the box's own scale does not vanish."""
+    _finite_positive(f"the sample's squared extent, from {lengths},", sum(s * s for s in sides))
+
+
 def euclidean_grid(side: int, spacing: float) -> FiniteMetricSpace:
     """side x side square grid with the given spacing; mass = spacing^2."""
-    _finite_positive("side", side)
-    _finite_positive("spacing", spacing)
+    side, spacing = _count("side", side), _finite_positive("spacing", spacing)
+    _box("side * spacing", side * spacing, side * spacing)
     ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     coords = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.float64) * spacing
     labels = tuple(f"g{i}_{j}" for i, j in zip(ii.ravel(), jj.ravel()))
@@ -48,20 +54,17 @@ def disk_sample(n: int, radius: float = 1.0, seed: int = 0,
     With ``mark_boundary``, points in the outer annulus of width
     2.5 * radius / sqrt(n) (about 2.5 typical spacings) are marked.
     """
-    _finite_positive("n", n)
-    _finite_positive("radius", radius)
-    rng = np.random.default_rng(seed)
+    n, radius = _count("n", n), _finite_positive("radius", radius)
+    _box("radius", 2.0 * radius, 2.0 * radius)
+    rng = _rng(seed)
     rr = radius * np.sqrt(rng.uniform(size=n))
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
     coords = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
     dist = _euclidean(coords)
     labels = tuple(f"p{i}" for i in range(n))
     mass = np.full(n, math.pi * radius * radius / n)
-    boundary = None
-    if mark_boundary:
-        band = 2.5 * radius / math.sqrt(n)
-        marked = np.nonzero(rr > radius - band)[0]
-        boundary = frozenset(int(i) for i in marked) if marked.size else None
+    marked = np.flatnonzero(rr > radius - 2.5 * radius / math.sqrt(n))
+    boundary = marked if mark_boundary and marked.size else None
     return FiniteMetricSpace(labels, dist, coords=coords, mass=mass, boundary=boundary)
 
 
@@ -72,8 +75,8 @@ def disk_grid(spacing: float, radius: float = 1.0,
     Grid points with |p| <= radius are kept; the rim is the outermost cell
     ring, |p| > radius - spacing.  mass = spacing^2.
     """
-    _finite_positive("spacing", spacing)
-    _finite_positive("radius", radius)
+    spacing, radius = _finite_positive("spacing", spacing), _finite_positive("radius", radius)
+    _box("radius and spacing", 2.0 * radius + spacing, 2.0 * radius + spacing)
     k = int(math.floor(radius / spacing))
     axis = np.arange(-k, k + 1, dtype=np.float64) * spacing
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
@@ -85,10 +88,7 @@ def disk_grid(spacing: float, radius: float = 1.0,
     labels = tuple(f"d{i}" for i in range(len(coords)))
     dist = _euclidean(coords)
     mass = np.full(len(coords), spacing * spacing)
-    boundary = None
-    if mark_boundary:
-        rim = np.nonzero(norms > radius - spacing)[0]
-        boundary = frozenset(int(i) for i in rim)
+    boundary = np.flatnonzero(norms > radius - spacing) if mark_boundary else None
     return FiniteMetricSpace(labels, dist, coords=coords, mass=mass, boundary=boundary)
 
 
@@ -101,13 +101,10 @@ def sphere_cap_complement(eps: float, n: int, seed: int = 0) -> FiniteMetricSpac
     interior points are uniform on the complement, kept clear of the rim so
     the marked set is exactly the points on the rim.
     """
-    _finite_positive("eps", eps)
-    _finite_positive("n", n)
+    eps, n = _finite_positive("eps", eps), _count("n", n, 16)  # 16: rim and interior
     if eps >= 2.0:
         raise ValueError("eps must be below the sphere diameter 2")
-    if n < 16:
-        raise ValueError("n must be at least 16 to sample both rim and interior")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     pole = np.array([0.0, 0.0, 1.0])
     z0 = 1.0 - eps * eps / 2.0                 # rim plane height
     rho0 = eps * math.sqrt(1.0 - eps * eps / 4.0)  # rim circle radius
@@ -138,16 +135,15 @@ def sphere_cap_complement(eps: float, n: int, seed: int = 0) -> FiniteMetricSpac
     area = 4.0 * math.pi - math.pi * eps * eps  # cap area is pi * eps^2
     mass = np.full(n, area / n)
     return FiniteMetricSpace(labels, dist, coords=coords, mass=mass,
-                             boundary=frozenset(range(m_rim)))
+                             boundary=range(m_rim))
 
 
 def halfplane_sample(n: int, seed: int = 0, width: float = 2.0,
                      height: float = 1.0) -> FiniteMetricSpace:
     """Uniform sample of an open half-plane strip [-w/2, w/2] x (0, h]."""
-    _finite_positive("n", n)
-    _finite_positive("width", width)
-    _finite_positive("height", height)
-    rng = np.random.default_rng(seed)
+    n = _count("n", n)
+    _box("width and height", _finite_positive("width", width), _finite_positive("height", height))
+    rng = _rng(seed)
     x = rng.uniform(-width / 2.0, width / 2.0, size=n)
     y = rng.uniform(0.0, height, size=n)
     y = np.maximum(y, 1e-12)  # keep strictly inside the open half-plane
@@ -166,10 +162,10 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
     are strictly positive and the shortest-path closure is a metric.  The
     closure is ``warp``'s min-plus one, with ``inf`` for a missing edge.
     """
-    _finite_positive("n", n)
+    n = _count("n", n)
     if not 0.0 <= edge_density <= 1.0:  # NaN fails too
         raise ValueError(f"edge_density must be in [0, 1], got {edge_density}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     w = np.full((n, n), np.inf)
     np.fill_diagonal(w, 0.0)
     if n > 1:
@@ -204,8 +200,4 @@ def generate(kind: str, **params) -> FiniteMetricSpace:
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; known: {sorted(_KINDS)}")
-    try:
-        inspect.signature(_KINDS[kind]).bind(**params)
-    except TypeError as exc:
-        raise ValueError(f"generator {kind!r}: {exc}") from None
-    return _KINDS[kind](**params)
+    return _call(f"generator {kind!r}", _KINDS[kind], **params)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _min_plus_into
+from .space import FiniteMetricSpace, _indices, _min_plus_into
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +69,8 @@ def double(m: FiniteMetricSpace) -> DoubledSpace:
     full[n:, :n] = cross.T
     full[n:, n:] = D[np.ix_(nonbd, nonbd)]
 
-    bd_set = set(int(i) for i in bd)
     labels = tuple(
-        [m.points[i] if i in bd_set else f"{m.points[i]}#1" for i in range(n)]
+        [m.points[i] if i in m.boundary else f"{m.points[i]}#1" for i in range(n)]
         + [f"{m.points[i]}#2" for i in nonbd]
     )
     base_index = np.concatenate([np.arange(n), nonbd])
@@ -91,9 +90,7 @@ def double(m: FiniteMetricSpace) -> DoubledSpace:
 
 def project(ds: DoubledSpace, q: int) -> int:
     """Forget the side of a doubled point; never increases distance."""
-    if not (0 <= q < ds.doubled.n):
-        raise ValueError(f"index {q} out of range")
-    return int(ds.base_index[q])
+    return int(ds.base_index[_indices("index", [q], ds.doubled.n)[0]])
 
 
 def diam_ratio(ds: DoubledSpace) -> float:

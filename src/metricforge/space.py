@@ -8,6 +8,7 @@ this module are pure functions on that read-only data.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -51,6 +52,30 @@ def _at_least_one(name: str, bound) -> None:
     """Raises unless ``bound``, on a constant never below 1, is at least 1."""
     if not bound >= 1:  # NaN fails too; inf bounds nothing
         raise ValueError(f"{name} must be at least 1, got {bound}")
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; raises unless it is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The random generator of ``seed``, which must be an integer of at least 0."""
+    return np.random.default_rng(_count("seed", seed, 0))
+
+
+def _call(what: str, fn, *args, **opts):
+    """``fn(*args, **opts)``, with the options bound to ``fn``'s signature
+    first: one it does not take, or a required one left out, raises
+    ``ValueError`` naming ``what``, and ``fn``'s own defaults stand for the
+    options not given."""
+    try:
+        inspect.signature(fn).bind(*args, **opts)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    return fn(*args, **opts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,14 +349,14 @@ def ball_mask(m: FiniteMetricSpace, center: int, r: float, closed: bool = False)
     """Boolean-mask twin of :func:`ball` for vectorized callers."""
     if not r >= 0:  # NaN fails too
         raise ValueError(f"ball radius must be nonnegative, got {r}")
-    row = m.dist[center]
+    row = m.dist[_indices("center", [center], m.n)[0]]
     return row <= r if closed else row < r
 
 
 def covering_radius(m: FiniteMetricSpace, subset: Iterable[int]) -> float:
     """Max over all points of the min distance to ``subset``."""
-    idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=int)
-    if idx.size == 0:
+    idx = _indices("subset", subset, m.n)
+    if not idx:
         raise ValueError("subset must be nonempty")
     return float(m.dist[:, idx].min(axis=1).max())
 
@@ -382,7 +407,7 @@ def greedy_cover_5r(m: FiniteMetricSpace, target: Iterable[int], radii) -> Cover
     Every rejected ball then sits inside the closed 3r-inflation of some
     kept ball, so the closed 5r-inflations cover the input union.
     """
-    target = sorted(set(int(t) for t in target))
+    target = sorted(set(_indices("target", target, m.n)))
     if not target:
         return CoverResult((), (), True)
     rs = _normalize_radii(m, target, radii)
@@ -404,12 +429,11 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
     ``boundary``, if given, is expressed in the new index order; otherwise
     surviving marks of the parent boundary are carried over.
     """
-    idx = np.asarray([int(i) for i in indices], dtype=int)
+    idx = np.asarray(_indices("subspace indices", indices, m.n), dtype=int)
     if len(set(idx.tolist())) != len(idx):
         raise ValueError("subspace indices must be distinct")
     if boundary is None and m.boundary is not None:
-        old = {int(i) for i in m.boundary}
-        boundary = [k for k, i in enumerate(idx) if int(i) in old] or None
+        boundary = [k for k, i in enumerate(idx) if i in m.boundary] or None
     return FiniteMetricSpace(
         points=tuple(m.points[i] for i in idx),
         dist=m.dist[np.ix_(idx, idx)],

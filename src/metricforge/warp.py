@@ -34,12 +34,11 @@ it would replace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _closure, _finite_positive, ball_mask
+from .space import FiniteMetricSpace, _closure, _finite_positive, _indices, ball_mask
 
 INFINITY_LABEL = "∞"
 
@@ -87,8 +86,7 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     The basepoint is a required argument: no default is meaningful, and
     different choices give genuinely different warped geometries.
     """
-    if not (0 <= p < m.n):
-        raise ValueError(f"basepoint index {p} out of range")
+    p = _indices("basepoint", [p], m.n)[0]
     if INFINITY_LABEL in m.points:
         raise ValueError(f"label {INFINITY_LABEL!r} is reserved for the adjoined point")
     if (m.dist < 0).any():  # finite already: the space checks that itself
@@ -143,10 +141,8 @@ def check_inclusions(w: WarpedSpace, a: int, r: float, C: float) -> InclusionRep
     is exact, so comparisons are strict/non-strict with no tolerance.
     """
     _finite_positive("r", r)
-    if not 1 < C < math.inf:  # NaN fails too
-        raise ValueError(f"C must exceed 1 and be finite, got {C}")
-    if not (0 <= a < w.base.n):
-        raise ValueError("center must be a base point")
+    _finite_positive("C - 1", C - 1.0)  # C above 1 and finite
+    a = _indices("center", [a], w.base.n)[0]  # a base point, not ∞
     s = float(w.h[a])  # d-hat(a, ∞)
     inner = (r / (s * s)) * (C / (C + 1.0))
     outer = (r / (s * s)) * (4.0 * C / (C - 1.0))

@@ -322,12 +322,12 @@ class TestComponentContainment:
                 assert inner <= comp
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, -math.inf])
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, -math.inf, math.inf])
 @pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
 def test_proximity_scale_must_be_positive(check, delta):
     # Also on two points, where the quasicircle screen is degenerate.
     for m in (mf.disk_sample(30, seed=1), mf.random_metric(2, seed=0)):
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
             check(m, delta=delta)
 
 
@@ -423,13 +423,45 @@ class TestDefaults:
         assert mf.default_radii(m, 10.0 * m.diam()) == ()
 
 
-@pytest.mark.parametrize("n_centers", [0, -1])
+@pytest.mark.parametrize("n_centers", [0, -1, math.nan, 2.5, True])
 def test_center_count_must_be_positive(n_centers):
     m = mf.euclidean_grid(3, 1.0)
     for call in (mf.doubling_constant, mf.llc_constants,
                  lambda m, **kw: mf.regularity_constant(m, 2.0, **kw)):
         with pytest.raises(ValueError, match="n_centers"):
             call(m, radii=(1.5,), n_centers=n_centers)
+
+
+@pytest.mark.parametrize("n_radii", [0, -1, 2.5])
+def test_radii_count_must_be_positive(n_radii):
+    # 0 once gave an unusable report, and -1 failed inside numpy.
+    m = mf.euclidean_grid(3, 1.0)
+    for call in (mf.llc_constants, mf.quasicircle_check):
+        with pytest.raises(ValueError, match="n_radii must be an integer of at least 1"):
+            call(m, n_radii=n_radii)
+
+
+@pytest.mark.parametrize("centers", [[1.5], [True], [0, 2.0]])
+def test_centers_must_be_integers(centers):
+    # [1.5, True] was once read as centre 1 twice.
+    m = mf.euclidean_grid(3, 1.0)
+    for call in (mf.doubling_constant, mf.llc_constants,
+                 lambda m, **kw: mf.regularity_constant(m, 2.0, **kw)):
+        with pytest.raises(ValueError, match="centers holds an entry that is not an integer"):
+            call(m, radii=(1.5,), centers=centers)
+
+
+@pytest.mark.parametrize("options, name", [
+    ({"Q": 1e308, "radii": (0.5,)}, "radii"), ({"Q": 2.0, "radii": (1e-320,)}, "radii"),
+    ({"Q": 2.0, "radii": (1e308,)}, "radii"), ({"Q": 2.0, "eps": 1e308}, "eps"),
+    ({"Q": 1e308, "eps": 0.5}, "eps"),
+])
+def test_regularity_powers_must_be_finite_and_positive(options, name):
+    # r ** Q and eps ** Q once ended in ZeroDivisionError or OverflowError.
+    with pytest.raises(ValueError, match=rf"{name} \*\* Q, with .* must be finite and positive"):
+        mf.regularity_constant(mf.euclidean_grid(5, 0.25), **options)
+    with pytest.raises(ValueError, match=r"eps \*\* Q, with eps 1e\+308"):
+        mf.hausdorff_premeasure(mf.euclidean_grid(5, 0.25), [0], 2.0, 1e308)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,15 +1,24 @@
+import argparse
+import contextlib
 import dataclasses
+import inspect
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metricforge as mf
+from metricforge import cli, generators
 from metricforge.cli import _jsonable, main
 
 
@@ -46,11 +55,6 @@ class TestGenerate:
                      "--n", "300", "--seed", "7", "-o", str(out)])
         assert code == 0
         assert mf.load_space(out).boundary
-
-    def test_zero_side_is_usage_error(self, tmp_path):
-        code = main(["generate", "--kind", "grid", "--side", "0",
-                     "--spacing", "1.0", "-o", str(tmp_path / "x.json")])
-        assert code == 2
 
     def test_unknown_flag_combo(self, tmp_path):
         code = main(["generate", "--kind", "grid", "-o", str(tmp_path / "x.json")])
@@ -255,15 +259,6 @@ class TestCheckCommand:
         code = main(["check", str(path), "--suite", "llc", "--delta", "0.001"])
         assert code == 3
 
-    @pytest.mark.parametrize("suite", ["llc", "regularity"])
-    def test_nonpositive_center_count_is_usage_error(self, tmp_path, capsys, suite):
-        path = tmp_path / "disk.json"
-        mf.save_space(mf.disk_sample(40, seed=1), path)
-        q = ["--q", "2"] if suite == "regularity" else []
-        code = main(["check", str(path), "--suite", suite, *q, "--n-centers", "-1"])
-        assert code == 2
-        assert "n_centers" in capsys.readouterr().err
-
     def test_lambda_max_below_one_is_usage_error(self, tmp_path, capsys, circle_256):
         path = tmp_path / "circle.json"
         mf.save_space(circle_256, path)
@@ -282,7 +277,8 @@ class TestCheckCommand:
             code = main(["check", str(path), "--suite", suite, "--lambda-max", value,
                          "-o", str(out)])
             assert code == 2
-            assert "--lambda-max must be finite and at least 1" in capsys.readouterr().err
+            assert re.search(r"--lambda-max must be (at least 1|finite and positive), got",
+                             capsys.readouterr().err)
             assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--q", "nan"], ["--q", "inf"], ["--q", "0"],
@@ -317,7 +313,7 @@ class TestCheckCommand:
         out = tmp_path / "r.json"
         code = main(["check", str(path), "--suite", suite, "--delta", delta, "-o", str(out)])
         assert code == 2
-        assert "delta must be positive" in capsys.readouterr().err
+        assert "delta must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_quasicircle_suite(self, tmp_path, circle_256):
@@ -490,6 +486,161 @@ def test_csv_space_file_is_usage_error(tmp_path, capsys):
     assert main(["check", str(path), "--suite", "metric"]) == 2
     assert f"cannot parse space file {path}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# Every numeric option of every generate kind and check suite
+# ---------------------------------------------------------------------------
+
+# The library function each check suite binds its remaining options to.
+SUITE_FUNCTIONS = {"metric": mf.validate_metric, "llc": mf.llc_constants,
+                   "regularity": mf.regularity_constant, "distortion": mf.qm_profile,
+                   "quasicircle": mf.quasicircle_check}
+
+# Size options are never given a huge value: that would start a giant allocation.
+SIZES = {"side", "n", "n_samples", "n_centers", "n_radii"}
+SIZE_VALUES = ["0", "-1", "nan", "inf", "1.5"]
+REAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+HUGE_INT = "1" + "0" * 30
+INT_VALUES = REAL_VALUES + [HUGE_INT]
+
+# What each kind or suite needs besides the option under test; "{space}" is a
+# 24-point circle with masses, small enough and dense enough that every suite
+# evaluates something with its defaults.
+BASE = {
+    "grid": {"side": "3", "spacing": "0.5"}, "disk": {"n": "20"},
+    "disk-grid": {"spacing": "0.5"}, "sphere-cap": {"eps": "0.5", "n": "20"},
+    "halfplane": {"n": "20"}, "random-metric": {"n": "20"},
+    "metric": {}, "llc": {}, "quasicircle": {}, "regularity": {"Q": "2"},
+    "distortion": {"dst": "{space}"},
+}
+
+THRESHOLD = ("at least 1; inf bounds nothing", ("inf", "1e308"),
+             st.floats(1, 1e6) | st.just(math.inf))
+LENGTH = ("finite and positive, with a finite, positive squared extent of the sample",
+          (), st.floats(1e-3, 1e3))
+# Per option, and per kind or suite where its domain differs there: the valid
+# values, the values of REAL_VALUES, INT_VALUES or SIZE_VALUES among them, and
+# a strategy that draws valid values.  README's option table states the same
+# domains.  Any other value must exit 2, naming the option.
+DOMAINS = {
+    "side": ("an integer, at least 1", (), st.integers(1, 5)),
+    "n": ("an integer, at least 1", (), st.integers(1, 30)),
+    ("sphere-cap", "n"): ("an integer, at least 16", (), st.integers(16, 30)),
+    "spacing": LENGTH,
+    ("disk-grid", "spacing"): LENGTH[:2] + (st.floats(0.34, 5),),  # at most 21 points
+    "radius": LENGTH,
+    ("disk-grid", "radius"): LENGTH[:2] + (st.floats(0.1, 1.4),),  # at most 29 points
+    "width": LENGTH,
+    "height": LENGTH,
+    ("sphere-cap", "eps"): ("above 0 and below 2", (), st.floats(0.05, 1.95)),
+    "edge_density": ("in [0, 1]", ("0",), st.floats(0, 1)),
+    "seed": ("an integer, at least 0", ("0", HUGE_INT), st.integers(0, 2**64)),
+    "Q": ("finite and positive, with r ** Q and eps ** Q finite and positive", (),
+          st.floats(0.5, 4)),
+    ("regularity", "eps"): ("finite and positive, with eps ** Q finite and positive", (),
+                            st.floats(0.05, 3)),
+    "delta": ("finite and positive", ("1e308",), st.floats(0.05, 3)),
+    "radii": ("each finite and positive", ("1e308",), st.floats(0.05, 3)),
+    ("regularity", "radii"): ("each finite and positive, with r ** Q finite and positive",
+                              (), st.floats(0.05, 3)),
+    "n_centers": ("an integer, at least 1", (), st.integers(1, 40)),
+    "n_radii": ("an integer, at least 1", (), st.integers(1, 10)),
+    "lambda_max": ("finite and at least 1", ("1e308",), st.floats(1, 64)),
+    "claim_k": THRESHOLD, "claim_lambda1": THRESHOLD, "claim_lambda2": THRESHOLD,
+    "max_lambda": THRESHOLD,
+    "max_doubling": ("an integer, at least 1", (HUGE_INT,), st.integers(1, 100)),
+    # At most 30 points a QM profile is exhaustive and draws no sample.
+    "n_samples": ("an integer, at least 1, when sampled", ("0", "-1"),
+                  st.integers(1, 10**6)),
+}
+
+
+def numeric_options(command):
+    """{dest: (flag, type)} of the int, float and radii options of a subcommand."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {a.dest: (a.option_strings[-1], a.type) for a in sub._actions
+            if a.type in (int, float, cli._parse_radii)}
+
+
+def option_rows():
+    """(command, kind or suite, dest, flag, values) for each numeric option
+    taken, read from the signatures that cli._call binds the options to."""
+    rows = []
+    for command, fns in (("generate", generators._KINDS), ("check", cli._SUITES)):
+        options = numeric_options(command)
+        for name, fn in fns.items():
+            params = {**inspect.signature(fn).parameters}
+            if command == "check":
+                params |= inspect.signature(SUITE_FUNCTIONS[name]).parameters
+            for p in params:
+                if p in options:
+                    flag, kind = options[p]
+                    values = (SIZE_VALUES if p in SIZES else
+                              INT_VALUES if kind is int else REAL_VALUES)
+                    rows.append((command, name, p, flag, values))
+    return rows
+
+
+ROWS = option_rows()
+
+
+def domain(name, dest):
+    return DOMAINS.get((name, dest)) or DOMAINS[dest]
+
+
+@pytest.fixture(scope="module")
+def circle_file(tmp_path_factory):
+    n = 24
+    t = 2 * np.pi * np.arange(n) / n
+    coords = np.stack([np.cos(t), np.sin(t)], axis=1)
+    dist = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
+    path = tmp_path_factory.mktemp("circle") / "circle.json"
+    mf.save_space(mf.FiniteMetricSpace([f"c{i}" for i in range(n)], dist, coords=coords,
+                                       mass=np.full(n, 2 * np.pi / n)), path)
+    return path
+
+
+def run_option(circle, out, command, name, dest, value):
+    """Exit code and stderr of ``command`` for ``name`` with option ``dest`` at ``value``."""
+    flags = {d: flag for d, (flag, _) in numeric_options(command).items()}
+    argv = [command, "--kind", name] if command == "generate" else [
+        "check", str(circle), "--suite", name]
+    for d, v in {**BASE[name], dest: value}.items():
+        argv += [flags.get(d, "--dst"), v.format(space=circle)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["-o", str(out)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command, name, dest, flag, value", [
+    (*row[:4], v) for row in ROWS for v in row[4]])
+def test_numeric_option_outside_its_domain_exits_2(tmp_path, circle_file, command, name,
+                                                   dest, flag, value):
+    # A NaN, infinite, zero, negative or huge value either lies in the
+    # option's domain or is refused with exit 2 by a message naming the
+    # option, before any output is written.
+    out = tmp_path / "out.json"
+    code, err = run_option(circle_file, out, command, name, dest, value)
+    if value in domain(name, dest)[1]:
+        assert code != 2, err
+    else:
+        assert code == 2
+        assert flag in err or re.search(rf"(?<![\w-]){dest}(?![\w-])", err), err
+        assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_valid_numeric_options_run(circle_file, data):
+    command, name, dest, _, _ = data.draw(st.sampled_from(ROWS))
+    value = data.draw(domain(name, dest)[2])
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_option(circle_file, Path(tmp) / "out.json", command, name, dest,
+                               repr(value) if isinstance(value, float) else str(value))
+    assert code != 2, err
 
 
 def run_module(*args):

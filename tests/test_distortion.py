@@ -221,7 +221,9 @@ class TestProfileMemory:
         mf.qm_profile(m, m, range(m.n), n_samples=100)
         _, small = traced(mf.qm_profile, m, m, range(m.n), n_samples=20_000)
         _, large = traced(mf.qm_profile, m, m, range(m.n), n_samples=1_000_000)
-        assert large - small <= 0.5e6
+        # One chunk's arrays at a time: a second chunk's draw, gathers and
+        # bins once pushed the peak about 0.4 MB above the one-chunk peak.
+        assert large - small <= 0.05e6
 
     def test_exhaustive_peak_at_the_cutoff(self):
         n = distortion.EXHAUSTIVE_QUAD_CUTOFF

@@ -27,7 +27,8 @@ class TestGrid:
     def test_validates(self):
         assert mf.validate_metric(mf.euclidean_grid(5, 0.2)).ok
 
-    @pytest.mark.parametrize("side,spacing", [(0, 1.0), (3, 0.0), (-1, 1.0), (3, -2.0)])
+    @pytest.mark.parametrize("side,spacing", [(0, 1.0), (3, 0.0), (-1, 1.0), (3, -2.0),
+                                              (2.5, 1.0)])
     def test_bad_params(self, side, spacing):
         with pytest.raises(ValueError):
             mf.euclidean_grid(side, spacing)
@@ -151,6 +152,69 @@ class TestRandomMetric:
 def test_lengths_must_be_finite(call, name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         call(value)
+
+
+COUNT_CALLS = {  # name of the count: the call
+    "grid side": lambda v: mf.euclidean_grid(v, 1.0),
+    "disk n": lambda v: mf.disk_sample(v),
+    "sphere-cap n": lambda v: mf.sphere_cap_complement(0.5, v),
+    "halfplane n": lambda v: mf.halfplane_sample(v),
+    "random-metric n": lambda v: mf.random_metric(v),
+}
+
+
+@pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+@pytest.mark.parametrize("value", [2.5, 20.0, True, math.nan])
+def test_point_counts_must_be_integers(call, value):
+    # euclidean_grid(2.5, 1.0) once built a 9-point grid, and disk_sample(2.5)
+    # failed inside numpy.
+    with pytest.raises(ValueError, match=f"{call.split()[-1]} must be an integer"):
+        COUNT_CALLS[call](value)
+
+
+SEEDED_CALLS = {
+    "disk": lambda seed: mf.disk_sample(10, seed=seed),
+    "sphere-cap": lambda seed: mf.sphere_cap_complement(0.5, 20, seed=seed),
+    "halfplane": lambda seed: mf.halfplane_sample(10, seed=seed),
+    "random-metric": lambda seed: mf.random_metric(10, seed=seed),
+    "llc": lambda seed: mf.llc_constants(mf.euclidean_grid(3, 1.0), seed=seed),
+    "regularity": lambda seed: mf.regularity_constant(mf.euclidean_grid(3, 1.0), 2.0,
+                                                      seed=seed),
+    "exhaustive qm": lambda seed: mf.qm_profile(*[mf.random_metric(5, seed=1)] * 2, range(5),
+                                                seed=seed),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+def test_seeds_must_be_nonnegative_integers(call, seed):
+    # numpy refused -1 without naming the seed, read True as 1 and drew
+    # fresh entropy for None; an exhaustive profile took any seed unseen.
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        SEEDED_CALLS[call](seed)
+
+
+LENGTH_CALLS = {
+    "grid spacing": lambda v: mf.euclidean_grid(3, v),
+    "disk radius": lambda v: mf.disk_sample(10, radius=v),
+    "disk-grid spacing": lambda v: mf.disk_grid(v),
+    "disk-grid radius": lambda v: mf.disk_grid(0.5, radius=v),
+    "halfplane width": lambda v: mf.halfplane_sample(10, width=v),
+    "halfplane height": lambda v: mf.halfplane_sample(10, height=v),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, value", [
+    *((call, v) for call in sorted(LENGTH_CALLS) for v in (1e308, 1e160)),
+    ("grid spacing", 1e-170), ("disk radius", 1e-170),
+])
+def test_lengths_whose_squares_overflow_or_vanish_are_refused(call, value):
+    # 1e308 once ended in "non-finite number inf" after numpy overflow
+    # warnings, disk_grid(0.5, radius=1e308) in an OverflowError, and
+    # 1e-170 gave distinct points at distance 0.
+    with pytest.raises(ValueError, match="squared extent"):
+        LENGTH_CALLS[call](value)
 
 
 class TestDispatcher:

@@ -281,6 +281,31 @@ class TestSubspace:
             mf.subspace(m, [0, 0, 1])
 
 
+POINT_CALLS = {
+    "subspace": lambda m, i: mf.subspace(m, [i, 0]),
+    "covering_radius": lambda m, i: mf.covering_radius(m, {i}),
+    "greedy_cover_5r": lambda m, i: mf.greedy_cover_5r(m, {i}, 1.0),
+    "ball": lambda m, i: mf.ball(m, i, 1.5),
+    "cross_ratio": lambda m, i: mf.cross_ratio(m, i, 5, 6, 7),
+    "warp": lambda m, i: mf.warp(m, i),
+    "check_inclusions": lambda m, i: mf.check_inclusions(mf.warp(m, 0), i, 0.01, 2.0),
+    "project": lambda m, i: mf.project(mf.double(m.with_boundary({0})), i),
+}
+
+
+@pytest.mark.parametrize("call", sorted(POINT_CALLS))
+@pytest.mark.parametrize("index, match", [(-1, "outside"), (17, "outside"),
+                                          (True, "not an integer index"),
+                                          (1.5, "not an integer index")])
+def test_point_indices_are_checked(call, index, match):
+    # -1 once meant the last point and True or 1.5 point 1; warp(m, True)
+    # failed inside numpy.
+    m = mf.euclidean_grid(3, 1.0)  # 17 points once doubled
+    with pytest.raises(ValueError, match=match):
+        POINT_CALLS[call](m, index)
+    POINT_CALLS[call](m, 4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 4), data=st.data())
 def test_constructor_accepts_exactly_the_well_shaped_inputs(n, data):
