@@ -43,14 +43,18 @@ def default_radii(m: FiniteMetricSpace, delta: float, count: int = 8) -> tuple:
 def _scales(m: FiniteMetricSpace, delta: float | None, radii, count: int = 8):
     """``(delta, radii)``: the proximity scale and the radii an estimator uses.
 
-    ``delta`` as given, which must be finite and positive, or
+    ``delta`` as given, which must be finite, positive and, on two points or
+    more, below the diameter (at which every pair is joined), or
     :func:`default_delta`; ``radii`` as given, each finite and positive, or
     ``count`` (``n_radii``, at least 1) radii from :func:`default_radii`.
     Every estimator resolves its scales here, so none evaluates a ball of
     NaN, infinite or nonpositive radius, nor joins points at such a scale.
     """
     count = _count("n_radii", count)
-    delta = default_delta(m) if delta is None else _finite_positive("delta", delta)
+    if delta is None:
+        delta = default_delta(m)
+    elif (delta := _finite_positive("delta", delta)) >= m.diam() and m.n > 1:
+        raise ValueError(f"delta must be below the diameter {m.diam()}, got {delta}")
     if radii is None:
         return delta, default_radii(m, delta, count)
     return delta, tuple(_finite_positive("radii", r) for r in radii)

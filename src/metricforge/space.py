@@ -451,65 +451,71 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 # its points, so every space the writer sees is finite.
 # ---------------------------------------------------------------------------
 
-def _json_list(items: list, depth: int, brackets: str = "[]") -> str:
-    """Nested lists of encoded items in the layout of ``json.dumps(indent=1)``.
-
-    The brackets are written into the end items of ``items`` in place, so
-    the long result is built only once.
-    """
-    if not items:
-        return brackets
-    if isinstance(items[0], list):
-        items = [_json_list(sub, depth + 1) for sub in items]
+def _json_list(items: list, depth: int) -> str:
+    """Encoded ``items`` as a JSON list in the layout of ``json.dumps(indent=1)``."""
     pad = "\n" + " " * (depth + 1)
-    items[0] = brackets[0] + pad + items[0]
-    items[-1] += "\n" + " " * depth + brackets[1]
-    return ("," + pad).join(items)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]" if items else "[]"
 
 
-def _json_floats(a: np.ndarray, depth: int) -> str:
-    """A float array as nested JSON lists; each distinct float is encoded once.
+def _json_pieces(items: Iterable, depth: int, brackets: str = "[]"):
+    """That layout in pieces, of items that are iterables of pieces; "{}" for an object."""
+    pad = "\n" + " " * (depth + 1)
+    sep = brackets[0] + pad
+    for item in items:
+        yield sep
+        yield from item
+        sep = "," + pad
+    yield brackets if sep[0] != "," else "\n" + " " * depth + brackets[1]
 
-    Distinct means distinct bits, so -0.0 keeps its sign.
-    """
+
+def _json_floats(a: np.ndarray):
+    """The pieces of a float array's JSON list, a row at a time.  Each distinct
+    float (by bits, so -0.0 keeps its sign) is encoded once, up front."""
     bits, inv = np.unique(a.view(np.uint64), return_inverse=True)
     text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return _json_list(text[inv].reshape(a.shape).tolist(), depth)
+    inv = inv.reshape(a.shape)
+    rows = text[inv].tolist() if a.ndim == 1 else (_json_list(text[r].tolist(), 2) for r in inv)
+    return _json_pieces(((row,) for row in rows), 1)
+
+
+def _json_chunks(m: FiniteMetricSpace):
+    """``json.dumps(doc, sort_keys=True, indent=1)`` of the space's record in pieces,
+    ``dist`` and ``coords`` a row at a time.  All but the rows' text is done before
+    this returns, so a space that cannot be encoded (a label ``json`` does not take)
+    raises here."""
+    doc = {"points": [json.dumps(list(m.points), indent=1).replace("\n", "\n ")],
+           "dist": _json_floats(m.dist)}
+    if m.coords is not None:
+        doc["coords"] = _json_floats(m.coords)
+    if m.mass is not None:
+        doc["mass"] = _json_floats(m.mass)
+    if m.boundary is not None:
+        doc["boundary"] = [_json_list([str(i) for i in sorted(m.boundary)], 1)]
+    return _json_pieces((itertools.chain((f'"{k}": ',), doc[k]) for k in sorted(doc)), 0, "{}")
 
 
 def to_json(m: FiniteMetricSpace) -> str:
-    """The space as ``json.dumps(doc, sort_keys=True, indent=1)`` would write it.
+    """The space as ``json.dumps(doc, sort_keys=True, indent=1)`` would write it."""
+    return "".join(_json_chunks(m))
 
-    Floats are written by ``float.__repr__``, as the encoder does, but the
-    encoder's pure-Python indent path is bypassed for the float arrays.
-    """
-    doc = {
-        "points": json.dumps(list(m.points), indent=1).replace("\n", "\n "),
-        "dist": _json_floats(m.dist, 1),
-    }
-    if m.coords is not None:
-        doc["coords"] = _json_floats(m.coords, 1)
-    if m.mass is not None:
-        doc["mass"] = _json_floats(m.mass, 1)
-    if m.boundary is not None:
-        doc["boundary"] = _json_list([str(i) for i in sorted(m.boundary)], 1)
-    return _json_list([f'"{k}": {doc.pop(k)}' for k in sorted(doc)], 0, "{}")
+
+def _from_doc(doc: dict) -> FiniteMetricSpace:
+    points, dist = tuple(doc["points"]), np.asarray(doc["dist"], dtype=np.float64)
+    more = {k: np.asarray(doc[k], dtype=np.float64) for k in ("coords", "mass") if k in doc}
+    return FiniteMetricSpace(points, dist, boundary=doc.get("boundary"), **more)
 
 
 def from_json(text: str) -> FiniteMetricSpace:
-    doc = json.loads(text, parse_constant=_non_finite)
-    return FiniteMetricSpace(
-        points=tuple(doc["points"]),
-        dist=np.asarray(doc["dist"], dtype=np.float64),
-        coords=None if "coords" not in doc else np.asarray(doc["coords"], dtype=np.float64),
-        mass=None if "mass" not in doc else np.asarray(doc["mass"], dtype=np.float64),
-        boundary=doc.get("boundary"),
-    )
+    return _from_doc(json.loads(text, parse_constant=_non_finite))
 
 
 def save_space(m: FiniteMetricSpace, path) -> None:
-    Path(path).write_text(to_json(m), encoding="utf-8")
+    chunks = _json_chunks(m)  # raises, if it does, before the file is opened
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
 
 
 def load_space(path) -> FiniteMetricSpace:
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    # The text is json.loads's argument alone: it is freed before the arrays are built.
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
+    return _from_doc(doc)

@@ -45,7 +45,7 @@ INFINITY_LABEL = "∞"
 
 def point_scales(m: FiniteMetricSpace, p: int) -> np.ndarray:
     """h(x) = 1/(1 + d(x, p)) for every point; h(p) = 1."""
-    return 1.0 / (1.0 + m.dist[p])
+    return 1.0 / (1.0 + m.dist[_indices("basepoint", [p], m.n)[0]])
 
 
 def rho_matrix(m: FiniteMetricSpace, p: int) -> np.ndarray:
@@ -57,7 +57,7 @@ def rho_matrix(m: FiniteMetricSpace, p: int) -> np.ndarray:
 
 def rho(m: FiniteMetricSpace, p: int, x: int, y: int) -> float:
     """Rescaled separation d(x,y) * h(x) * h(y) of a single pair."""
-    h = point_scales(m, p)
+    h, (x, y) = point_scales(m, p), _indices("points", [x, y], m.n)
     return float(m.dist[x, y] * h[x] * h[y])
 
 

@@ -1,4 +1,4 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and ``traced``, which measures.
 
 Everything here is deliberately naive (plain loops, exhaustive
 enumeration) and shares no code path with the package internals it
@@ -11,6 +11,7 @@ import bisect
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -358,3 +359,12 @@ def space_json(m):
     if m.boundary is not None:
         doc["boundary"] = sorted(int(i) for i in m.boundary)
     return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def traced(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -331,6 +331,18 @@ def test_proximity_scale_must_be_positive(check, delta):
             check(m, delta=delta)
 
 
+@pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
+def test_proximity_scale_must_be_below_the_diameter(check):
+    # At or above the diameter the delta-graph is complete, and llc once
+    # passed vacuously with lambda1 = lambda2 = 1.
+    for m in (mf.disk_sample(30, seed=1), mf.random_metric(2, seed=0)):
+        for delta in (m.diam(), 2 * m.diam(), 1e308):
+            with pytest.raises(ValueError, match="delta must be below the diameter"):
+                check(m, delta=delta)
+        check(m, delta=np.nextafter(m.diam(), 0))
+    check(mf.disk_sample(1, seed=0), delta=1e308)  # one point has no pair to join
+
+
 ESTIMATORS = {
     "doubling": mf.doubling_constant,
     "regularity": lambda m, **kw: mf.regularity_constant(m, 2.0, **kw),

@@ -540,7 +540,9 @@ DOMAINS = {
           st.floats(0.5, 4)),
     ("regularity", "eps"): ("finite and positive, with eps ** Q finite and positive", (),
                             st.floats(0.05, 3)),
-    "delta": ("finite and positive", ("1e308",), st.floats(0.05, 3)),
+    # At or above the diameter (2 on the circle) every pair is joined, and
+    # connectivity would pass vacuously.
+    "delta": ("finite, positive and below the diameter", (), st.floats(0.05, 1.95)),
     "radii": ("each finite and positive", ("1e308",), st.floats(0.05, 3)),
     ("regularity", "radii"): ("each finite and positive, with r ** Q finite and positive",
                               (), st.floats(0.05, 3)),

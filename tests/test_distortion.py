@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 import metricforge as mf
 from metricforge import distortion
-from oracles import distortion_profile
+from oracles import distortion_profile, traced
 
 
 def planar_space(coords):
@@ -201,15 +200,6 @@ def test_undefined_ratios_do_not_hide_a_failed_claim():
     assert prof.claim.worst_ratio == math.inf
     (a, b, c), _, t_out = prof.claim.worst_witness
     assert {a, c} <= {0, 3, 5, 6} and t_out == math.inf
-
-
-def traced(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestProfileMemory:

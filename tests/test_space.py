@@ -1,14 +1,18 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import metricforge as mf
+from metricforge import space
 from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
-                     metric_violations_by_middle_point, space_json, triangle_ok)
+                     metric_violations_by_middle_point, space_json, traced, triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -261,6 +265,63 @@ class TestSerialization:
         path = tmp_path / "s.json"
         mf.save_space(m, path)
         assert np.array_equal(mf.load_space(path).dist, m.dist)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_saved_file_is_the_stdlib_layout_and_loads_bit_for_bit(self, data):
+        # Labels with quotes, escapes, newlines and non-ASCII; any finite
+        # float, -0.0 included; each optional field present or not.
+        labels = data.draw(st.lists(st.text('a"\\\né∞\x00😀', max_size=3), unique=True,
+                                    max_size=5))
+        n = len(labels)
+        floats = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+        def array(shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=floats))
+        k = data.draw(st.none() | st.integers(0, 3))
+        m = mf.FiniteMetricSpace(
+            labels, array((n, n)), coords=None if k is None else array((n, k)),
+            mass=array((n,)) if data.draw(st.booleans()) else None,
+            boundary=data.draw(st.none() | st.sets(st.integers(0, max(n - 1, 0)),
+                                                   max_size=n)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            mf.save_space(m, path)
+            assert path.read_bytes() == mf.to_json(m).encode() == space_json(m).encode()
+            if n == 0:  # an empty matrix is written as [], which reads back as no rows
+                return
+            back = mf.load_space(path)
+        assert back.points == m.points and back.boundary == m.boundary
+        for name in ("dist", "coords", "mass"):
+            a, b = getattr(m, name), getattr(back, name)
+            assert a is b is None or (a.shape == b.shape
+                                      and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+    @pytest.mark.parametrize("label", [b"bytes", frozenset("a")])
+    def test_failed_save_leaves_the_target_untouched(self, tmp_path, label):
+        # points sorts last in the file, yet its error comes before the
+        # file is opened: an existing file keeps its bytes, and no new one
+        # is made.
+        path = tmp_path / "s.json"
+        mf.save_space(mf.random_metric(5, seed=0), path)
+        before = path.read_bytes()
+        bad = mf.FiniteMetricSpace(("a", label), 1.0 - np.eye(2))
+        for target in (path, tmp_path / "new.json"):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                mf.save_space(bad, target)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_writer_streams_rows(self, tmp_path):
+        # save_space holds the encoding tables (np.unique's inverse and the
+        # distinct floats' text) and about a row beside them; to_json holds
+        # the whole text too, so its peak is the higher.
+        m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
+        path = tmp_path / "d.json"
+        mf.save_space(m, path)  # numpy's first-call allocations stay out of the peaks
+        _, tables = traced(space._json_chunks, m)
+        _, saved = traced(mf.save_space, m, path)
+        _, joined = traced(mf.to_json, m)
+        assert saved <= tables + path.stat().st_size / 100 < joined
 
 
 class TestSubspace:

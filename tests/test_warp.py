@@ -31,6 +31,21 @@ class TestRho:
     def test_same_point(self, three_point):
         assert mf.rho(three_point, 0, 1, 1) == 0.0
 
+    @pytest.mark.parametrize("call", [
+        lambda m, i: mf.point_scales(m, i), lambda m, i: mf.rho_matrix(m, i),
+        lambda m, i: mf.rho(m, i, 0, 1), lambda m, i: mf.rho(m, 0, i, 1),
+        lambda m, i: mf.rho(m, 0, 1, i)])
+    @pytest.mark.parametrize("index, match", [(-1, "outside"), (9, "outside"),
+                                              (True, "not an integer index"),
+                                              (1.5, "not an integer index")])
+    def test_point_indices_are_checked(self, call, index, match):
+        # rho(m, -1, 0, 1) once took the last point as basepoint, and
+        # rho_matrix(m, True) failed inside numpy.
+        m = mf.euclidean_grid(3, 1.0)
+        with pytest.raises(ValueError, match=match):
+            call(m, index)
+        call(m, 8)
+
 
 class TestWarpSmall:
     def test_three_point_values(self, three_point):
