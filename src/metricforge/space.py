@@ -459,13 +459,12 @@ def _json_list(items: list, depth: int) -> str:
 
 def _json_pieces(items: Iterable, depth: int, brackets: str = "[]"):
     """That layout in pieces, of items that are iterables of pieces; "{}" for an object."""
-    pad = "\n" + " " * (depth + 1)
-    sep = brackets[0] + pad
+    pad, first = "\n" + " " * (depth + 1), True
     for item in items:
-        yield sep
+        yield (brackets[0] if first else ",") + pad
         yield from item
-        sep = "," + pad
-    yield brackets if sep[0] != "," else "\n" + " " * depth + brackets[1]
+        first = False
+    yield brackets if first else "\n" + " " * depth + brackets[1]
 
 
 def _json_floats(a: np.ndarray):
