@@ -88,6 +88,23 @@ def _power(name: str, base: float, Q: float) -> float:
     return _finite_positive(f"{name} ** Q, with {name} {base} and Q {Q},", power)
 
 
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """The rows of a boolean array as 64-bit words, zero-padded; see :func:`_unpack`."""
+    words = np.zeros((len(mask), -(-mask.shape[1] // 64)), dtype=np.uint64)
+    bits = np.packbits(mask, axis=1, bitorder="little")
+    words.view(np.uint8)[:, :bits.shape[1]] = bits
+    return words
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
+def _batch(rows: np.ndarray) -> int:
+    """Rows per batch against n packed ``rows``, so that (batch, n, words) holds n x n words."""
+    return max(1, len(rows) // max(1, rows.shape[1]))
+
+
 # ---------------------------------------------------------------------------
 # Doubling constant
 # ---------------------------------------------------------------------------
@@ -114,21 +131,22 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     D = m.dist
     best = 1
     for r in radii:
-        rows = np.packbits(D <= r / 2.0, axis=1)  # row i: the closed ball at i
-        for a in cs:
-            inside = D[a] < r
-            balls = rows[inside]
-            left = np.packbits(inside)
-            count = 0
-            while left.any():
-                gain = np.bitwise_count(balls & left).sum(axis=1, dtype=np.intp)
-                top = int(np.argmax(gain))  # argmax takes the lowest index on ties
-                if gain[top] == 0:
-                    count += int(np.bitwise_count(left).sum())
-                    break
-                left &= ~balls[top]
-                count += 1
-            best = max(best, count)
+        balls = _pack(D <= r / 2.0)  # row i: the closed ball at i
+        words = np.ascontiguousarray(balls.T)  # word w of every ball, in one row
+        step = _batch(balls)
+        for lo in range(0, len(cs), step):  # the centers of a batch run together
+            inside = D[cs[lo:lo + step]] < r
+            left, count = _pack(inside), np.zeros(len(inside), dtype=np.intp)
+            while (live := np.flatnonzero(left.any(axis=1))).size:
+                now, gain = left[live], np.zeros((live.size, len(D)), dtype=np.intp)
+                for w, word in enumerate(words):  # (centers x n) temporaries, one word at a time
+                    gain += np.bitwise_count(word & now[:, w, None])
+                gain[~inside[live]] = -1  # argmax takes the lowest index on ties
+                top, gained = np.argmax(gain, axis=1), gain.max(axis=1) > 0
+                # With no gain left, each uncovered point counts once.
+                count[live] += np.where(gained, 1, np.bitwise_count(now).sum(1, dtype=np.intp))
+                left[live] = np.where(gained[:, None], now & ~balls[top], 0)
+            best = max(best, int(count.max()))
     return int(best)
 
 
@@ -287,13 +305,16 @@ class LLCReport:
     seed: int
 
 
-def _reach(adj: np.ndarray, allowed: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the points joined to ``start`` by a path through ``allowed``."""
-    reach = np.zeros(len(adj), dtype=bool)
-    reach[start] = True
-    front = reach
-    while front.any():
-        front = adj[front].any(axis=0) & allowed & ~reach
+def _reach(adj: np.ndarray, allowed: np.ndarray, starts) -> np.ndarray:
+    """Packed rows of the points each start joins through its row of ``allowed``:
+    one breadth-first search, each step ORing the adjacency rows of a frontier."""
+    reach = _pack(np.arange(len(adj)) == np.asarray(starts)[:, None])
+    front = reach.copy()
+    while (live := np.flatnonzero(front.any(axis=1))).size:
+        row, col = np.nonzero(_unpack(front[live]))
+        grown = np.bitwise_or.reduceat(adj[col], np.flatnonzero(np.diff(row, prepend=-1)))
+        front[:] = 0
+        front[live] = grown & allowed[live] & ~reach[live]
         reach |= front
     return reach
 
@@ -313,52 +334,56 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     delta, radii = _scales(m, delta, radii, n_radii)
     grid = _grid(lambda_grid)
     D = m.dist
-    adj = (D <= delta) | (D <= delta).T  # undirected: either direction joins
+    adj = _pack((D <= delta) | (D <= delta).T)  # undirected: either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)
-    if not radii or (m.n and not _reach(adj, np.ones(m.n, dtype=bool), 0).all()):
+    whole = _pack(np.ones((1, m.n), dtype=bool))
+    if not radii or (m.n and not np.array_equal(_reach(adj, whole, [0]), whole)):
         return LLCReport(math.inf, math.inf, float(delta), grid, (), (),
                          usable=False, evaluated1=0, evaluated2=0, skipped=0,
                          centers=tuple(int(c) for c in cs), radii=radii, seed=seed)
+    step = _batch(adj)  # configurations per search
+
+    def batched(fn, idx):
+        """``fn`` over ``idx``, ``step`` entries at a time, joined."""
+        return np.concatenate([fn(idx[lo:lo + step]) for lo in range(0, len(idx), step)]
+                              or [np.zeros(0, dtype=bool)])
 
     def run_leg(leg):
-        key = 0  # current grid candidate index
-        failed_at_max = False
-        skipped = 0
-        configs = []
-        for a in cs:
-            for r in radii:
-                # Above the diameter, the complement of B(a, r) is empty.
-                members = np.flatnonzero(D[a] < r if leg == 1 else D[a] >= r)
-                if members.size < 2:
-                    skipped += 1
-                else:
-                    configs.append((int(a), float(r), members))
+        def side(rows, bound):
+            return rows < bound[:, None] if leg == 1 else rows >= bound[:, None]
 
-        def reached(a, r, members, lam):
-            """Which members the first one joins inside the inflated ball."""
-            allowed = D[a] < lam * r if leg == 1 else D[a] >= r / lam
-            return _reach(adj, allowed, members[0])[members]
+        # (center, radius) order; above the diameter, B(a, r) has no complement.
+        a, r = np.repeat(cs, len(radii)), np.tile(np.asarray(radii, dtype=float), len(cs))
+        size = batched(lambda i: side(D[a[i]], r[i]).sum(axis=1), np.arange(len(a)))
+        a, r = a[size >= 2], r[size >= 2]
 
-        for a, r, members in configs:
-            while key < len(grid) and not reached(a, r, members, grid[key]).all():
-                key += 1
-            if key == len(grid):
-                failed_at_max = True
-                key = len(grid) - 1  # keep scanning for the worst witnesses
+        def missed(idx, lam):
+            """First members, and the packed members they do not reach at lam."""
+            rows = D[a[idx]]
+            members = side(rows, r[idx])
+            start = np.argmax(members, axis=1)
+            allowed = side(rows, lam * r[idx] if leg == 1 else r[idx] / lam)
+            return start, _pack(members) & ~_reach(adj, _pack(allowed), start)
 
-        value = math.inf if failed_at_max else grid[key]
+        # Passing is monotone in λ, so a configuration-by-configuration scan
+        # up the grid ends at the largest first passing index: test all
+        # pending configurations at each grid value and keep those that fail.
+        pending, failed, level = np.arange(len(a)), np.arange(0), None
+        for key, lam in enumerate(grid):
+            pending = pending[batched(lambda i: missed(i, lam)[1].any(axis=1), pending)]
+            if not pending.size:
+                break
+            failed, level = pending, lam
+        value = math.inf if pending.size else grid[key]
         # Witnesses at the last failing grid value below the result: the
         # first member and the first member it does not reach.
-        witness_level = grid[-1] if failed_at_max else (grid[key - 1] if key > 0 else None)
-        failures = []
-        if witness_level is not None:
-            for a, r, members in configs:
-                if len(failures) >= 20:
-                    break
-                hit = reached(a, r, members, witness_level)
-                if not hit.all():
-                    failures.append((a, r, int(members[0]), int(members[~hit][0])))
-        return value, tuple(failures), len(configs), skipped
+        failures = ()
+        if failed.size:
+            idx = failed[:20]
+            start, miss = missed(idx, level)
+            failures = tuple((int(a[i]), float(r[i]), int(s), int(f))
+                             for i, s, f in zip(idx, start, np.argmax(_unpack(miss), axis=1)))
+        return value, failures, len(a), int((size < 2).sum())
 
     lambda1, failures1, ev1, sk1 = run_leg(1)
     lambda2, failures2, ev2, sk2 = run_leg(2)

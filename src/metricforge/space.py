@@ -499,9 +499,14 @@ def to_json(m: FiniteMetricSpace) -> str:
 
 
 def _from_doc(doc: dict) -> FiniteMetricSpace:
-    points, dist = tuple(doc["points"]), np.asarray(doc["dist"], dtype=np.float64)
-    more = {k: np.asarray(doc[k], dtype=np.float64) for k in ("coords", "mass") if k in doc}
-    return FiniteMetricSpace(points, dist, boundary=doc.get("boundary"), **more)
+    points = tuple(doc["points"])
+
+    def array(key):  # a 0-point record writes its empty matrices as []
+        a = np.asarray(doc[key], dtype=np.float64)
+        return a.reshape(0, 0) if key != "mass" and not points and a.shape == (0,) else a
+
+    more = {k: array(k) for k in ("coords", "mass") if k in doc}
+    return FiniteMetricSpace(points, array("dist"), boundary=doc.get("boundary"), **more)
 
 
 def from_json(text: str) -> FiniteMetricSpace:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
-from oracles import component_of, greedy_cover_count, llc_by_components
+from oracles import component_of, greedy_cover_count, llc_by_components, traced
 
 
 def interior_grid_centers(grid, margin):
@@ -305,6 +305,70 @@ def test_llc_matches_component_oracle(case, circle_256):
            rep.evaluated1, rep.evaluated2, rep.skipped)
     assert got == expect
     assert rep.failures1 or rep.failures2
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_scans_match_the_oracles(data):
+    # Arcs of a circle with random gaps, some rescaled asymmetrically, under
+    # short random grids: configurations first pass at different grid
+    # values, a leg can fail at the grid's maximum, and there are more
+    # configurations and centers than one batch takes.
+    size = data.draw(st.integers(40, 100))
+    th = 2.0 * np.pi * np.arange(size) / size
+    co = np.stack([np.cos(th), np.sin(th)], axis=1)
+    d = np.sqrt(((co[:, None] - co[None]) ** 2).sum(axis=2))
+    # Narrow gaps, which delta may or may not bridge, and perhaps a wide one.
+    gaps = data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 3)),
+                              max_size=3))
+    gaps.append((0, data.draw(st.sampled_from([0, size // 8, size // 2]))))
+    keep = [i for i in range(size) if not any(lo <= i < lo + w for lo, w in gaps)]
+    d = d[np.ix_(keep, keep)]
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        d *= rng.uniform(0.8, 1.25, size=d.shape)
+    m = mf.FiniteMetricSpace(tuple(map(str, range(len(keep)))), d)
+    values = st.sampled_from([1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0])
+    grid = tuple(sorted(data.draw(st.sets(values, min_size=1, max_size=5))))
+    delta = data.draw(st.floats(1.5, 6.0)) * 2.0 * np.sin(np.pi / size)
+    n_centers = data.draw(st.integers(m.n // 2, m.n))
+    rep = mf.llc_constants(m, delta=delta, lambda_grid=grid, n_centers=n_centers,
+                           n_radii=data.draw(st.integers(3, 6)), seed=data.draw(st.integers(0, 9)))
+    if not rep.usable:  # no radius fits between 3 delta and the diameter, or
+        event("no estimate")  # the delta-graph is disconnected
+        adj = (d <= delta) | (d <= delta).T
+        assert not rep.radii or len(component_of(adj, range(m.n), 0)) < m.n
+        return
+    assert len(rep.centers) * len(rep.radii) > m.n
+    expect = llc_by_components(d, rep.delta, rep.grid, rep.centers, rep.radii)
+    assert (rep.lambda1, rep.lambda2, rep.failures1, rep.failures2, rep.evaluated1,
+            rep.evaluated2, rep.skipped) == expect
+    for lam in (rep.lambda1, rep.lambda2):
+        event("a leg fails at the grid's maximum" if math.isinf(lam) else
+              "a leg passes above the grid's first value" if lam > grid[0] else
+              "a leg passes at the grid's first value")
+    worst = {a: max(greedy_cover_count(d, np.flatnonzero(d[a] < r), r / 2.0)
+                    for r in rep.radii) for a in rep.centers}
+    # Each center twice, the worst last: the last batch of centers decides.
+    centers = sorted(rep.centers * 2, key=worst.get)
+    assert mf.doubling_constant(m, radii=rep.radii, centers=centers) == max(1, *worst.values())
+
+
+class TestEstimatorMemory:
+    # Configurations and centers run in batches against rows packed into
+    # words, so no temporary outgrows the distance matrix.  Holding every
+    # configuration's members at once peaked at 129.6 MB here.
+    @pytest.fixture(scope="class")
+    def disk(self):
+        return mf.disk_sample(800, seed=1)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda m: mf.llc_constants(m, n_centers=800, n_radii=32),
+        lambda m: mf.doubling_constant(m, n_centers=800),
+    ], ids=["llc_constants", "doubling_constant"])
+    def test_peak_is_below_three_distance_matrices(self, disk, estimate):
+        _, peak = traced(estimate, disk)
+        assert peak < 3 * 8 * disk.n ** 2
 
 
 class TestComponentContainment:
