@@ -343,10 +343,8 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
                          centers=tuple(int(c) for c in cs), radii=radii, seed=seed)
     step = _batch(adj)  # configurations per search
 
-    def batched(fn, idx):
-        """``fn`` over ``idx``, ``step`` entries at a time, joined."""
-        return np.concatenate([fn(idx[lo:lo + step]) for lo in range(0, len(idx), step)]
-                              or [np.zeros(0, dtype=bool)])
+    def chunks(k):  # the indices range(k), step at a time
+        return (np.arange(lo, min(lo + step, k)) for lo in range(0, k, step))
 
     def run_leg(leg):
         def side(rows, bound):
@@ -354,7 +352,8 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
 
         # (center, radius) order; above the diameter, B(a, r) has no complement.
         a, r = np.repeat(cs, len(radii)), np.tile(np.asarray(radii, dtype=float), len(cs))
-        size = batched(lambda i: side(D[a[i]], r[i]).sum(axis=1), np.arange(len(a)))
+        size = np.concatenate([side(D[a[i]], r[i]).sum(axis=1) for i in chunks(len(a))]
+                              or [np.zeros(0, dtype=np.intp)])
         a, r = a[size >= 2], r[size >= 2]
 
         def missed(idx, lam):
@@ -365,24 +364,25 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
             allowed = side(rows, lam * r[idx] if leg == 1 else r[idx] / lam)
             return start, _pack(members) & ~_reach(adj, _pack(allowed), start)
 
-        # Passing is monotone in λ, so a configuration-by-configuration scan
-        # up the grid ends at the largest first passing index: test all
-        # pending configurations at each grid value and keep those that fail.
-        pending, failed, level = np.arange(len(a)), np.arange(0), None
-        for key, lam in enumerate(grid):
-            pending = pending[batched(lambda i: missed(i, lam)[1].any(axis=1), pending)]
-            if not pending.size:
+        # Passing is monotone in λ, so the key only rises: each batch, in
+        # (center, radius) order, is tested at the current key, and those
+        # that fail are tested again a grid value up.  A failure at the
+        # grid's maximum makes λ infinite, and the scan stops there.
+        batches, key, last = list(chunks(len(a))), 0, None
+        for b, idx in enumerate(batches):
+            while key < len(grid) and (idx := idx[missed(idx, grid[key])[1].any(axis=1)]).size:
+                key, last = key + 1, (b, idx)  # the batch's failures at grid[key - 1]
+        # Witnesses at grid[key - 1], the last failing value: the first member and the first
+        # it does not reach.  Batches before the one that last raised the key pass there.
+        failures = []
+        for idx in [last[1]] + batches[last[0] + 1:] if key else ():
+            start, miss = missed(idx, grid[key - 1])
+            bad = miss.any(axis=1)
+            failures += zip(idx[bad], start[bad], np.argmax(_unpack(miss[bad]), axis=1))
+            if len(failures) >= 20:
                 break
-            failed, level = pending, lam
-        value = math.inf if pending.size else grid[key]
-        # Witnesses at the last failing grid value below the result: the
-        # first member and the first member it does not reach.
-        failures = ()
-        if failed.size:
-            idx = failed[:20]
-            start, miss = missed(idx, level)
-            failures = tuple((int(a[i]), float(r[i]), int(s), int(f))
-                             for i, s, f in zip(idx, start, np.argmax(_unpack(miss), axis=1)))
+        failures = tuple((int(a[i]), float(r[i]), int(s), int(f)) for i, s, f in failures[:20])
+        value = grid[key] if key < len(grid) else math.inf
         return value, failures, len(a), int((size < 2).sum())
 
     lambda1, failures1, ev1, sk1 = run_leg(1)

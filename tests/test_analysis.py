@@ -331,7 +331,7 @@ def test_batched_scans_match_the_oracles(data):
     values = st.sampled_from([1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0])
     grid = tuple(sorted(data.draw(st.sets(values, min_size=1, max_size=5))))
     delta = data.draw(st.floats(1.5, 6.0)) * 2.0 * np.sin(np.pi / size)
-    n_centers = data.draw(st.integers(m.n // 2, m.n))
+    n_centers = data.draw(st.integers(m.n // 2 + 1, m.n))
     rep = mf.llc_constants(m, delta=delta, lambda_grid=grid, n_centers=n_centers,
                            n_radii=data.draw(st.integers(3, 6)), seed=data.draw(st.integers(0, 9)))
     if not rep.usable:  # no radius fits between 3 delta and the diameter, or
@@ -351,6 +351,7 @@ def test_batched_scans_match_the_oracles(data):
                     for r in rep.radii) for a in rep.centers}
     # Each center twice, the worst last: the last batch of centers decides.
     centers = sorted(rep.centers * 2, key=worst.get)
+    assert len(centers) > m.n // -(-m.n // 64)  # centers per batch of the cover
     assert mf.doubling_constant(m, radii=rep.radii, centers=centers) == max(1, *worst.values())
 
 
