@@ -13,6 +13,11 @@ import numpy as np
 
 from .space import FiniteMetricSpace, _call, _closure, _count, _finite_positive, _rng
 
+# Most candidate points disk_grid lays out, (2k + 1)² for k = floor(radius /
+# spacing).  It keeps about π/4 of them, and their distance matrix would pass
+# 300 GB at this bound, so no grid that could be built is refused.
+_GRID_CANDIDATES = 1 << 18
+
 
 def _euclidean(coords: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances of the rows of ``coords``.
@@ -77,7 +82,10 @@ def disk_grid(spacing: float, radius: float = 1.0,
     """
     spacing, radius = _finite_positive("spacing", spacing), _finite_positive("radius", radius)
     _box("radius and spacing", 2.0 * radius + spacing, 2.0 * radius + spacing)
-    k = int(math.floor(radius / spacing))
+    k = math.floor(min(radius / spacing, _GRID_CANDIDATES))  # the ratio may be inf
+    if (2 * k + 1) ** 2 > _GRID_CANDIDATES:
+        raise ValueError(f"radius / spacing is {radius / spacing:g}: the grid would lay out "
+                         f"more than {_GRID_CANDIDATES} candidate points")
     axis = np.arange(-k, k + 1, dtype=np.float64) * spacing
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)

@@ -9,12 +9,13 @@ this module are pure functions on that read-only data.
 from __future__ import annotations
 
 import inspect
+import io
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -446,10 +447,18 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 # ---------------------------------------------------------------------------
 # Serialization: JSON is the one file format and carries the full record.
 # Floats survive exactly (shortest round-trip repr).  The loader names a
-# NaN or Infinity token as it reads it; the constructor rejects any other
+# NaN or Infinity token as it reads it, and takes only JSON numbers in
+# ``dist``, ``coords`` and ``mass``; the constructor rejects any other
 # non-finite number and a record whose shapes or boundary indices do not fit
 # its points, so every space the writer sees is finite.
 # ---------------------------------------------------------------------------
+
+_BUFFER = 1 << 16  # characters of a space file the reader reads at a time
+
+_DECODER = json.JSONDecoder(parse_constant=_non_finite)
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's
+
 
 def _json_list(items: list, depth: int) -> str:
     """Encoded ``items`` as a JSON list in the layout of ``json.dumps(indent=1)``."""
@@ -469,11 +478,28 @@ def _json_pieces(items: Iterable, depth: int, brackets: str = "[]"):
 
 def _json_floats(a: np.ndarray):
     """The pieces of a float array's JSON list, a row at a time.  Each distinct
-    float (by bits, so -0.0 keeps its sign) is encoded once, up front."""
-    bits, inv = np.unique(a.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    inv = inv.reshape(a.shape)
-    rows = text[inv].tolist() if a.ndim == 1 else (_json_list(text[r].tolist(), 2) for r in inv)
+    float (by bits, so -0.0 keeps its sign) is encoded once, up front: ``rank``
+    numbers each entry's float among the distinct ones in sorted order, as
+    ``np.unique``'s inverse would, but in int32 and with each temporary freed
+    once used: at most 17 bytes per entry and 8 per distinct float beside
+    the distinct floats' text, where ``np.unique`` held 43 per entry."""
+    bits = a.view(np.uint64).ravel()
+    order = np.argsort(bits)
+    bits = bits[order]
+    first = np.empty(bits.shape, dtype=bool)  # of each run of equal floats
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first]
+    runs = np.cumsum(first, dtype=np.int32 if first.size < 2**31 else np.int64)
+    del first
+    runs -= 1
+    rank = np.empty_like(runs)
+    rank[order] = runs
+    del order, runs
+    rank = rank.reshape(a.shape)
+    text = np.fromiter(map(float.__repr__, bits.view(np.float64)), dtype=object, count=len(bits))
+    del bits
+    rows = text[rank].tolist() if a.ndim == 1 else (_json_list(text[r].tolist(), 2) for r in rank)
     return _json_pieces(((row,) for row in rows), 1)
 
 
@@ -498,19 +524,138 @@ def to_json(m: FiniteMetricSpace) -> str:
     return "".join(_json_chunks(m))
 
 
-def _from_doc(doc: dict) -> FiniteMetricSpace:
-    points = tuple(doc["points"])
+class _Reader:
+    """JSON text read from an open file through a buffer of about ``_BUFFER``
+    characters.  ``text[pos:]`` is read but not yet parsed; ``base`` is the
+    file offset of ``text[0]``, and ``start`` that of the last value read, so
+    that errors name offsets in the file."""
 
-    def array(key):  # a 0-point record writes its empty matrices as []
-        a = np.asarray(doc[key], dtype=np.float64)
-        return a.reshape(0, 0) if key != "mass" and not points and a.shape == (0,) else a
+    def __init__(self, f):
+        self.f, self.text, self.pos, self.base, self.start = f, "", 0, 0, 0
 
-    more = {k: array(k) for k in ("coords", "mass") if k in doc}
-    return FiniteMetricSpace(points, array("dist"), boundary=doc.get("boundary"), **more)
+    def more(self, size: int = 0) -> bool:
+        """Drops the parsed text and reads at least ``_BUFFER`` more
+        characters; False at the end of the file."""
+        chunk = self.f.read(max(size, _BUFFER))
+        if chunk:
+            self.base += self.pos
+            self.text, self.pos = self.text[self.pos:] + chunk, 0
+        return bool(chunk)
+
+    def fail(self, what: str, at: int | None = None):
+        raise ValueError(f"{what} (char {self.base + self.pos if at is None else at})")
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, left unparsed; "" at the end."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos:self.pos + 1]
+
+    def take(self, chars: str) -> str:
+        """Parses the next character that is not whitespace, one of ``chars``."""
+        c = self.peek()
+        if not c or c not in chars:
+            self.fail("Expecting " + " or ".join(map(repr, chars)))
+        self.pos += 1
+        return c
+
+    def value(self):
+        """The next JSON value, decoded whole.  One cut off by the end of the
+        buffer fails to decode, or is a number cut short, which the buffer's
+        end or a character that would go on with it follows: then as much
+        again is read, and it is decoded anew."""
+        self.peek()
+        self.start = self.base + self.pos
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more(len(self.text) - self.pos):
+                    continue
+                self.fail(exc.msg, self.base + exc.pos)
+            except ValueError as exc:  # a NaN or Infinity token
+                self.fail(str(exc), self.start)
+            if (end < len(self.text) and self.text[end] not in "0123456789.eE+-"
+                    or not self.more(len(self.text) - self.pos)):
+                self.pos = end
+                return value
+
+
+def _numbers(r: _Reader, what: str, row: bool = False) -> list:
+    """The next value, which must be a list of JSON numbers: numpy would read
+    a string, a bool or a null as a number too.  The list's text holds
+    another value exactly when it holds a quote, the first letter of
+    ``true``, ``false`` or ``null``, or a bracket after its own (a NaN or
+    Infinity token is refused as it is decoded).  A ``row`` is read on to
+    its ``]`` first, so that it is decoded once."""
+    while row and r.text.find("]", r.pos) < 0 and r.more():
+        pass
+    value = r.value()
+    if type(value) is not list or any(r.text.find(c, r.start - r.base + 1, r.pos) >= 0
+                                      for c in '"tfn{['):
+        r.fail(f"{what} is not a list of JSON numbers", r.start)
+    return value
+
+
+def _rows(r: _Reader, key: str) -> np.ndarray:
+    """The list of number rows at ``r`` as a float64 array, each row as long as
+    the first: ``dist`` decoded a row at a time into a square array, ``coords``
+    (a few numbers a row) stacked at the end.  ``[]``, as a 0-point record
+    writes them, is a 0×0 array."""
+    r.take("[")
+    if r.peek() == "]":
+        r.pos += 1
+        return np.zeros((0, 0))
+    rows, count = [], 0
+    while True:
+        row = _numbers(r, f"a {key} row", row=True)
+        if not count:
+            width = len(row)
+            out = np.empty((width, width)) if key == "dist" else None
+        if len(row) != width:
+            r.fail(f"a {key} row has {len(row)} entries where the first has {width}", r.start)
+        if out is None:
+            rows.append(row)
+        elif count < width:
+            out[count] = row
+        else:
+            r.fail(f"dist has more rows than its first row has entries ({width})", r.start)
+        count += 1
+        if r.take(",]") == "]":
+            break
+    if out is None:
+        return np.array(rows, dtype=np.float64)
+    if count < width:
+        r.fail(f"dist has {count} rows where its first row has {width} entries")
+    return out
+
+
+def _read(f) -> FiniteMetricSpace:
+    """The space in the JSON text of the open file ``f``.  The top-level object
+    is parsed a key at a time, ``dist`` and ``coords`` a row at a time, so
+    that the reader holds the arrays, one buffer and one row's floats."""
+    r, doc = _Reader(f), {}
+    r.take("{")
+    while True:
+        key = r.value()
+        if type(key) is not str:
+            r.fail("Expecting property name enclosed in double quotes", r.start)
+        if key in doc:
+            r.fail(f"repeated key {key!r}", r.start)
+        r.take(":")
+        doc[key] = (_rows(r, key) if key in ("dist", "coords") else
+                    _numbers(r, key) if key == "mass" else r.value())
+        if r.take(",}") == "}":
+            break
+    if r.peek():
+        r.fail("Extra data")
+    return FiniteMetricSpace(doc["points"], doc["dist"],
+                             **{k: doc[k] for k in ("coords", "mass", "boundary") if k in doc})
 
 
 def from_json(text: str) -> FiniteMetricSpace:
-    return _from_doc(json.loads(text, parse_constant=_non_finite))
+    return _read(io.StringIO(text))
 
 
 def save_space(m: FiniteMetricSpace, path) -> None:
@@ -520,6 +665,5 @@ def save_space(m: FiniteMetricSpace, path) -> None:
 
 
 def load_space(path) -> FiniteMetricSpace:
-    # The text is json.loads's argument alone: it is freed before the arrays are built.
-    doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
-    return _from_doc(doc)
+    with open(path, encoding="utf-8", newline="") as f:
+        return _read(f)

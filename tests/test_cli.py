@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
-from metricforge import cli, generators
+from metricforge import cli, generators, space
 from metricforge.cli import _jsonable, main
 
 
@@ -439,7 +439,29 @@ class TestCheckCommand:
         assert runs[0] == runs[1]
 
 
-# One structural defect each, planted in a well-formed file.
+def row_3(change):
+    """A defect that replaces row 3 of the distance matrix by ``change(row)``."""
+    return lambda doc: doc["dist"].__setitem__(3, change(doc["dist"][3]))
+
+
+def truncated_mid_row(doc):
+    """The file text cut off four characters before the end of the first
+    distance row."""
+    text = json.dumps(doc)
+    return text[:text.index("], [", text.index('"dist"')) - 4]
+
+
+def nan_across_the_buffer_edge(doc):
+    """The file text with a NaN distance whose token starts one character
+    before the end of the reader's first buffer, after added whitespace."""
+    doc["dist"][1][2] = "X"
+    text = json.dumps(doc)
+    at = text.index('"X"')
+    return text[:at] + " " * (space._BUFFER - 1 - at) + "NaN" + text[at + 3:]
+
+
+# One structural defect each, planted in a well-formed file: a defect either
+# changes the record in place or returns the file's text.
 DEFECTS = {
     "non-square dist": lambda doc: doc.update(dist=[row[:-1] for row in doc["dist"]]),
     "1-D dist": lambda doc: doc.update(dist=doc["dist"][0]),
@@ -448,6 +470,20 @@ DEFECTS = {
     "boundary index": lambda doc: doc["boundary"].append(len(doc["points"])),
     "boundary float": lambda doc: doc["boundary"].append(0.7),
     "boundary bool": lambda doc: doc["boundary"].append(True),
+    # Read a row at a time: each of these once loaded, or failed only in numpy.
+    "truncated mid-row": truncated_mid_row,
+    "NaN across the buffer edge": nan_across_the_buffer_edge,
+    "ragged row": row_3(lambda row: row[:-1]),
+    "one-element row": row_3(lambda row: row[:1]),
+    "one row too many": lambda doc: doc["dist"].append(doc["dist"][0]),
+    "one row too few": lambda doc: doc["dist"].pop() and None,
+    "nested row": row_3(lambda row: [row[0], [row[1]], *row[2:]]),
+    "quoted distance": row_3(lambda row: [str(x) for x in row]),
+    "boolean distances": row_3(lambda row: [x > 0 for x in row]),
+    "quoted mass": lambda doc: doc.update(mass=[str(x) for x in doc["mass"]]),
+    "trailing data": lambda doc: json.dumps(doc) + " {}",
+    "duplicate key": lambda doc: json.dumps(doc)[:-1] + ', "points": ' + json.dumps(
+        doc["points"]) + "}",
 }
 
 # Every command that reads a space; "{bad}" is the malformed file.
@@ -470,8 +506,7 @@ def test_malformed_space_is_usage_error(tmp_path, capsys, defect, command):
     m = mf.sphere_cap_complement(n=30, eps=0.5, seed=1)
     mf.save_space(m, good)
     doc = json.loads(good.read_text())
-    DEFECTS[defect](doc)
-    bad.write_text(json.dumps(doc))
+    bad.write_text(DEFECTS[defect](doc) or json.dumps(doc))
     out = tmp_path / "out.json"
     argv = [a.format(good=good, bad=bad) for a in READERS[command]] + ["-o", str(out)]
     assert main(argv) == 2

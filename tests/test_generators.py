@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 import metricforge as mf
 from metricforge.generators import _euclidean
 from metricforge.space import _closure
-from oracles import rim_gap, triangle_ok
+from oracles import rim_gap, traced, triangle_ok
 
 
 class TestGrid:
@@ -66,6 +66,17 @@ class TestDiskGrid:
     def test_count_tracks_area(self):
         m = mf.disk_grid(1 / 16)
         assert abs(m.n - math.pi * 16 ** 2) < 40
+
+    @pytest.mark.parametrize("spacing, radius", [(1.0, 1e4), (0.5, 1e150), (1e-300, 1e150),
+                                                 (1.0, 256.0)])
+    def test_candidate_grid_is_bounded_before_it_is_built(self, spacing, radius):
+        # A ratio of 1e4 would lay out 4e8 candidates (several GB), and 1e150
+        # once ended in numpy's "Maximum allowed size exceeded".
+        def call():
+            with pytest.raises(ValueError, match=r"radius / spacing is .* more than 262144"):
+                mf.disk_grid(spacing, radius=radius)
+        _, peak = traced(call)
+        assert peak < 100_000
 
 
 class TestSphereCap:

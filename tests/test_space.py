@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis.extra import numpy as hnp
 import metricforge as mf
 from metricforge import space
 from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
-                     metric_violations_by_middle_point, space_json, traced, triangle_ok)
+                     metric_violations_by_middle_point, space_json, space_record, traced,
+                     triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -315,9 +317,9 @@ class TestSerialization:
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_writer_streams_rows(self, tmp_path):
-        # save_space holds the encoding tables (np.unique's inverse and the
-        # distinct floats' text) and about a row beside them; to_json holds
-        # the whole text too, so its peak is the higher.
+        # save_space holds the encoding tables (an int32 rank per entry into
+        # the distinct floats' text, in sorted order) and about a row beside
+        # them; to_json holds the whole text too, so its peak is the higher.
         m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
         path = tmp_path / "d.json"
         mf.save_space(m, path)  # numpy's first-call allocations stay out of the peaks
@@ -325,6 +327,102 @@ class TestSerialization:
         _, saved = traced(mf.save_space, m, path)
         _, joined = traced(mf.to_json, m)
         assert saved <= tables + path.stat().st_size / 100 < joined
+
+
+    def test_reader_holds_the_matrix_and_a_buffer(self, tmp_path):
+        # The reader decodes dist a row at a time into its array, through a
+        # fixed buffer: its peak is the matrix plus about 1 MB, where json.loads
+        # of the whole text held every distance as a Python float.
+        m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
+        path = tmp_path / "d.json"
+        mf.save_space(m, path)
+        mf.load_space(path)  # numpy's first-call allocations stay out of the peak
+        back, peak = traced(mf.load_space, path)
+        assert np.array_equal(back.dist, m.dist)
+        assert peak <= m.dist.nbytes + 1_000_000
+
+    @pytest.mark.parametrize("buffer", ["default", "tiny"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_stdlib_layout_loads_as_json_loads_reads_it(self, tmp_path_factory, buffer,
+                                                            data):
+        # Any layout json.dumps writes (indent, separators, key order, escapes)
+        # plus whitespace around it, read through the default buffer or one
+        # of 1-7 characters, so that every token crosses a buffer edge.  A
+        # key the reader does not know may hold a bare number, which a buffer
+        # edge could cut short.
+        n = data.draw(st.integers(0, 5))
+        number = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.integers(-2**60, 2**60) | st.just(-0.0))
+        def rows(k):
+            return data.draw(st.lists(st.lists(number, min_size=k, max_size=k),
+                                      min_size=n, max_size=n))
+        record = {"points": data.draw(st.lists(st.text('a"\\\né∞\x00😀', max_size=3),
+                                               unique=True, min_size=n, max_size=n)),
+                  "dist": rows(n)}
+        k = data.draw(st.none() | st.integers(0, 3))
+        if k is not None:
+            record["coords"] = rows(k)
+        if data.draw(st.booleans()):
+            record["mass"] = data.draw(st.lists(number, min_size=n, max_size=n))
+        if n and data.draw(st.booleans()):
+            record["boundary"] = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        if data.draw(st.booleans()):  # a key the reader skips, as json.loads read it
+            record["note"] = data.draw(number | st.booleans() | st.none() | st.text(max_size=3))
+        keys = data.draw(st.permutations(sorted(record)))
+        blank = st.text(" \t\r\n", max_size=3)
+        text = data.draw(blank) + json.dumps(
+            {key: record[key] for key in keys},
+            indent=data.draw(st.none() | st.integers(0, 3) | blank),
+            separators=data.draw(st.none() | st.tuples(
+                st.builds("{},{}".format, blank, blank), st.builds("{}:{}".format, blank, blank))),
+            ensure_ascii=data.draw(st.booleans())) + data.draw(blank)
+        want = mf.FiniteMetricSpace(**space_record(text))
+        path = tmp_path_factory.mktemp("layout") / "s.json"
+        path.write_text(text, encoding="utf-8", newline="")
+        size = space._BUFFER if buffer == "default" else data.draw(st.integers(1, 7))
+        with mock.patch.object(space, "_BUFFER", size):
+            spaces = mf.from_json(text), mf.load_space(path)
+        for got in spaces:
+            assert got.points == want.points and got.boundary == want.boundary
+            for name in ("dist", "coords", "mass"):
+                a, b = getattr(want, name), getattr(got, name)
+                assert a is b is None or (a.shape == b.shape and np.array_equal(
+                    a.view(np.uint64), b.view(np.uint64)))
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    @pytest.mark.parametrize("pad", range(8))
+    def test_a_number_cut_by_the_buffer_edge_is_read_whole(self, size, pad):
+        # A key the reader skips holds a bare number, which the buffer's edge
+        # cuts at each of its characters in turn: a prefix such as "-1.",
+        # "-1.5e" or "-1.5e-" decodes as a shorter number.
+        text = '{"note": ' + " " * pad + '-1.5e-30, "points": ["a"], "dist": [[0]]}'
+        with mock.patch.object(space, "_BUFFER", size):
+            assert mf.from_json(text).points == ("a",)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 1 << 16])
+    @pytest.mark.parametrize("text, message, at", [
+        ('{"points": ["a"], "dist": [[0]]} []', "Extra data", "[]"),
+        ('{"points": ["a"], "dist": [[0]], "points": ["a"]}', "repeated key 'points'",
+         '"points": ["a"]}'),
+        ('{"points": ["a", "b"], "dist": [[0, 1], ["1", 0]]}', "dist row is not a list",
+         '["1", 0]'),
+        ('{"points": ["a", "b"], "dist": [[0, 1], [1, 0]], "mass": [1, true]}',
+         "mass is not a list", "[1, true]"),
+        ('{"points": ["a", "b"], "dist": [[0, 1], [1]]}', "has 1 entries where", "[1]"),
+        ('{"points": ["a", "b"], "dist": [[0, 1], [1, 0], [0, 0]]}', "more rows", "[0, 0]"),
+        ('{"points": ["a", "b"],\n "dist": [[0, 1], [1, 0.5', "Expecting", ""),
+        ('{"points": ["a", "b"], "dist": [[0, 1], [1, NaN]]}', "non-finite number NaN",
+         "[1, NaN]"),
+        ('{"points": ["a", "b"], "dist": [[0, 1], [1, 0]], "mass": [1, -Infinity]}',
+         "non-finite number -Infinity", "[1, -Infinity]"),
+    ])
+    def test_reader_errors_name_the_file_offset(self, size, text, message, at):
+        # The offset, that of the last occurrence of ``at``, is the file's,
+        # whatever the buffer's size.
+        with mock.patch.object(space, "_BUFFER", size):
+            with pytest.raises(ValueError, match=rf"{message}.* \(char {text.rindex(at)}\)$"):
+                mf.from_json(text)
 
 
 class TestSubspace:
