@@ -582,15 +582,12 @@ class _Reader:
                 return value
 
 
-def _numbers(r: _Reader, what: str, row: bool = False) -> list:
+def _numbers(r: _Reader, what: str) -> list:
     """The next value, which must be a list of JSON numbers: numpy would read
     a string, a bool or a null as a number too.  The list's text holds
     another value exactly when it holds a quote, the first letter of
     ``true``, ``false`` or ``null``, or a bracket after its own (a NaN or
-    Infinity token is refused as it is decoded).  A ``row`` is read on to
-    its ``]`` first, so that it is decoded once."""
-    while row and r.text.find("]", r.pos) < 0 and r.more():
-        pass
+    Infinity token is refused as it is decoded)."""
     value = r.value()
     if type(value) is not list or any(r.text.find(c, r.start - r.base + 1, r.pos) >= 0
                                       for c in '"tfn{['):
@@ -609,7 +606,9 @@ def _rows(r: _Reader, key: str) -> np.ndarray:
         return np.zeros((0, 0))
     rows, count = [], 0
     while True:
-        row = _numbers(r, f"a {key} row", row=True)
+        while r.text.find("]", r.pos) < 0 and r.more():
+            pass  # the whole row in the buffer, so that it is decoded once
+        row = _numbers(r, f"a {key} row")
         if not count:
             width = len(row)
             out = np.empty((width, width)) if key == "dist" else None
