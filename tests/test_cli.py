@@ -470,13 +470,14 @@ DEFECTS = {
     "boundary index": lambda doc: doc["boundary"].append(len(doc["points"])),
     "boundary float": lambda doc: doc["boundary"].append(0.7),
     "boundary bool": lambda doc: doc["boundary"].append(True),
-    # Read a row at a time: each of these once loaded, or failed only in numpy.
+    # Caught by the reader, which reads a row at a time: numpy would cast the
+    # quoted and boolean entries and broadcast the one-element row.
     "truncated mid-row": truncated_mid_row,
     "NaN across the buffer edge": nan_across_the_buffer_edge,
     "ragged row": row_3(lambda row: row[:-1]),
     "one-element row": row_3(lambda row: row[:1]),
-    "one row too many": lambda doc: doc["dist"].append(doc["dist"][0]),
-    "one row too few": lambda doc: doc["dist"].pop() and None,
+    "one row too many": lambda doc: doc.update(dist=doc["dist"] + doc["dist"][:1]),
+    "one row too few": lambda doc: doc.update(dist=doc["dist"][:-1]),
     "nested row": row_3(lambda row: [row[0], [row[1]], *row[2:]]),
     "quoted distance": row_3(lambda row: [str(x) for x in row]),
     "boolean distances": row_3(lambda row: [x > 0 for x in row]),

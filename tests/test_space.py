@@ -328,11 +328,10 @@ class TestSerialization:
         _, joined = traced(mf.to_json, m)
         assert saved <= tables + path.stat().st_size / 100 < joined
 
-
     def test_reader_holds_the_matrix_and_a_buffer(self, tmp_path):
         # The reader decodes dist a row at a time into its array, through a
-        # fixed buffer: its peak is the matrix plus about 1 MB, where json.loads
-        # of the whole text held every distance as a Python float.
+        # fixed buffer, so no more than a row of distances is ever held as
+        # Python floats: its peak is the matrix plus about 1 MB.
         m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
         path = tmp_path / "d.json"
         mf.save_space(m, path)
