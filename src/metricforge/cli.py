@@ -78,6 +78,8 @@ def _load(path_str: str) -> space.FiniteMetricSpace:
         raise ValueError(f"input file not found: {path}")
     try:
         return space.load_space(path)
+    except MemoryError:
+        raise  # the file may be fine: main names the command that ran out
     except Exception as exc:
         raise ValueError(f"cannot parse space file {path}: {exc}") from exc
 
@@ -326,7 +328,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError:  # a space too large for this machine
+            raise ValueError(f"{args.command} ran out of memory") from None
     except ValueError as exc:  # usage errors and input the library refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

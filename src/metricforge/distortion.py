@@ -7,7 +7,8 @@ binned by the input ratio on a fixed log grid with explicit under/overflow
 bins, so out-of-range tuples are recorded rather than dropped.
 
 Tuples are enumerated or drawn, gathered and binned ``_CHUNK`` at a time,
-so memory is the pulled-back distance matrix plus chunk-sized arrays.
+and ``dst`` is read through the mapping where a tuple needs it, so memory
+is chunk-sized arrays: no pulled-back distance matrix.
 ``_BATCH`` is only the unit of ``envelope_input`` ties (see ``_profile``).
 
 A bin is read off the grid from log10 of the input ratio and mended by one
@@ -125,23 +126,25 @@ def _chunks(n, arity, n_samples, rng, exhaustive):
     for b in range(0, n_samples, _BATCH):
         end = min(b + _BATCH, n_samples)
         for s in range(b, end, _CHUNK):
-            # The same values as one default int64 draw of the whole batch.
+            # The same values as one default int64 draw of the whole batch,
+            # a column to a row, so that _distinct and compress read rows.
             size = (min(_CHUNK, end - s), arity)
-            yield rng.integers(0, n, size=size, dtype=np.int32).T, s + _CHUNK >= end
+            yield np.ascontiguousarray(rng.integers(0, n, size, np.int32).T), s + _CHUNK >= end
 
 
-def _ratios(cols, pairs, flats, n):
-    """Yields the input, then the output ratios of tuple columns, by flat gathers."""
-    n = np.intp(n)  # int32 columns times an intp give intp flat indices
-    num, den = ([cols[i] * n + cols[j] for i, j in side] for side in pairs)
-    for d in flats:
-        top, bottom = d.take(num[0]), d.take(den[0])
-        for idx in num[1:]:
-            top *= d.take(idx)
-        for idx in den[1:]:
-            bottom *= d.take(idx)
-        top /= bottom
-        yield top
+def _ratios(pairs, d, rows, cols):
+    """The ratios of tuple columns in ``d``, by flat gathers: the distance of
+    the column pair (i, j) is ``d.ravel()[rows[i] + cols[j]]``.  Every such
+    index is in range, so the gathers clip rather than check each one."""
+    d = d.ravel()
+    num, den = ((d.take(rows[i] + cols[j], mode="clip") for i, j in side) for side in pairs)
+    top, bottom = next(num), next(den)
+    for x in num:
+        top *= x
+    for x in den:
+        bottom *= x
+    top /= bottom
+    return top
 
 
 def _slots(t):
@@ -160,8 +163,10 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     pairs = _PAIRS[kind]
     arity = 3 if kind == "QS" else 4
     n = src.n
-    # dst pulled back through the mapping: flat index i*n + j on both sides.
-    flats = (src.dist.ravel(), dst.dist[np.ix_(f, f)].ravel())
+    # The pair (i, j) is at flat index i * n + j in src, f[i] * dst.n + f[j] in
+    # dst: no pulled-back matrix.  int32 columns times an intp give intp.
+    size, offsets = np.intp(n), f * np.intp(dst.n)
+    heads, tails = ({pair[k] for side in pairs for pair in side} for k in (0, 1))
     nbins = BIN_COUNT + 2
     # top and tied: this batch's max output per bin, the largest input attaining it.
     env, env_in, top, tied = np.full((4, nbins), -np.inf)
@@ -178,7 +183,9 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     with np.errstate(divide="ignore", invalid="ignore"):
         for cols, batch_ends in _chunks(n, arity, n_samples, _rng(seed), exhaustive):
             cols = cols.compress(_distinct(cols), axis=1)
-            t_in, t_out = _ratios(cols, pairs, flats, n)
+            t_in = _ratios(pairs, src.dist, {i: cols[i] * size for i in heads}, cols)
+            t_out = _ratios(pairs, dst.dist, {i: offsets.take(cols[i]) for i in heads},
+                            {j: f.take(cols[j]) for j in tails})
             slots = _slots(t_in)
             counts += np.bincount(slots, minlength=nbins)
             before = top.copy()

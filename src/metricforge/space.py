@@ -181,6 +181,8 @@ _ROW_BLOCK = 64  # rows per band of _through, so a band's candidates stay in cac
 
 _TILE = 16  # rows and columns per tile of warp's stale sweeps
 
+_MIDS = 64  # middle points per candidate array of a tile: 128 KiB of sums
+
 
 def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """``out = min(out, a ⊗ b)`` in place, one middle point m at a time.
@@ -192,26 +194,45 @@ def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.fmin(out, a[:, m, None] + b[m], out=out)
 
 
-def _through(d: np.ndarray) -> np.ndarray:
-    """``min(d, d ⊗ d)``: every entry against every two-step path, as a new array.
+def _through_bands(d: np.ndarray, symmetric: bool):
+    """Yields ``(r0, c0, band)``: rows ``r0:r0 + _ROW_BLOCK``, columns ``c0:``
+    of ``min(d, d ⊗ d)``, each band computed over the last in one buffer.
 
     Entry (i, k) is the min of ``d[i, k]`` and of ``d[i, m] + d[m, k]`` over
-    all m, computed band by band of rows on a contiguous copy.  When ``d``
-    equals its transpose, ``d[i, m] + d[m, k]`` and ``d[k, m] + d[m, i]`` are
-    the same float (addition commutes), so only the columns ``k >= i`` are
-    computed and each band is mirrored below the diagonal: half the work.
+    all m.  When ``d`` equals its transpose (``symmetric``),
+    ``d[i, m] + d[m, k]`` and ``d[k, m] + d[m, i]`` are the same float
+    (addition commutes), so only the columns ``k >= r0`` are computed
+    (``c0 = r0``): the entries below the band mirror those right of it.
     """
     n = len(d)
+    buffer = np.empty(min(n, _ROW_BLOCK) * n)
+    for r0 in range(0, n, _ROW_BLOCK):
+        c0 = r0 if symmetric else 0
+        part = d[r0:r0 + _ROW_BLOCK, c0:]
+        band = buffer[:part.size].reshape(part.shape)
+        np.copyto(band, part)
+        _min_plus_into(band, d[r0:r0 + _ROW_BLOCK], d[:, c0:])
+        yield r0, c0, band
+
+
+def _through(d: np.ndarray) -> np.ndarray:
+    """``min(d, d ⊗ d)`` as a new array: half the work on a symmetric ``d``."""
     symmetric = np.array_equal(d, d.T)
     out = np.empty_like(d)
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1, c0 = r0 + _ROW_BLOCK, r0 if symmetric else 0
-        band = d[r0:r1, c0:].copy()
-        _min_plus_into(band, d[r0:r1], d[:, c0:])
-        out[r0:r1, c0:] = band
+    for r0, c0, band in _through_bands(d, symmetric):
+        out[r0:r0 + _ROW_BLOCK, c0:] = band
         if symmetric:
-            out[r0:, r0:r1] = band.T
+            out[r0:, r0:r0 + _ROW_BLOCK] = band.T
     return out
+
+
+def _mirror_min(d: np.ndarray) -> None:
+    """``d = min(d, dᵀ)`` in place, a band of rows and its mirror column at a
+    time, so that numpy buffers no n x n transpose."""
+    for r0 in range(0, len(d), _ROW_BLOCK):
+        band, mirror = d[r0:r0 + _ROW_BLOCK, r0:], d[r0:, r0:r0 + _ROW_BLOCK]
+        np.minimum(band, mirror.T, out=band)  # they share a block: numpy copies the mirror
+        mirror[:] = band.T
 
 
 def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
@@ -230,10 +251,13 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
     so a middle with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of
     the tile and is left out; a tile with no middle left is skipped.  Only
     the tile itself writes ``d[I, K]``, so its maximum from the start of
-    the sweep is current.
+    the sweep is current.  No temporary is larger than a few rows.
     """
     starts = np.arange(0, len(d), _TILE)
-    b = np.minimum.reduceat(np.where(np.eye(len(d), dtype=bool), np.inf, w), starts, axis=1)
+    b = np.minimum.reduceat(w, starts, axis=1)
+    for t, r0 in enumerate(starts):  # the diagonal tiles again, without w[m, m]
+        tile = w[r0:r0 + _TILE, r0:r0 + _TILE]
+        b[r0:r0 + _TILE, t] = np.where(np.eye(len(tile), dtype=bool), np.inf, tile).min(axis=1)
     for rows in (slice(r0, r0 + _TILE) for r0 in starts):
         while stale[rows].any():
             ds = np.where(stale[rows], d[rows], np.inf)
@@ -242,7 +266,9 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
             keep = a[:, None] + b < np.maximum.reduceat(d[rows].max(axis=0), starts)
             for c in np.flatnonzero(keep.any(axis=0)):
                 cols, mids = slice(starts[c], starts[c] + _TILE), np.flatnonzero(keep[:, c])
-                cand = (ds[:, mids, None] + w[mids, cols]).min(axis=1)
+                cand = np.inf  # the middles _MIDS at a time
+                for part in (mids[s:s + _MIDS] for s in range(0, len(mids), _MIDS)):
+                    cand = np.minimum(cand, (ds[:, part, None] + w[part, cols]).min(axis=1))
                 drop = cand < d[rows, cols]
                 np.copyto(d[rows, cols], cand, where=drop)
                 stale[rows, cols] |= drop
@@ -264,7 +290,7 @@ def _closure(w: np.ndarray) -> np.ndarray:
     stale = d < w
     if stale.any():
         _relax_stale(d, w, stale)
-        np.minimum(d, d.T, out=d)  # numpy buffers the overlapping transpose
+        _mirror_min(d)
     return d
 
 
@@ -305,21 +331,27 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     bad = np.flatnonzero(diag > tol)
     push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
 
-    # One n x n float temporary at a time: each is built in place and
-    # dropped once used, so the pass's heap peak stays near one matrix.
-    asym = d - d.T
-    np.abs(asym, out=asym)
-    bad = np.argwhere(np.triu(asym > tol, 1))
-    push("symmetry", len(bad), (((int(i), int(j)), asym[i, j]) for i, j in bad))
-    del asym
-
-    bad = np.argwhere(np.triu(d <= tol, 1))
+    # The upper triangle a band of rows at a time, in row-major order: no
+    # n x n temporary, and only the failing pairs' indices are kept.
+    asym, small = [np.empty((0, 2), np.intp)], [np.empty((0, 2), np.intp)]
+    for r0 in range(0, n, _ROW_BLOCK):
+        band, mirror = d[r0:r0 + _ROW_BLOCK, r0:], d[r0:, r0:r0 + _ROW_BLOCK].T
+        asym.append(np.argwhere(np.triu(np.abs(band - mirror) > tol, 1)) + r0)
+        small.append(np.argwhere(np.triu(band <= tol, 1)) + r0)
+    bad = np.concatenate(asym)
+    push("symmetry", len(bad), (((int(i), int(j)), abs(d[i, j] - d[j, i])) for i, j in bad))
+    bad = np.concatenate(small)
     push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
 
-    bound = _through(d)
-    bound += tol
-    rows, cols = np.nonzero(d > bound)
-    del bound
+    # Pairs flagged band by band; on a symmetric d the pair (k, i) below a
+    # band is flagged with (i, k), and the sort restores row-major order.
+    symmetric, flags = np.array_equal(d, d.T), [np.empty((0, 2), np.intp)]
+    for r0, c0, band in _through_bands(d, symmetric):
+        band += tol
+        ik = np.argwhere(d[r0:r0 + _ROW_BLOCK, c0:] > band) + (r0, c0)
+        flags += [ik, ik[ik[:, 1] >= r0 + _ROW_BLOCK, ::-1]] if symmetric else [ik]
+    flags = np.concatenate(flags)
+    rows, cols = flags[np.lexsort(flags.T[::-1])].T
     if rows.size:
         flagged = d[rows, cols]
         for j in range(n):
@@ -649,6 +681,9 @@ def _read(f) -> FiniteMetricSpace:
             break
     if r.peek():
         r.fail("Extra data")
+    for key in ("points", "dist"):
+        if key not in doc:
+            raise ValueError(f"space file has no {key!r} key")
     return FiniteMetricSpace(doc["points"], doc["dist"],
                              **{k: doc[k] for k in ("coords", "mass", "boundary") if k in doc})
 

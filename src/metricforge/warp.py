@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _closure, _finite_positive, _indices, ball_mask
+from .space import (FiniteMetricSpace, _closure, _finite_positive, _indices, _mirror_min,
+                    ball_mask)
 
 INFINITY_LABEL = "∞"
 
@@ -94,10 +95,14 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     h = point_scales(m, p)
     order = np.argsort(m.dist[p], kind="stable")  # tiles then hold points at like scales
     grid = np.ix_(order, order)
-    w = rho_matrix(m, p)[grid]
-    w = np.minimum(w, w.T) + 0.0  # exact symmetry; no -0.0 for np.fmin to keep or drop
+    w = m.dist[grid]  # rho_matrix(m, p)[grid], built in place: the same floats
+    w *= h[order, None]
+    w *= h[order]
+    np.fill_diagonal(w, 0.0)
+    _mirror_min(w)  # exact symmetry
+    w += 0.0  # no -0.0 for np.fmin to keep or drop
     dhat = _closure(w)
-    del w  # freed before the output is allocated, so warp's peak stays low
+    del w  # so that two matrices are alive with the output, not three
     full = np.zeros((m.n + 1, m.n + 1))
     full[grid] = dhat  # back to the input order
     full[:-1, -1] = full[-1, :-1] = h

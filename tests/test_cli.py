@@ -524,6 +524,37 @@ def test_csv_space_file_is_usage_error(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("key", ["points", "dist"])
+def test_record_without_a_key_is_usage_error(tmp_path, capsys, key):
+    # Once reported as the repr of a KeyError: "...: 'points'".
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({k: v for k, v in (("points", ["a"]), ("dist", [[0.0]]))
+                                if k != key}))
+    assert main(["check", str(path), "--suite", "metric"]) == 2
+    assert capsys.readouterr().err.endswith(f"space file has no '{key}' key\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+# A MemoryError is raised by a stand-in: a real one needs a huge allocation.
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_generate_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(generators, "generate", _out_of_memory)
+    out = tmp_path / "disk.json"
+    assert main(["generate", "--kind", "disk", "--n", "20", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: generate ran out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_out_of_memory_is_not_a_parse_error(tmp_path, capsys, monkeypatch,
+                                                 three_point_file):
+    monkeypatch.setattr(space, "load_space", _out_of_memory)
+    assert main(["check", str(three_point_file), "--suite", "metric"]) == 2
+    assert capsys.readouterr().err == "error: check ran out of memory\n"
+
+
 # ---------------------------------------------------------------------------
 # Every numeric option of every generate kind and check suite
 # ---------------------------------------------------------------------------

@@ -224,6 +224,34 @@ class TestProfileMemory:
         assert prof.exhaustive and sum(prof.counts) == n * (n - 1) * (n - 2) * (n - 3)
         assert peak < 5e6
 
+    def test_mapped_peak_holds_no_pulled_back_matrix(self):
+        # dst is read through the mapping: the peak is the chunk arrays of a
+        # small profile's, plus far less than the 8 n^2 bytes a pulled-back
+        # distance matrix took.
+        def peak(n):
+            src, dst = mf.disk_sample(n, seed=0), mf.random_metric(n + 100, seed=1)
+            f = np.random.default_rng(2).permutation(dst.n)[:n]
+            mf.qm_profile(src, dst, f, n_samples=100)
+            return traced(mf.qm_profile, src, dst, f, n_samples=100_000)[1]
+
+        n = 300
+        assert peak(n) - peak(40) < 8 * n * n / 2
+
+
+@pytest.mark.parametrize("fn", [mf.qm_profile, mf.qs_profile])
+@pytest.mark.parametrize("n", [12, 80])
+def test_mapped_profile_equals_the_pulled_back_one(fn, n):
+    # Gathering dst through a permuted, non-surjective mapping reads the same
+    # floats as gathering the explicitly pulled-back space with the identity.
+    src, dst = mf.disk_sample(n, seed=3), mf.random_metric(n + 25, seed=4)
+    f = np.random.default_rng(5).permutation(dst.n)[:n]
+    pulled = mf.FiniteMetricSpace(src.points, dst.dist[np.ix_(f, f)])
+    gauge = mf.linear_gauge(2.0)
+    got = fn(src, dst, f, n_samples=50_000, seed=6, claimed=gauge)
+    want = fn(src, pulled, range(n), n_samples=50_000, seed=6, claimed=gauge)
+    assert got.exhaustive == (n == 12)
+    assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+
 
 @pytest.mark.parametrize("kind,n", [("QM", 40), ("QS", 70)])
 @pytest.mark.parametrize("samples", [0, -3])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
-from oracles import brute_chain_min, chain_closure
+from oracles import brute_chain_min, chain_closure, traced
 
 
 def warped_corpus(count, max_n, start_seed=0):
@@ -215,6 +215,36 @@ def test_warp_commutes_with_relabelling(n, seed, p, kind):
     got = mf.warp(relabelled, int(np.flatnonzero(perm == p % n)[0])).warped.dist
     back = np.append(np.argsort(perm), n)  # the adjoined ∞ stays last
     assert got[np.ix_(back, back)].tobytes() == expect.tobytes()
+
+
+class TestWarpMemory:
+    # Peaks in units of one n x n float matrix, each after a small warm-up
+    # call, so that numpy's first-call allocations are not in the peak.
+    # A random graph metric has chains that shorten pairs, so the stale
+    # sweeps run.
+    n = 300
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        small = mf.random_metric(20, seed=1)
+        mf.validate_metric(mf.warp(small, 0).warped)
+        return mf.random_metric(self.n, seed=0)
+
+    def test_warp_holds_rho_the_closure_and_the_stale_mask(self, space):
+        # rho and the closure are one matrix each, the stale mask an eighth
+        # of one; the rest are band- and tile-sized, with numpy's 128 KiB
+        # buffer for broadcasting sums.  A where() over the whole of rho
+        # for its tile minima, or a numpy-buffered transpose, adds a matrix.
+        w, peak = traced(mf.warp, space, 0)
+        assert (w.warped.dist[:-1, :-1] < mf.rho_matrix(space, 0)).any()  # sweeps ran
+        assert peak < 2.7 * 8 * self.n ** 2
+
+    def test_validate_holds_no_matrix(self, space):
+        # The triangle pass and the symmetry check go a band of rows at a
+        # time; the full min(d, d ⊗ d) or d - d.T was one more matrix.
+        warped = mf.warp(space, 0).warped
+        report, peak = traced(mf.validate_metric, warped)
+        assert report.ok and peak < 1.5 * 8 * self.n ** 2
 
 
 class TestInftyBall:
