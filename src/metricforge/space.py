@@ -251,7 +251,8 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
     so a middle with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of
     the tile and is left out; a tile with no middle left is skipped.  Only
     the tile itself writes ``d[I, K]``, so its maximum from the start of
-    the sweep is current.  No temporary is larger than a few rows.
+    the sweep is current.  ``b`` is a sixteenth of ``d``, and a tile sums
+    its candidates ``_MIDS`` middles at a time.
     """
     starts = np.arange(0, len(d), _TILE)
     b = np.minimum.reduceat(w, starts, axis=1)
