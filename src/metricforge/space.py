@@ -177,7 +177,7 @@ class ValidationReport:
 
 _WITNESS_CAP = 25  # per axiom; full counts are still reported
 
-_ROW_BLOCK = 64  # rows per band of _through, so a band's candidates stay in cache
+_ROW_BLOCK = 64  # rows per band of a banded pass, so that a band's arrays stay in cache
 
 _TILE = 16  # rows and columns per tile of warp's stale sweeps
 
@@ -399,12 +399,17 @@ def sample_scale(m: FiniteMetricSpace) -> float:
     """Max nearest-neighbor distance: the resolution proxy of a sample.
 
     Used to pick proximity scales; for a grid of spacing s this equals s.
+    Each point's nearest neighbour is taken a band of ``_ROW_BLOCK`` rows at
+    a time, in a copy of the band with its diagonal set to ``inf``.
     """
     if m.n < 2:
         return 0.0
-    d = m.dist.copy()
-    np.fill_diagonal(d, np.inf)
-    return float(d.min(axis=1).max())
+    nearest = np.empty(m.n)
+    for r0 in range(0, m.n, _ROW_BLOCK):
+        band = m.dist[r0:r0 + _ROW_BLOCK].copy()
+        np.fill_diagonal(band[:, r0:], np.inf)
+        band.min(axis=1, out=nearest[r0:r0 + _ROW_BLOCK])
+    return float(nearest.max())
 
 
 @dataclass(frozen=True)
@@ -493,68 +498,76 @@ _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's
 
 
-def _json_list(items: list, depth: int) -> str:
-    """Encoded ``items`` as a JSON list in the layout of ``json.dumps(indent=1)``."""
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]" if items else "[]"
-
-
-def _json_pieces(items: Iterable, depth: int, brackets: str = "[]"):
-    """That layout in pieces, of items that are iterables of pieces; "{}" for an object."""
-    pad, first = "\n" + " " * (depth + 1), True
+def _json_pieces(items: Iterable, depth: int, brackets: bytes = b"[]"):
+    """A JSON list in the layout of ``json.dumps(indent=1)``, in pieces, of items
+    that are iterables of pieces; b"{}" for an object."""
+    pad, first = b"\n" + b" " * (depth + 1), True
     for item in items:
-        yield (brackets[0] if first else ",") + pad
+        yield (brackets[:1] if first else b",") + pad
         yield from item
         first = False
-    yield brackets if first else "\n" + " " * depth + brackets[1]
+    yield brackets if first else b"\n" + b" " * depth + brackets[1:]
 
 
 def _json_floats(a: np.ndarray):
     """The pieces of a float array's JSON list, a row at a time.  Each distinct
-    float (by bits, so -0.0 keeps its sign) is encoded once, up front: ``rank``
-    numbers each entry's float among the distinct ones in sorted order, as
-    ``np.unique``'s inverse would, but in int32 and with each temporary freed
-    once used: at most 17 bytes per entry and 8 per distinct float beside
-    the distinct floats' text, where ``np.unique`` held 43 per entry."""
-    bits = a.view(np.uint64).ravel()
-    order = np.argsort(bits)
-    bits = bits[order]
+    float (by bits, so -0.0 keeps its sign) is encoded once, up front, from one
+    sort of the bits: ``text`` holds, in sorted order, the separator before an
+    entry and the float's repr (at most 24 characters, as in
+    ``-2.2250738585072014e-308``), padded with NULs.  A band of ``_ROW_BLOCK``
+    rows at a time is ranked into it by ``searchsorted`` of its sorted
+    entries, and a row is its entries' text without the NULs.  The writer
+    holds 37 bytes per distinct float, the sort's 9 per entry while it finds
+    them, and band-sized arrays."""
+    bits = np.sort(a.view(np.uint64), axis=None)
     first = np.empty(bits.shape, dtype=bool)  # of each run of equal floats
     first[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     bits = bits[first]
-    runs = np.cumsum(first, dtype=np.int32 if first.size < 2**31 else np.int64)
     del first
-    runs -= 1
-    rank = np.empty_like(runs)
-    rank[order] = runs
-    del order, runs
-    rank = rank.reshape(a.shape)
-    text = np.fromiter(map(float.__repr__, bits.view(np.float64)), dtype=object, count=len(bits))
-    del bits
-    rows = text[rank].tolist() if a.ndim == 1 else (_json_list(text[r].tolist(), 2) for r in rank)
-    return _json_pieces(((row,) for row in rows), 1)
+    f, pad = bits.view(np.float64), b",\n" + b" " * (a.ndim + 1)
+    text = np.empty(len(f), dtype=[("pad", f"S{len(pad)}"), ("repr", "S24")])
+    text["pad"] = pad
+    for i in range(0, len(f), 4096):  # as Python floats, whose reprs are faster than numpy's
+        text["repr"][i:i + 4096] = list(map(float.__repr__, f[i:i + 4096].tolist()))
+    text = text.view(f"S{len(pad) + 24}")
+
+    def listed(band):  # the pieces of each row of the band, as a JSON list
+        flat = band.view(np.uint64).ravel()
+        order = np.argsort(flat)
+        rank = np.empty(flat.shape, dtype=np.intp)
+        rank[order] = np.searchsorted(bits, flat[order])
+        for r in rank.reshape(band.shape):
+            row = memoryview(text[r].tobytes().translate(None, b"\0"))
+            yield (b"[", row[1:], pad[1:-1] + b"]") if row else (b"[]",)
+
+    if a.ndim == 1:
+        return next(listed(a[None]))
+    return _json_pieces((p for r0 in range(0, len(a), _ROW_BLOCK)
+                         for p in listed(a[r0:r0 + _ROW_BLOCK])), 1)
 
 
 def _json_chunks(m: FiniteMetricSpace):
-    """``json.dumps(doc, sort_keys=True, indent=1)`` of the space's record in pieces,
-    ``dist`` and ``coords`` a row at a time.  All but the rows' text is done before
-    this returns, so a space that cannot be encoded (a label ``json`` does not take)
-    raises here."""
-    doc = {"points": [json.dumps(list(m.points), indent=1).replace("\n", "\n ")],
+    """``json.dumps(doc, sort_keys=True, indent=1)`` of the space's record, in
+    ASCII bytes (``json`` escapes the rest), in pieces: ``dist`` and
+    ``coords`` a row at a time.  All but the rows' text is done before this
+    returns, so a space that cannot be encoded (a label ``json`` does not
+    take) raises here."""
+    doc = {"points": [json.dumps(list(m.points), indent=1).replace("\n", "\n ").encode()],
            "dist": _json_floats(m.dist)}
     if m.coords is not None:
         doc["coords"] = _json_floats(m.coords)
     if m.mass is not None:
         doc["mass"] = _json_floats(m.mass)
     if m.boundary is not None:
-        doc["boundary"] = [_json_list([str(i) for i in sorted(m.boundary)], 1)]
-    return _json_pieces((itertools.chain((f'"{k}": ',), doc[k]) for k in sorted(doc)), 0, "{}")
+        doc["boundary"] = _json_pieces(((b"%d" % i,) for i in sorted(m.boundary)), 1)
+    return _json_pieces((itertools.chain((b'"%s": ' % k.encode(),), doc[k]) for k in sorted(doc)),
+                        0, b"{}")
 
 
 def to_json(m: FiniteMetricSpace) -> str:
     """The space as ``json.dumps(doc, sort_keys=True, indent=1)`` would write it."""
-    return "".join(_json_chunks(m))
+    return b"".join(_json_chunks(m)).decode()
 
 
 class _Reader:
@@ -695,7 +708,7 @@ def from_json(text: str) -> FiniteMetricSpace:
 
 def save_space(m: FiniteMetricSpace, path) -> None:
     chunks = _json_chunks(m)  # raises, if it does, before the file is opened
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "wb") as f:
         f.writelines(chunks)
 
 

@@ -259,6 +259,16 @@ def covering_radius_naive(dist, subset):
     return worst
 
 
+def sample_scale_whole(dist):
+    """Max nearest-neighbour distance, through a copy of the whole matrix with
+    its diagonal set to ``inf``: the one-shot form of ``sample_scale``."""
+    if len(dist) < 2:
+        return 0.0
+    d = np.array(dist, dtype=np.float64)
+    np.fill_diagonal(d, np.inf)
+    return float(d.min(axis=1).max())
+
+
 def component_of(adjacency, allowed, seed):
     """BFS component of ``seed`` in the graph restricted to ``allowed``."""
     allowed = set(allowed)

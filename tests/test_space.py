@@ -13,8 +13,8 @@ from hypothesis.extra import numpy as hnp
 import metricforge as mf
 from metricforge import space
 from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
-                     metric_violations_by_middle_point, space_json, space_record, traced,
-                     triangle_ok)
+                     metric_violations_by_middle_point, sample_scale_whole, space_json,
+                     space_record, traced, triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -317,16 +317,49 @@ class TestSerialization:
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_writer_streams_rows(self, tmp_path):
-        # save_space holds the encoding tables (an int32 rank per entry into
-        # the distinct floats' text, in sorted order) and about a row beside
-        # them; to_json holds the whole text too, so its peak is the higher.
+        # save_space holds a sorted copy of the bits while it finds the
+        # distinct floats, then their fixed-width text and a band of ranks
+        # and rows: no more than twice the matrix (an int32 rank per entry
+        # and a str per distinct float took 3.1 times).  to_json holds the
+        # whole text too, so its peak is the higher.
         m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
         path = tmp_path / "d.json"
         mf.save_space(m, path)  # numpy's first-call allocations stay out of the peaks
-        _, tables = traced(space._json_chunks, m)
         _, saved = traced(mf.save_space, m, path)
         _, joined = traced(mf.to_json, m)
-        assert saved <= tables + path.stat().st_size / 100 < joined
+        assert saved <= 2 * m.dist.nbytes
+        assert saved < joined
+
+    @pytest.mark.parametrize("values", [
+        [-2.2250738585072014e-308, -1.7976931348623157e+308],  # reprs of 24 characters
+        [5e-324, -5e-324],
+        [0.0, -0.0],
+    ], ids=["longest-reprs", "least-subnormal", "signed-zeros"])
+    def test_saved_bytes_of_extreme_floats(self, tmp_path, values):
+        # Both values in one row of dist and coords, and in mass.
+        m = space_from([[values[0], values[1], 1.0], [1.0, values[1], values[0]],
+                        [values[1], values[0], 0.0]],
+                       coords=[values, values[::-1], [1.0, values[0]]], mass=values + [2.0])
+        path = tmp_path / "x.json"
+        mf.save_space(m, path)
+        assert path.read_bytes() == mf.to_json(m).encode() == space_json(m).encode()
+        assert all(repr(v).encode() in path.read_bytes() for v in values)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_saved_bytes_across_row_bands(self, tmp_path, n):
+        # Rows are ranked into the text table a band of 64 at a time; each
+        # float of a symmetric matrix is in two bands, and -0.0 and 0.0
+        # are two floats.
+        rng = np.random.default_rng(n)
+        d = mf.random_metric(n, seed=n).dist.copy()
+        d[rng.random((n, n)) < 0.05] = -0.0
+        coords = rng.normal(size=(n, 3))
+        coords[::7, 1] = -0.0
+        m = space_from(d, coords=coords, mass=rng.random(n), boundary=range(0, n, 5))
+        path = tmp_path / "b.json"
+        mf.save_space(m, path)
+        assert path.read_bytes() == space_json(m).encode()
+        assert mf.to_json(m) == space_json(m)
 
     def test_reader_holds_the_matrix_and_a_buffer(self, tmp_path):
         # The reader decodes dist a row at a time into its array, through a
@@ -422,6 +455,40 @@ class TestSerialization:
         with mock.patch.object(space, "_BUFFER", size):
             with pytest.raises(ValueError, match=rf"{message}.* \(char {text.rindex(at)}\)$"):
                 mf.from_json(text)
+
+
+class TestSampleScale:
+    @staticmethod
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("kind", ["euclidean", "duplicates", "asymmetric"])
+    def test_bands_match_the_whole_matrix(self, n, kind):
+        # The nearest neighbours are found a band of 64 rows at a time; the
+        # max of their distances is the same float as through one copy of
+        # the whole matrix, signed zeros included.
+        rng = np.random.default_rng(n)
+        if kind == "asymmetric":
+            d = rng.random((n, n))
+            d[rng.random((n, n)) < 0.2] = -0.0
+            np.fill_diagonal(d, 0.0)
+        else:  # duplicates: points on a 3 x 3 grid, so many pairs are 0 apart
+            xy = rng.integers(0, 3, size=(n, 2)) if kind == "duplicates" else rng.random((n, 2))
+            d = np.hypot(*(xy[:, None] - xy[None]).transpose(2, 0, 1))
+        m = space_from(d)
+        assert self.bits(mf.sample_scale(m)) == self.bits(sample_scale_whole(d))
+        if kind == "duplicates" and n > 9:
+            assert mf.sample_scale(m) == 0.0
+
+    def test_holds_bands_not_the_matrix(self):
+        # A copy of the whole matrix with an infinite diagonal took the
+        # matrix again; two bands of 64 rows are 16% of it at n = 800.
+        m = space_from(np.random.default_rng(0).random((800, 800)))
+        mf.sample_scale(m)
+        scale, peak = traced(mf.sample_scale, m)
+        assert self.bits(scale) == self.bits(sample_scale_whole(m.dist))
+        assert peak < m.dist.nbytes / 4
 
 
 class TestSubspace:
