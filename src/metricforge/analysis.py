@@ -310,14 +310,14 @@ def _reach(adj: np.ndarray, allowed: np.ndarray, starts) -> np.ndarray:
     one breadth-first search, each step ORing the adjacency rows of a frontier,
     gathered at most 16n at a time (a row cut between two is ORed twice)."""
     reach = _pack(np.arange(len(adj)) == np.asarray(starts)[:, None])
-    front = reach.copy()
+    front, chunk = reach.copy(), 16 * len(adj)
     while (live := np.flatnonzero(front.any(axis=1))).size:
         row, col = np.nonzero(_unpack(front[live]))
         grown = np.zeros((len(live), adj.shape[1]), dtype=np.uint64)
-        for s in range(0, len(col), 16 * len(adj)):
-            r = row[s:s + 16 * len(adj)]
+        for s in range(0, len(col), chunk):
+            r = row[s:s + chunk]
             heads = np.flatnonzero(np.diff(r, prepend=-1))  # each row's first bit
-            grown[r[heads]] |= np.bitwise_or.reduceat(adj[col[s:s + 16 * len(adj)]], heads)
+            grown[r[heads]] |= np.bitwise_or.reduceat(adj[col[s:s + chunk]], heads)
         front[:] = 0
         front[live] = grown & allowed[live] & ~reach[live]
         reach |= front

@@ -512,13 +512,11 @@ def _json_pieces(items: Iterable, depth: int, brackets: bytes = b"[]"):
 def _json_floats(a: np.ndarray):
     """The pieces of a float array's JSON list, a row at a time.  Each distinct
     float (by bits, so -0.0 keeps its sign) is encoded once, up front, from one
-    sort of the bits: ``text`` holds, in sorted order, the separator before an
-    entry and the float's repr (at most 24 characters, as in
-    ``-2.2250738585072014e-308``), padded with NULs.  A band of ``_ROW_BLOCK``
-    rows at a time is ranked into it by ``searchsorted`` of its sorted
-    entries, and a row is its entries' text without the NULs.  The writer
-    holds 37 bytes per distinct float, the sort's 9 per entry while it finds
-    them, and band-sized arrays."""
+    sort of the bits, into ``text``: the separator before an entry and the
+    repr (at most 24 characters: ``-2.2250738585072014e-308``), NUL-padded.
+    Each band of ``_ROW_BLOCK`` rows is ranked into it by ``searchsorted`` of
+    its sorted entries; a row is its entries' text without the NULs.  Held:
+    37 bytes per distinct float, 9 per entry during the sort, and a band."""
     bits = np.sort(a.view(np.uint64), axis=None)
     first = np.empty(bits.shape, dtype=bool)  # of each run of equal floats
     first[:1] = True
@@ -530,7 +528,7 @@ def _json_floats(a: np.ndarray):
     text["pad"] = pad
     for i in range(0, len(f), 4096):  # as Python floats, whose reprs are faster than numpy's
         text["repr"][i:i + 4096] = list(map(float.__repr__, f[i:i + 4096].tolist()))
-    text = text.view(f"S{len(pad) + 24}")
+    text = text.view(f"S{len(pad) + 24}")  # one field: gathers of it are faster
 
     def listed(band):  # the pieces of each row of the band, as a JSON list
         flat = band.view(np.uint64).ravel()
@@ -538,7 +536,7 @@ def _json_floats(a: np.ndarray):
         rank = np.empty(flat.shape, dtype=np.intp)
         rank[order] = np.searchsorted(bits, flat[order])
         for r in rank.reshape(band.shape):
-            row = memoryview(text[r].tobytes().translate(None, b"\0"))
+            row = memoryview(text[r].tobytes().translate(None, b"\0"))  # sliced, not copied
             yield (b"[", row[1:], pad[1:-1] + b"]") if row else (b"[]",)
 
     if a.ndim == 1:
@@ -553,16 +551,15 @@ def _json_chunks(m: FiniteMetricSpace):
     ``coords`` a row at a time.  All but the rows' text is done before this
     returns, so a space that cannot be encoded (a label ``json`` does not
     take) raises here."""
-    doc = {"points": [json.dumps(list(m.points), indent=1).replace("\n", "\n ").encode()],
-           "dist": _json_floats(m.dist)}
+    doc = {b"points": [json.dumps(list(m.points), indent=1).replace("\n", "\n ").encode()],
+           b"dist": _json_floats(m.dist)}
     if m.coords is not None:
-        doc["coords"] = _json_floats(m.coords)
+        doc[b"coords"] = _json_floats(m.coords)
     if m.mass is not None:
-        doc["mass"] = _json_floats(m.mass)
+        doc[b"mass"] = _json_floats(m.mass)
     if m.boundary is not None:
-        doc["boundary"] = _json_pieces(((b"%d" % i,) for i in sorted(m.boundary)), 1)
-    return _json_pieces((itertools.chain((b'"%s": ' % k.encode(),), doc[k]) for k in sorted(doc)),
-                        0, b"{}")
+        doc[b"boundary"] = _json_pieces(((b"%d" % i,) for i in sorted(m.boundary)), 1)
+    return _json_pieces((itertools.chain((b'"%s": ' % k,), doc[k]) for k in sorted(doc)), 0, b"{}")
 
 
 def to_json(m: FiniteMetricSpace) -> str:

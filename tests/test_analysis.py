@@ -360,8 +360,8 @@ class TestEstimatorMemory:
     # words, and the default scale takes the nearest neighbours a band of
     # rows at a time, so no temporary outgrows three quarters of the
     # distance matrix.  Holding every configuration's members at once
-    # peaked at 129.6 MB here, and a copy of the matrix for the scale at
-    # one matrix.
+    # peaked at 129.6 MB here, and copying the whole matrix for the
+    # default scale held one matrix more.
     @pytest.fixture(scope="class")
     def disk(self):
         return mf.disk_sample(800, seed=1)
