@@ -172,8 +172,13 @@ def _first_fit_cells(m: FiniteMetricSpace, eps: float) -> np.ndarray:
     return np.asarray(kept, dtype=int)[np.argmax(within, axis=0)]
 
 
-def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float,
-                         cells: np.ndarray | None = None) -> float:
+def _touched_cells(cells: np.ndarray, members) -> int:
+    """How many distinct cells of ``cells`` (see :func:`_first_fit_cells`) the
+    points ``members``, indices or a mask, fall in."""
+    return len(np.unique(cells[members]))
+
+
+def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float) -> float:
     """Net-cover bound on the radius-power cover sum of S.
 
     The value is (distinct first-fit net cells touching S) * eps^Q.  Each
@@ -181,16 +186,12 @@ def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float,
     balls are centered in the eps-neighborhood of S and cover it.  Because
     the net is built from the ambient space alone, the estimate is monotone
     in S and subadditive over unions, like the quantity it bounds.
-    ``cells`` lets callers evaluating many subsets reuse the assignment
-    from :func:`_first_fit_cells`.
     """
     scale = _power("eps", _finite_positive("eps", eps), _finite_positive("Q", Q))
     idx = np.asarray(_indices("target set", S, m.n), dtype=int)
     if idx.size == 0:
         raise ValueError("target set must be nonempty")
-    if cells is None:
-        cells = _first_fit_cells(m, eps)
-    return len(np.unique(cells[idx])) * scale
+    return _touched_cells(_first_fit_cells(m, eps), idx) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +229,8 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     """
     _finite_positive("Q", Q)
     use_premeasure = eps is not None
-    if use_premeasure:
-        _power("eps", _finite_positive("eps", eps), Q)
+    if use_premeasure:  # hausdorff_premeasure of each ball, its checks and net made once
+        scale = _power("eps", _finite_positive("eps", eps), Q)
     elif m.mass is None:
         raise ValueError("regularity needs point masses or an eps cover scale")
     _, radii = _scales(m, None, radii)
@@ -247,7 +248,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
         for r in fits:
             members = row <= r
             if use_premeasure:
-                mu = hausdorff_premeasure(m, np.nonzero(members)[0], Q, eps, cells=cells)
+                mu = _touched_cells(cells, members) * scale
             else:
                 mu = float(m.mass[members].sum())
             evaluated += 1

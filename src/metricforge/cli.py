@@ -31,8 +31,7 @@ EXIT_DIAGNOSTIC = 3
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    """A report or manifest of dicts, sequences and numbers, with ±inf and NaN as strings."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -42,8 +41,6 @@ def _jsonable(obj):
         return "nan" if math.isnan(v) else v
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [_jsonable(v) for v in seq]
@@ -198,7 +195,7 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
     try:
         mapping = [dst.index(lbl) for lbl in m.points]
     except KeyError as exc:
-        raise ValueError(f"destination is missing a source label: {exc}") from exc
+        raise ValueError(f"destination is missing a source label: {exc.args[0]}") from exc
     if claim_theta or claim_eta:
         opts["claimed"], opts["claimed_desc"] = _parse_gauge(claim_theta or claim_eta)
     profile_fn = distortion.qs_profile if kind == "qs" else distortion.qm_profile

@@ -181,11 +181,10 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
         pw = rng.uniform(0.5, 2.0, size=n - 1)
         w[perm[:-1], perm[1:]] = pw
         w[perm[1:], perm[:-1]] = pw
-        extra = np.triu(rng.uniform(size=(n, n)) < edge_density, 1)
+        extra = np.triu(rng.uniform(size=(n, n)) < edge_density, 1)  # the closure mirrors them
         ew = rng.uniform(0.5, 2.0, size=(n, n))
         keep = extra & (w == np.inf)
         w[keep] = ew[keep]
-        w = np.minimum(w, w.T)
     labels = tuple(f"p{i}" for i in range(n))
     return FiniteMetricSpace(labels, _closure(w))
 

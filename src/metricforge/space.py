@@ -216,13 +216,12 @@ def _through_bands(d: np.ndarray, symmetric: bool):
 
 
 def _through(d: np.ndarray) -> np.ndarray:
-    """``min(d, d ⊗ d)`` as a new array: half the work on a symmetric ``d``."""
-    symmetric = np.array_equal(d, d.T)
+    """``min(d, d ⊗ d)`` of a symmetric ``d`` as a new array, each band
+    mirrored below the diagonal."""
     out = np.empty_like(d)
-    for r0, c0, band in _through_bands(d, symmetric):
-        out[r0:r0 + _ROW_BLOCK, c0:] = band
-        if symmetric:
-            out[r0:, r0:r0 + _ROW_BLOCK] = band.T
+    for r0, _, band in _through_bands(d, True):
+        out[r0:r0 + _ROW_BLOCK, r0:] = band
+        out[r0:, r0:r0 + _ROW_BLOCK] = band.T
     return out
 
 
@@ -241,7 +240,7 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
     Middle m relaxes entry (i, k) as ``d[i, k] = min(d[i, k], d[i, m] + w[m, k])``.
     ``stale`` (consumed) marks the entries ``d[i, m]`` that row i has not yet
     been relaxed through, such as those ``_through(w)`` lowered (see
-    :mod:`metricforge.warp`).  A relaxation reads and writes one row of
+    :func:`_closure`).  A relaxation reads and writes one row of
     ``d``, so the rows are closed one tile I of ``_TILE`` rows at a time.
     Each sweep of I relaxes through a snapshot ``ds`` of its stale entries,
     and an entry that drops is stale for the next sweep, until none is left.
@@ -276,17 +275,24 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
 
 
 def _closure(w: np.ndarray) -> np.ndarray:
-    """Min-plus closure of a symmetric, nonnegative ``w``, as a new array.
+    """Min-plus closure of the nonnegative edge weights ``w``, as a new array.
 
-    Entry (i, k) is the least chain sum from i to k, summed from either
-    end: ``_through(w)``, then ``_relax_stale`` on the entries it lowered,
-    then the mirror ``min(d, dᵀ)`` (``_through``'s output is symmetric
-    already, so the mirror runs only after the sweeps).  ``inf`` means "no
-    edge": ``inf + x`` is ``inf``, never NaN, so a pair with no chain stays
-    ``inf``.  The sweeps' tiles hold consecutive points, so a caller that
-    can order the points by scale passes them in that order (see
-    :mod:`metricforge.warp`).
+    ``w`` is consumed: it is made symmetric in place, ``min(w, wᵀ)``, and
+    -0.0 becomes 0.0, so that ``np.fmin`` has no sign of zero to keep or
+    drop.  Then ``_through(w)`` runs, ``_relax_stale`` on the entries it
+    lowered, and the mirror ``min(d, dᵀ)`` (only after the sweeps: round 1's
+    output is symmetric already).  Entry (i, k) is the least left-associated
+    chain sum from i to k, bit for bit: a round-1 sum ``w[i, m] + w[m, k]``
+    is the same float from either end (addition commutes), an entry round 1
+    left alone is already relaxed through, and rounding is monotone
+    (``x <= y`` gives ``fl(x + c) <= fl(y + c)``), so induction on chain
+    length holds.  Zero weights are ordinary edges, and ``inf`` is "no edge"
+    (``inf + x`` is ``inf``, never NaN).  The result does not depend on the
+    order of the points, but the sweeps' tiles hold consecutive points, so
+    a caller that can order them by scale does (see :mod:`metricforge.warp`).
     """
+    _mirror_min(w)
+    w += 0.0
     d = _through(w)
     stale = d < w
     if stale.any():
@@ -418,7 +424,6 @@ class CoverResult:
 
     centers: tuple
     radius_per_center: tuple
-    disjoint_core: bool
 
 
 def _normalize_radii(m, target, radii):
@@ -430,10 +435,9 @@ def _normalize_radii(m, target, radii):
             out = [float(arr)] * len(target)
         elif arr.shape == (m.n,):
             out = [float(arr[t]) for t in target]
-        elif arr.shape == (len(target),):
-            out = [float(v) for v in arr]
         else:
-            raise ValueError("radii must map target indices to positive reals")
+            raise ValueError(f"radii must be a mapping, a scalar or one per point ({m.n}), "
+                             f"got shape {arr.shape}")
     return [_finite_positive("radii", r) for r in out]
 
 
@@ -444,11 +448,12 @@ def greedy_cover_5r(m: FiniteMetricSpace, target: Iterable[int], radii) -> Cover
     descending (ties by index ascending); a ball is kept iff its core is
     metrically disjoint from every kept core, i.e. d(c_i, c_j) >= r_i + r_j.
     Every rejected ball then sits inside the closed 3r-inflation of some
-    kept ball, so the closed 5r-inflations cover the input union.
+    kept ball, so the closed 5r-inflations cover the input union.  ``radii``
+    is a mapping from target index to radius, one scalar, or one per point.
     """
     target = sorted(set(_indices("target", target, m.n)))
     if not target:
-        return CoverResult((), (), True)
+        return CoverResult((), ())
     rs = _normalize_radii(m, target, radii)
     order = sorted(range(len(target)), key=lambda k: (-rs[k], target[k]))
     centers: list[int] = []
@@ -458,7 +463,7 @@ def greedy_cover_5r(m: FiniteMetricSpace, target: Iterable[int], radii) -> Cover
         if all(m.dist[c, c2] >= r + r2 for c2, r2 in zip(centers, kept_r)):
             centers.append(c)
             kept_r.append(r)
-    return CoverResult(tuple(centers), tuple(kept_r), True)
+    return CoverResult(tuple(centers), tuple(kept_r))
 
 
 def subspace(m: FiniteMetricSpace, indices: Sequence[int],

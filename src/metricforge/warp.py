@@ -6,30 +6,16 @@ Given a basepoint p, every pair gets the rescaled separation
 
 which in general fails the triangle inequality.  The warped metric d-hat is
 the chain infimum of rho over finite point sequences: on a finite set, the
-min-plus closure of the complete rho-weighted graph (``space._closure``,
-which ``generators.random_metric`` uses too).  Its first round
-``min(rho, rho ⊗ rho)`` is ``space._through``, the triangle pass of
-``validate_metric``; only the entries it lowered are relaxed further
-(``space._relax_stale``).  Exact: a round-1 sum ``rho[i,m] + rho[m,k]`` is the
-same float from either end (addition commutes), an entry round 1 left alone
-is already relaxed through, and rounding is monotone (``x <= y`` gives
-``fl(x + c) <= fl(y + c)``), so by induction on chain length the fixpoint is
-the least left-associated chain sum: brute-force chain enumeration, bit for
-bit.  Zero distances are ordinary edges.  An ideal point labeled "∞" is
-adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p)) is the
-per-point shrink factor.
+min-plus closure of the complete rho-weighted graph, ``space._closure``,
+whose docstring states what it takes and why it is exact.  An ideal point
+labeled "∞" is adjoined with d-hat(x, ∞) := h(x), where h(x) = 1/(1 + d(x, p))
+is the per-point shrink factor.
 
-The fixpoint depends neither on the order of the points nor on the order
-of the relaxations, so the closure runs on the points sorted by d(x, p),
-and the order is undone after it.  Sorted, a tile of 16 points holds
-points at like scales, and its entries of rho are alike.  A sweep
-relaxes through the values its stale entries had when it began; one that
-drops later is stale for the next sweep.  It skips a middle m for a tile
-of pairs (I, K) when the least sum m could give, ``fl(a + b)`` with a the
-least stale ``d-hat[i, m]`` over i in I and b the least ``rho[m, k]`` over
-k in K, k != m, is no less than the tile's largest ``d-hat[i, k]``: by
-monotone rounding every candidate of the tile is then at least the entry
-it would replace.
+The closure does not depend on the order of the points, so ``warp`` passes
+it rho with the points sorted by d(x, p) and undoes the order after.
+Sorted, a tile of 16 points holds points at like scales, and its entries of
+rho are alike, so the closure's stale sweeps (``space._relax_stale``) can
+bound a tile's sums and skip it.
 """
 
 from __future__ import annotations
@@ -38,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (FiniteMetricSpace, _closure, _finite_positive, _indices, _mirror_min,
-                    ball_mask)
+from .space import FiniteMetricSpace, _closure, _finite_positive, _indices, ball_mask
 
 INFINITY_LABEL = "∞"
 
@@ -95,14 +80,7 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     h = point_scales(m, p)
     order = np.argsort(m.dist[p], kind="stable")  # tiles then hold points at like scales
     grid = np.ix_(order, order)
-    w = m.dist[grid]  # rho_matrix(m, p)[grid], built in place: the same floats
-    w *= h[order, None]
-    w *= h[order]
-    np.fill_diagonal(w, 0.0)
-    _mirror_min(w)  # exact symmetry
-    w += 0.0  # no -0.0 for np.fmin to keep or drop
-    dhat = _closure(w)
-    del w  # so that two matrices are alive with the output, not three
+    dhat = _closure(rho_matrix(m, p)[grid])
     full = np.zeros((m.n + 1, m.n + 1))
     full[grid] = dhat  # back to the input order
     full[:-1, -1] = full[-1, :-1] = h

@@ -253,6 +253,21 @@ class TestCheckCommand:
         assert "not allowed with" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dst_n, claim, message", [
+        (40, "16x", "cannot parse gauge '16x'"),
+        (5, "16t", "destination is missing a source label: unknown point label 'p5'\n"),
+    ])
+    def test_refused_distortion_input_is_usage_error(self, tmp_path, capsys, dst_n, claim,
+                                                     message):
+        src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+        mf.save_space(mf.disk_sample(40, seed=1), src)
+        mf.save_space(mf.disk_sample(dst_n, seed=2), dst)
+        out = tmp_path / "qm.json"
+        assert main(["check", str(src), "--suite", "distortion", "--dst", str(dst),
+                     "--claim-theta", claim, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [dst, src]
+
     def test_llc_unusable_delta_is_diagnostic(self, tmp_path):
         path = tmp_path / "disk.json"
         mf.save_space(mf.disk_sample(60, seed=1), path)
@@ -532,6 +547,15 @@ def test_record_without_a_key_is_usage_error(tmp_path, capsys, key):
                                 if k != key}))
     assert main(["check", str(path), "--suite", "metric"]) == 2
     assert capsys.readouterr().err.endswith(f"space file has no '{key}' key\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_key_that_is_not_a_string_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text('{1: [[0]]}')
+    assert main(["check", str(path), "--suite", "metric"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "Expecting property name enclosed in double quotes (char 1)\n")
     assert sorted(tmp_path.iterdir()) == [path]
 
 

@@ -38,6 +38,11 @@ class TestCrossRatio:
         with pytest.raises(ValueError):
             mf.cross_ratio(m, 0, 0, 2, 3)
 
+    def test_coincident_points_give_no_ratio(self):
+        m = planar_space([(0, 0), (1, 0), (1, 1), (0, 0)])  # d(x, w) = 0
+        with pytest.raises(ValueError, match="zero denominator"):
+            mf.cross_ratio(m, 0, 1, 2, 3)
+
 
 class TestProfilesIdentity:
     def test_qs_identity_envelope_matches_input(self):
@@ -380,3 +385,5 @@ class TestPlaneToSphereComparison:
     def test_needs_two_distinct_points(self):
         with pytest.raises(ValueError):
             mf.check_plane_to_sphere_L(np.array([(1.0, 1.0)]))
+        with pytest.raises(ValueError, match="all points coincide"):
+            mf.check_plane_to_sphere_L(np.array([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]))

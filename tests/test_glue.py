@@ -146,6 +146,12 @@ class TestDiamRatio:
         with pytest.raises(ValueError):
             mf.diam_ratio(ds)
 
+    def test_zero_diameter_boundary_error(self):
+        dist = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        m = mf.FiniteMetricSpace(("a", "b", "c"), dist, boundary={0, 1})
+        with pytest.raises(ValueError, match="zero diameter"):
+            mf.diam_ratio(mf.double(m))
+
 
 class TestDoubledLabels:
     def test_label_scheme(self, marked_line):

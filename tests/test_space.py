@@ -56,6 +56,8 @@ class TestValidate:
         assert mf.validate_metric(good).ok
         full = space_from([[0, 1], [1, 0]], boundary={0, 1})
         assert mf.validate_metric(full).by_axiom("boundary")
+        empty = space_from([[0, 1], [1, 0]], boundary=set())
+        assert mf.validate_metric(empty).by_axiom("boundary")
 
     def test_tolerance_respected(self):
         # a 1e-10 triangle excess is inside the declared tolerance
@@ -152,6 +154,14 @@ class TestGreedyCover:
         ok_disjoint, ok_cover = cover_is_valid(m.dist, range(n), radii,
                                                res.centers, res.radius_per_center)
         assert ok_disjoint and ok_cover
+
+    def test_radii_array_is_indexed_by_point(self):
+        # Radii in an array belong to the points, not to the sorted target.
+        m = space_from(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
+        assert mf.greedy_cover_5r(m, [5, 2], {5: 1.0, 2: 3.0}).centers == (2,)
+        assert mf.greedy_cover_5r(m, [5, 2], np.array([0, 0, 3.0, 0, 0, 1.0])).centers == (2,)
+        with pytest.raises(ValueError, match="one per point"):
+            mf.greedy_cover_5r(m, [5, 2], np.array([1.0, 3.0]))
 
     def test_empty_target(self):
         m = space_from([[0, 1], [1, 0]])
