@@ -49,24 +49,26 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
-
-
-def _write_manifest(out_path: Path, command: str, params: dict, inputs, outputs,
-                    t0: float) -> None:
+def _write(out: Path, body, command: str, params: dict, inputs, t0: float) -> None:
+    """Write ``body`` to ``out``, a space as a space file and a report as
+    JSON, then the manifest beside it; the directory is made first."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(body, space.FiniteMetricSpace):
+        space.save_space(body, out)
+    else:
+        out.write_text(json.dumps(_jsonable(body), sort_keys=True, indent=1) + "\n",
+                       encoding="utf-8")
     manifest = {
         "command": command,
         "params": _jsonable(params),
         "seeds": {k: v for k, v in params.items() if "seed" in k},
         "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(out)],
         "version": __version__,
         "duration_s": time.monotonic() - t0,
     }
-    _write_json(out_path.with_suffix(out_path.suffix + ".manifest.json"), manifest)
+    out.with_suffix(out.suffix + ".manifest.json").write_text(
+        json.dumps(_jsonable(manifest), sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def _load(path_str: str) -> space.FiniteMetricSpace:
@@ -104,12 +106,9 @@ def _parse_gauge(text: str):
 def cmd_generate(args) -> int:
     t0 = time.monotonic()
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
-    kind = params.pop("kind")
-    m = generators.generate(kind, **params)
+    m = generators.generate(**params)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    space.save_space(m, out)
-    _write_manifest(out, "generate", dict(kind=kind, **params), [], [out], t0)
+    _write(out, m, "generate", params, [], t0)
     print(f"wrote {m.n}-point space to {out}")
     return EXIT_PASS
 
@@ -122,10 +121,8 @@ def cmd_warp(args) -> int:
     except KeyError as exc:
         raise ValueError(str(exc)) from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    space.save_space(w.warped, out)
-    _write_manifest(out, "warp", {"input": args.input, "basepoint": args.basepoint},
-                    [args.input], [out], t0)
+    _write(out, w.warped, "warp", {"input": args.input, "basepoint": args.basepoint},
+           [args.input], t0)
     print(f"wrote warped space ({w.warped.n} points incl. {INFINITY_LABEL}) to {out}")
     return EXIT_PASS
 
@@ -135,9 +132,7 @@ def cmd_double(args) -> int:
     m = _load(args.input)
     ds = glue.double(m)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    space.save_space(ds.doubled, out)
-    _write_manifest(out, "double", {"input": args.input}, [args.input], [out], t0)
+    _write(out, ds.doubled, "double", {"input": args.input}, [args.input], t0)
     print(f"wrote doubled space ({ds.doubled.n} points) to {out}")
     return EXIT_PASS
 
@@ -240,8 +235,7 @@ def cmd_check(args) -> int:
     m = _load(args.input)
     doc, code = space._call(f"--suite {args.suite}", _SUITES[args.suite], m, **opts)
     out = Path(params.get("out") or Path(args.input).with_suffix(f".{args.suite}.json"))
-    _write_json(out, doc)
-    _write_manifest(out, "check", params, [args.input], [out], t0)
+    _write(out, doc, "check", params, [args.input], t0)
     print(f"suite={args.suite} exit={code} report={out}")
     return code
 

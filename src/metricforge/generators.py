@@ -132,10 +132,7 @@ def sphere_cap_complement(eps: float, n: int, seed: int = 0) -> FiniteMetricSpac
         planar = np.hypot(batch[:, 0], batch[:, 1])
         rim_gap = np.hypot(planar - rho0, batch[:, 2] - z0)
         ok = (chordal_pole > eps) & (rim_gap > clearance)
-        for row in batch[ok]:
-            interior.append(row)
-            if len(interior) >= need:
-                break
+        interior.extend(batch[ok][:need - len(interior)])
     coords = np.vstack([rim, np.asarray(interior).reshape(need, 3)])
     labels = tuple([f"r{i}" for i in range(m_rim)]
                    + [f"p{i}" for i in range(need)])

@@ -240,24 +240,23 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
     Middle m relaxes entry (i, k) as ``d[i, k] = min(d[i, k], d[i, m] + w[m, k])``.
     ``stale`` (consumed) marks the entries ``d[i, m]`` that row i has not yet
     been relaxed through, such as those ``_through(w)`` lowered (see
-    :func:`_closure`).  A relaxation reads and writes one row of
+    :func:`_closure`).  ``w`` is consumed too: its diagonal becomes ``inf``,
+    as a step from m to itself lowers nothing (``ds[i, m] + w[m, m]`` is
+    never below ``d[i, m]``).  A relaxation reads and writes one row of
     ``d``, so the rows are closed one tile I of ``_TILE`` rows at a time.
     Each sweep of I relaxes through a snapshot ``ds`` of its stale entries,
     and an entry that drops is stale for the next sweep, until none is left.
     The columns are cut into tiles K of ``_TILE`` too.  With ``a[m]`` the
     min of ``ds[I, m]`` and ``b[m, K]`` the min of ``w[m, k]`` over k in K,
-    k != m (a step from m to itself lowers nothing), rounding is monotone,
-    so a middle with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of
-    the tile and is left out; a tile with no middle left is skipped.  Only
-    the tile itself writes ``d[I, K]``, so its maximum from the start of
-    the sweep is current.  ``b`` is a sixteenth of ``d``, and a tile sums
-    its candidates ``_MIDS`` middles at a time.
+    rounding is monotone, so a middle with ``a[m] + b[m, K] >= max d[I, K]``
+    lowers no entry of the tile and is left out; a tile with no middle left
+    is skipped.  Only the tile itself writes ``d[I, K]``, so its maximum
+    from the start of the sweep is current.  ``b`` is a sixteenth of ``d``,
+    and a tile sums its candidates ``_MIDS`` middles at a time.
     """
+    np.fill_diagonal(w, np.inf)
     starts = np.arange(0, len(d), _TILE)
     b = np.minimum.reduceat(w, starts, axis=1)
-    for t, r0 in enumerate(starts):  # the diagonal tiles again, without w[m, m]
-        tile = w[r0:r0 + _TILE, r0:r0 + _TILE]
-        b[r0:r0 + _TILE, t] = np.where(np.eye(len(tile), dtype=bool), np.inf, tile).min(axis=1)
     for rows in (slice(r0, r0 + _TILE) for r0 in starts):
         while stale[rows].any():
             ds = np.where(stale[rows], d[rows], np.inf)
@@ -382,15 +381,10 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
 
 def ball(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> set:
     """Indices within distance ``r`` of ``center`` (strict unless closed)."""
-    return set(int(i) for i in np.flatnonzero(ball_mask(m, center, r, closed)))
-
-
-def ball_mask(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> np.ndarray:
-    """Boolean-mask twin of :func:`ball` for vectorized callers."""
     if not r >= 0:  # NaN fails too
         raise ValueError(f"ball radius must be nonnegative, got {r}")
     row = m.dist[_indices("center", [center], m.n)[0]]
-    return row <= r if closed else row < r
+    return set((row <= r if closed else row < r).nonzero()[0].tolist())
 
 
 def covering_radius(m: FiniteMetricSpace, subset: Iterable[int]) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _closure, _finite_positive, _indices, ball_mask
+from .space import FiniteMetricSpace, _closure, _finite_positive, _indices, ball
 
 INFINITY_LABEL = "∞"
 
@@ -91,7 +91,7 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
 def infty_ball(w: WarpedSpace, r: float) -> set:
     """Open ball around the adjoined point, as warped-space indices."""
     _finite_positive("r", r)
-    return set(int(i) for i in np.nonzero(ball_mask(w.warped, w.infty, r))[0])
+    return ball(w.warped, w.infty, r)
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,9 @@ def check_inclusions(w: WarpedSpace, a: int, r: float, C: float) -> InclusionRep
     base_row = w.base.dist[a]
     hat_row = w.warped.dist[a, : w.base.n]
     violations = []
-    for closed in (False, True):
-        if closed:
-            in_inner = base_row <= inner
-            in_hat = hat_row <= r
-            in_outer = base_row <= outer
-        else:
-            in_inner = base_row < inner
-            in_hat = hat_row < r
-            in_outer = base_row < outer
-        for i in np.nonzero(in_inner & ~in_hat)[0]:
-            violations.append(("inner", bool(closed), int(i)))
-        for i in np.nonzero(in_hat & ~in_outer)[0]:
-            violations.append(("outer", bool(closed), int(i)))
+    for closed, within in ((False, np.less), (True, np.less_equal)):
+        in_hat = within(hat_row, r)
+        for name, outside in (("inner", within(base_row, inner) & ~in_hat),
+                              ("outer", in_hat & ~within(base_row, outer))):
+            violations += ((name, closed, i) for i in outside.nonzero()[0].tolist())
     return InclusionReport(a, r, C, True, inner, outer, tuple(violations))

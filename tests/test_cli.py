@@ -85,6 +85,16 @@ class TestGenerate:
         assert not out.exists()
 
 
+def test_outputs_go_into_new_directories(tmp_path):
+    space_file, report = tmp_path / "a" / "b" / "x.json", tmp_path / "c" / "r.json"
+    assert main(["generate", "--kind", "disk", "--n", "20", "-o", str(space_file)]) == 0
+    assert main(["check", str(space_file), "--suite", "metric", "-o", str(report)]) == 0
+    for out in (space_file, report):
+        manifest = out.with_name(out.name + ".manifest.json")
+        assert out.is_file() and manifest.is_file()
+        assert json.loads(manifest.read_text())["outputs"] == [str(out)]
+
+
 class TestWarpCommand:
     def test_warp_writes_expected_distance(self, tmp_path, three_point_file):
         out = tmp_path / "warped.json"

@@ -297,6 +297,30 @@ class TestInclusions:
                 assert rep.precondition_ok
                 assert rep.ok, (m.n, a, rep.violations)
 
+    def test_reports_each_violation_in_order(self):
+        # a = 0 with h = 1, r = 0.25 and C = 3: inner radius 0.1875, outer 1.5.
+        # Point 1 is in the inner ball but not the warped one, point 2 in the
+        # warped ball but beyond the outer one; points 3 and 4 sit on the
+        # inner and outer radii, so only one variant counts each; 5 is fine.
+        base_row = [0.0, 0.1, 2.0, 0.1875, 1.5, 1.0]
+        hat_row = [0.0, 0.5, 0.1, 0.3, 0.2, 0.2]
+        n = len(base_row)
+        base, hat = np.ones((n, n)), np.ones((n + 1, n + 1))
+        base[0], hat[0, :n] = base_row, hat_row
+        base[:, 0], hat[:n, 0] = base_row, hat_row
+        np.fill_diagonal(base, 0.0)
+        np.fill_diagonal(hat, 0.0)
+        points = tuple(f"p{i}" for i in range(n))
+        w = mf.WarpedSpace(base=mf.FiniteMetricSpace(points, base), basepoint=0,
+                           h=np.ones(n),
+                           warped=mf.FiniteMetricSpace(points + (mf.INFINITY_LABEL,), hat))
+        rep = mf.check_inclusions(w, 0, 0.25, 3.0)
+        assert (rep.inner_radius, rep.outer_radius) == (0.1875, 1.5)
+        assert rep.precondition_ok and rep.ok is False
+        assert rep.violations == (("inner", False, 1), ("outer", False, 2),
+                                  ("outer", False, 4), ("inner", True, 1),
+                                  ("inner", True, 3), ("outer", True, 2))
+
     def test_c_must_exceed_one(self, three_point):
         w = mf.warp(three_point, 0)
         with pytest.raises(ValueError):
