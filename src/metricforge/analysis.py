@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (FiniteMetricSpace, _at_least_one, _count, _finite_positive, _indices,
-                    _rng, sample_scale)
+from .space import (_ROW_BLOCK, FiniteMetricSpace, _at_least_one, _count, _finite_positive,
+                    _indices, _rng, sample_scale)
 
 DELTA_FACTOR = 2.5      # default proximity scale, in units of sample resolution
 RADII_FLOOR = 3.0       # radii below RADII_FLOOR * delta are discretization noise
@@ -309,9 +309,9 @@ class LLCReport:
 def _reach(adj: np.ndarray, allowed: np.ndarray, starts) -> np.ndarray:
     """Packed rows of the points each start joins through its row of ``allowed``:
     one breadth-first search, each step ORing the adjacency rows of a frontier,
-    gathered at most 16n at a time (a row cut between two is ORed twice)."""
+    gathered at most 4n at a time (a row cut between two is ORed twice)."""
     reach = _pack(np.arange(len(adj)) == np.asarray(starts)[:, None])
-    front, chunk = reach.copy(), 16 * len(adj)
+    front, chunk = reach.copy(), 4 * len(adj)
     while (live := np.flatnonzero(front.any(axis=1))).size:
         row, col = np.nonzero(_unpack(front[live]))
         grown = np.zeros((len(live), adj.shape[1]), dtype=np.uint64)
@@ -340,7 +340,9 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     delta, radii = _scales(m, delta, radii, n_radii)
     grid = _grid(lambda_grid)
     D = m.dist
-    adj = _pack((D <= delta) | (D <= delta).T)  # undirected: either direction joins
+    adj = np.empty((m.n, -(-m.n // 64)), dtype=np.uint64)  # undirected: either direction joins
+    for band in (slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, m.n, _ROW_BLOCK)):
+        adj[band] = _pack((D[band] <= delta) | (D[:, band].T <= delta))
     cs = _pick_centers(m, centers, n_centers, seed)
     whole = _pack(np.ones((1, m.n), dtype=bool))
     if not radii or (m.n and not np.array_equal(_reach(adj, whole, [0]), whole)):
@@ -366,9 +368,10 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
             """First members, and the packed members they do not reach at lam."""
             rows = D[a[idx]]
             members = side(rows, r[idx])
-            start = np.argmax(members, axis=1)
-            allowed = side(rows, lam * r[idx] if leg == 1 else r[idx] / lam)
-            return start, _pack(members) & ~_reach(adj, _pack(allowed), start)
+            start, members = np.argmax(members, axis=1), _pack(members)
+            allowed = _pack(side(rows, lam * r[idx] if leg == 1 else r[idx] / lam))
+            del rows  # the search runs without the distance rows
+            return start, members & ~_reach(adj, allowed, start)
 
         # Passing is monotone in λ, so the key only rises: each batch, in
         # (center, radius) order, is tested at the current key, and those

@@ -400,13 +400,14 @@ def sample_scale(m: FiniteMetricSpace) -> float:
 
     Used to pick proximity scales; for a grid of spacing s this equals s.
     Each point's nearest neighbour is taken a band of ``_ROW_BLOCK`` rows at
-    a time, in a copy of the band with its diagonal set to ``inf``.
+    a time, copied into one reused buffer with its diagonal set to ``inf``.
     """
     if m.n < 2:
         return 0.0
-    nearest = np.empty(m.n)
+    nearest, buffer = np.empty(m.n), np.empty((min(m.n, _ROW_BLOCK), m.n))
     for r0 in range(0, m.n, _ROW_BLOCK):
-        band = m.dist[r0:r0 + _ROW_BLOCK].copy()
+        band = buffer[:min(_ROW_BLOCK, m.n - r0)]
+        band[:] = m.dist[r0:r0 + _ROW_BLOCK]
         np.fill_diagonal(band[:, r0:], np.inf)
         band.min(axis=1, out=nearest[r0:r0 + _ROW_BLOCK])
     return float(nearest.max())
@@ -491,6 +492,7 @@ def subspace(m: FiniteMetricSpace, indices: Sequence[int],
 # ---------------------------------------------------------------------------
 
 _BUFFER = 1 << 16  # characters of a space file the reader reads at a time
+_RANK_BAND = 16  # rows the writer ranks at a time, in intp arrays of 32 bytes per entry
 
 _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 
@@ -513,7 +515,7 @@ def _json_floats(a: np.ndarray):
     float (by bits, so -0.0 keeps its sign) is encoded once, up front, from one
     sort of the bits, into ``text``: the separator before an entry and the
     repr (at most 24 characters: ``-2.2250738585072014e-308``), NUL-padded.
-    Each band of ``_ROW_BLOCK`` rows is ranked into it by ``searchsorted`` of
+    Each band of ``_RANK_BAND`` rows is ranked into it by ``searchsorted`` of
     its sorted entries; a row is its entries' text without the NULs.  Held:
     37 bytes per distinct float, 9 per entry during the sort, and a band."""
     bits = np.sort(a.view(np.uint64), axis=None)
@@ -525,8 +527,8 @@ def _json_floats(a: np.ndarray):
     f, pad = bits.view(np.float64), b",\n" + b" " * (a.ndim + 1)
     text = np.empty(len(f), dtype=[("pad", f"S{len(pad)}"), ("repr", "S24")])
     text["pad"] = pad
-    for i in range(0, len(f), 4096):  # as Python floats, whose reprs are faster than numpy's
-        text["repr"][i:i + 4096] = list(map(float.__repr__, f[i:i + 4096].tolist()))
+    for i in range(0, len(f), 1024):  # as Python floats, whose reprs are faster than numpy's
+        text["repr"][i:i + 1024] = list(map(float.__repr__, f[i:i + 1024].tolist()))
     text = text.view(f"S{len(pad) + 24}")  # one field: gathers of it are faster
 
     def listed(band):  # the pieces of each row of the band, as a JSON list
@@ -540,8 +542,8 @@ def _json_floats(a: np.ndarray):
 
     if a.ndim == 1:
         return next(listed(a[None]))
-    return _json_pieces((p for r0 in range(0, len(a), _ROW_BLOCK)
-                         for p in listed(a[r0:r0 + _ROW_BLOCK])), 1)
+    return _json_pieces((p for r0 in range(0, len(a), _RANK_BAND)
+                         for p in listed(a[r0:r0 + _RANK_BAND])), 1)
 
 
 def _json_chunks(m: FiniteMetricSpace):
