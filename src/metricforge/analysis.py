@@ -340,9 +340,9 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     delta, radii = _scales(m, delta, radii, n_radii)
     grid = _grid(lambda_grid)
     D = m.dist
-    adj = np.empty((m.n, -(-m.n // 64)), dtype=np.uint64)  # undirected: either direction joins
+    adj = np.empty((m.n, -(-m.n // 64)), dtype=np.uint64)  # _pack's words, a band at a time
     for band in (slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, m.n, _ROW_BLOCK)):
-        adj[band] = _pack((D[band] <= delta) | (D[:, band].T <= delta))
+        adj[band] = _pack((D[band] <= delta) | (D[:, band].T <= delta))  # either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)
     whole = _pack(np.ones((1, m.n), dtype=bool))
     if not radii or (m.n and not np.array_equal(_reach(adj, whole, [0]), whole)):

@@ -377,9 +377,8 @@ class TestEstimatorMemory:
 
     def test_llc_search_runs_without_the_distance_rows(self):
         # The search gathers at most 4n adjacency rows at a time, after its
-        # batch's distance rows are dropped, and adj is packed a band of rows
-        # at a time.  Gathers of 16n rows beside the distance rows took 0.59
-        # of the matrix on the 414-point doubled cap.
+        # batch's distance rows are dropped.  Gathers of 16n rows beside the
+        # distance rows took 0.59 of the matrix on the 414-point doubled cap.
         m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
         mf.llc_constants(m)
         _, peak = traced(mf.llc_constants, m)

@@ -358,9 +358,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("n", [15, 16, 17, 33, 63, 64, 65, 129])
     def test_saved_bytes_across_row_bands(self, tmp_path, n):
-        # Rows are ranked into the text table a band of 16 at a time; a
-        # float is in as many bands as rows hold it, and -0.0 and 0.0 are
-        # two floats (the -0.0 entries make the matrix asymmetric).
+        # Rows are ranked into the text table a band of 16 at a time: n =
+        # 15, 16 and 17 end inside, at and just past the first band.  The
+        # -0.0 entries make the matrix asymmetric, and -0.0 and 0.0 are two
+        # floats.
         rng = np.random.default_rng(n)
         d = mf.random_metric(n, seed=n).dist.copy()
         d[rng.random((n, n)) < 0.05] = -0.0
