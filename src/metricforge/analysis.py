@@ -209,7 +209,7 @@ class RegularityReport:
     centers: tuple
     worst_witness: tuple | None   # (center, radius, ratio)
     evaluated: int
-    infinite: bool                # some evaluated ball had zero measure
+    infinite: bool                # K_hat is inf: some ball had zero measure
     seed: int
     measure: str                  # "mass" or "premeasure"
     eps: float | None = None
@@ -240,9 +240,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     cs = _pick_centers(m, centers, n_centers, seed)
     cells = _first_fit_cells(m, eps) if use_premeasure else None
     k_hat = 1.0
-    worst = None
-    evaluated = 0
-    infinite = False
+    worst = None  # the first ball that attains k_hat
     for a in cs:
         row = m.dist[a]
         for r in fits:
@@ -251,12 +249,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
                 mu = _touched_cells(cells, members) * scale
             else:
                 mu = float(m.mass[members].sum())
-            evaluated += 1
-            if mu <= 0.0:
-                infinite = True
-                worst = (int(a), float(r), math.inf)
-                continue
-            ratio = max(mu / powers[r], powers[r] / mu)
+            ratio = max(mu / powers[r], powers[r] / mu) if mu > 0.0 else math.inf
             if ratio > k_hat:
                 k_hat = ratio
                 worst = (int(a), float(r), float(ratio))
@@ -264,13 +257,13 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
         if with_doubling else 0
     return RegularityReport(
         Q=float(Q),
-        K_hat=math.inf if infinite else float(k_hat),
+        K_hat=float(k_hat),
         M_hat=int(m_hat),
         radii=radii,
         centers=tuple(int(c) for c in cs),
         worst_witness=worst,
-        evaluated=evaluated,
-        infinite=infinite,
+        evaluated=len(cs) * len(fits),
+        infinite=math.isinf(k_hat),
         seed=seed,
         measure="premeasure" if use_premeasure else "mass",
         eps=eps,

@@ -2,9 +2,10 @@
 
 Every command writes its outputs deterministically (re-running a command
 with the same arguments reproduces the report byte for byte) plus a
-manifest recording the options given, seeds, version, and wall-clock
-duration.  Exit codes: 0 pass, 1 threshold failure, 2 usage or structural
-error, 3 unusable configuration (diagnostic).
+manifest recording the options given, seeds, the files read and written,
+version, and wall-clock duration.  Exit codes: 0 pass, 1 threshold
+failure, 2 usage or structural error, 3 unusable configuration
+(diagnostic).
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ def _jsonable(obj):
     return obj
 
 
-def _write(out: Path, body, command: str, params: dict, inputs, t0: float) -> None:
+def _write(out: Path, body, command: str, params: dict, t0: float) -> None:
     """Write ``body`` to ``out``, a space as a space file and a report as
-    JSON, then the manifest beside it; the directory is made first."""
+    JSON, then the manifest beside it; the directory is made first.  The
+    manifest names every file the command read (the ``input`` and ``dst``
+    options) or wrote (``out`` and the ``csv`` option)."""
     out.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(body, space.FiniteMetricSpace):
         space.save_space(body, out)
@@ -62,8 +65,8 @@ def _write(out: Path, body, command: str, params: dict, inputs, t0: float) -> No
         "command": command,
         "params": _jsonable(params),
         "seeds": {k: v for k, v in params.items() if "seed" in k},
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(out)],
+        "inputs": [params[k] for k in ("input", "dst") if params.get(k)],
+        "outputs": [str(out)] + [params[k] for k in ("csv",) if params.get(k)],
         "version": __version__,
         "duration_s": time.monotonic() - t0,
     }
@@ -100,47 +103,36 @@ def _parse_gauge(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each computes only, and returns (output path, space or report,
+# exit code, stdout line); main times it and writes the output and manifest.
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    t0 = time.monotonic()
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+def cmd_generate(args, params):
     m = generators.generate(**params)
     out = Path(args.out)
-    _write(out, m, "generate", params, [], t0)
-    print(f"wrote {m.n}-point space to {out}")
-    return EXIT_PASS
+    return out, m, EXIT_PASS, f"wrote {m.n}-point space to {out}"
 
 
-def cmd_warp(args) -> int:
-    t0 = time.monotonic()
+def cmd_warp(args, params):
     m = _load(args.input)
     try:
         w = warp_space(m, m.index(args.basepoint))
     except KeyError as exc:
         raise ValueError(str(exc)) from exc
     out = Path(args.out)
-    _write(out, w.warped, "warp", {"input": args.input, "basepoint": args.basepoint},
-           [args.input], t0)
-    print(f"wrote warped space ({w.warped.n} points incl. {INFINITY_LABEL}) to {out}")
-    return EXIT_PASS
+    return (out, w.warped, EXIT_PASS,
+            f"wrote warped space ({w.warped.n} points incl. {INFINITY_LABEL}) to {out}")
 
 
-def cmd_double(args) -> int:
-    t0 = time.monotonic()
-    m = _load(args.input)
-    ds = glue.double(m)
+def cmd_double(args, params):
+    ds = glue.double(_load(args.input))
     out = Path(args.out)
-    _write(out, ds.doubled, "double", {"input": args.input}, [args.input], t0)
-    print(f"wrote doubled space ({ds.doubled.n} points) to {out}")
-    return EXIT_PASS
+    return out, ds.doubled, EXIT_PASS, f"wrote doubled space ({ds.doubled.n} points) to {out}"
 
 
 def _suite_metric(m, **opts):
     report = space._call("validate_metric", space.validate_metric, m, **opts)
     doc = {
-        "suite": "metric",
         "ok": report.ok,
         "total_violations": report.total,
         "violations": [dataclasses.asdict(v) for v in report.violations],
@@ -163,7 +155,7 @@ def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=Non
     space._at_least_one("--claim-lambda2", claim_lambda2)
     rep = space._call("llc_constants", analysis.llc_constants, m,
                       lambda_grid=_lambda_grid(lambda_max), **opts)
-    doc = {"suite": "llc", **dataclasses.asdict(rep)}
+    doc = dataclasses.asdict(rep)
     if not rep.usable:
         return doc, EXIT_DIAGNOSTIC
     ok = rep.lambda1 <= claim_lambda1 and rep.lambda2 <= claim_lambda2
@@ -174,7 +166,7 @@ def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=Non
 def _suite_regularity(m, claim_k=math.inf, **opts):
     space._at_least_one("--claim-k", claim_k)
     rep = space._call("regularity_constant", analysis.regularity_constant, m, **opts)
-    doc = {"suite": "regularity", **dataclasses.asdict(rep)}
+    doc = dataclasses.asdict(rep)
     if rep.evaluated == 0:  # no ball fits the radii: a claim here would check nothing
         return doc, EXIT_DIAGNOSTIC
     ok = rep.K_hat <= claim_k
@@ -195,7 +187,7 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
         opts["claimed"], opts["claimed_desc"] = _parse_gauge(claim_theta or claim_eta)
     profile_fn = distortion.qs_profile if kind == "qs" else distortion.qm_profile
     prof = space._call(profile_fn.__name__, profile_fn, m, dst, mapping, **opts)
-    doc = {"suite": "distortion", **dataclasses.asdict(prof)}
+    doc = dataclasses.asdict(prof)
     if csv:
         _export_envelope_csv(prof, Path(csv))
     ok = prof.claim.passed if prof.claim is not None else True
@@ -206,7 +198,7 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
 def _suite_quasicircle(m, lambda_max=None, **opts):
     rep = space._call("quasicircle_check", analysis.quasicircle_check, m,
                       lambda_grid=_lambda_grid(lambda_max), **opts)
-    doc = {"suite": "quasicircle", **dataclasses.asdict(rep)}
+    doc = dataclasses.asdict(rep)
     if rep.degenerate or not rep.usable:
         return doc, EXIT_DIAGNOSTIC
     return doc, EXIT_PASS if rep.passed else EXIT_FAIL
@@ -228,16 +220,12 @@ _SUITES = {
 }
 
 
-def cmd_check(args) -> int:
-    t0 = time.monotonic()
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    opts = {k: v for k, v in params.items() if k not in ("input", "suite", "out")}
+def cmd_check(args, params):
+    opts = {k: v for k, v in params.items() if k not in ("input", "suite")}
     m = _load(args.input)
     doc, code = space._call(f"--suite {args.suite}", _SUITES[args.suite], m, **opts)
-    out = Path(params.get("out") or Path(args.input).with_suffix(f".{args.suite}.json"))
-    _write(out, doc, "check", params, [args.input], t0)
-    print(f"suite={args.suite} exit={code} report={out}")
-    return code
+    out = Path(vars(args).get("out") or Path(args.input).with_suffix(f".{args.suite}.json"))
+    return out, {"suite": args.suite, **doc}, code, f"suite={args.suite} exit={code} report={out}"
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +307,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+        t0 = time.monotonic()
         try:
-            return args.func(args)
+            out, body, code, line = args.func(args, params)
+            _write(out, body, args.command, params, t0)
         except MemoryError:  # a space too large for this machine
             raise ValueError(f"{args.command} ran out of memory") from None
     except ValueError as exc:  # usage errors and input the library refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(line)
+    return code
 
 
 if __name__ == "__main__":

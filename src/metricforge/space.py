@@ -234,33 +234,40 @@ def _mirror_min(d: np.ndarray) -> None:
         mirror[:] = band.T
 
 
-def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
-    """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``.
+def _relax_stale(d: np.ndarray, w: np.ndarray) -> bool:
+    """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``,
+    and say whether any entry was stale.
 
     Middle m relaxes entry (i, k) as ``d[i, k] = min(d[i, k], d[i, m] + w[m, k])``.
-    ``stale`` (consumed) marks the entries ``d[i, m]`` that row i has not yet
-    been relaxed through, such as those ``_through(w)`` lowered (see
-    :func:`_closure`).  ``w`` is consumed too: its diagonal becomes ``inf``,
-    as a step from m to itself lowers nothing (``ds[i, m] + w[m, m]`` is
-    never below ``d[i, m]``).  A relaxation reads and writes one row of
-    ``d``, so the rows are closed one tile I of ``_TILE`` rows at a time.
-    Each sweep of I relaxes through a snapshot ``ds`` of its stale entries,
-    and an entry that drops is stale for the next sweep, until none is left.
-    The columns are cut into tiles K of ``_TILE`` too.  With ``a[m]`` the
-    min of ``ds[I, m]`` and ``b[m, K]`` the min of ``w[m, k]`` over k in K,
-    rounding is monotone, so a middle with ``a[m] + b[m, K] >= max d[I, K]``
-    lowers no entry of the tile and is left out; a tile with no middle left
-    is skipped.  Only the tile itself writes ``d[I, K]``, so its maximum
-    from the start of the sweep is current.  ``b`` is a sixteenth of ``d``,
-    and a tile sums its candidates ``_MIDS`` middles at a time.
+    A relaxation reads and writes one row of ``d``, so the rows are closed
+    one tile I of ``_TILE`` rows at a time.  The stale entries of I, those
+    it has not yet been relaxed through, start off the diagonal where
+    ``d[I]`` is below ``w[I]``, as where ``_through(w)`` lowered them (see
+    :func:`_closure`): no tile writes another's rows.  Each sweep of I
+    relaxes through a snapshot ``ds`` of its stale entries, and an entry
+    that drops is stale for the next sweep, until none is left.  The first
+    stale tile consumes ``w``: its diagonal becomes ``inf``, as a step from
+    m to itself lowers nothing.  The columns are cut into tiles K of
+    ``_TILE`` too.  With ``a[m]`` the min of ``ds[I, m]`` and ``b[m, K]``
+    the min of ``w[m, k]`` over k in K, rounding is monotone, so a middle
+    with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of the tile and
+    is left out; a tile with no middle left is skipped.  Only the tile
+    itself writes ``d[I, K]``, so its maximum from the start of the sweep
+    is current.  ``b`` is a sixteenth of ``d``, and a tile sums its
+    candidates ``_MIDS`` middles at a time.
     """
-    np.fill_diagonal(w, np.inf)
     starts = np.arange(0, len(d), _TILE)
-    b = np.minimum.reduceat(w, starts, axis=1)
-    for rows in (slice(r0, r0 + _TILE) for r0 in starts):
-        while stale[rows].any():
-            ds = np.where(stale[rows], d[rows], np.inf)
-            stale[rows] = False
+    b = None
+    for r0 in starts:
+        rows = slice(r0, r0 + _TILE)
+        stale = d[rows] < w[rows]
+        np.fill_diagonal(stale[:, r0:], False)
+        if b is None and stale.any():
+            np.fill_diagonal(w, np.inf)
+            b = np.minimum.reduceat(w, starts, axis=1)
+        while stale.any():
+            ds = np.where(stale, d[rows], np.inf)
+            stale[:] = False
             a = ds.min(axis=0)
             keep = a[:, None] + b < np.maximum.reduceat(d[rows].max(axis=0), starts)
             for c in np.flatnonzero(keep.any(axis=0)):
@@ -270,7 +277,8 @@ def _relax_stale(d: np.ndarray, w: np.ndarray, stale: np.ndarray) -> None:
                     cand = np.minimum(cand, (ds[:, part, None] + w[part, cols]).min(axis=1))
                 drop = cand < d[rows, cols]
                 np.copyto(d[rows, cols], cand, where=drop)
-                stale[rows, cols] |= drop
+                stale[:, cols] |= drop
+    return b is not None
 
 
 def _closure(w: np.ndarray) -> np.ndarray:
@@ -279,23 +287,22 @@ def _closure(w: np.ndarray) -> np.ndarray:
     ``w`` is consumed: it is made symmetric in place, ``min(w, wᵀ)``, and
     -0.0 becomes 0.0, so that ``np.fmin`` has no sign of zero to keep or
     drop.  Then ``_through(w)`` runs, ``_relax_stale`` on the entries it
-    lowered, and the mirror ``min(d, dᵀ)`` (only after the sweeps: round 1's
-    output is symmetric already).  Entry (i, k) is the least left-associated
-    chain sum from i to k, bit for bit: a round-1 sum ``w[i, m] + w[m, k]``
-    is the same float from either end (addition commutes), an entry round 1
-    left alone is already relaxed through, and rounding is monotone
-    (``x <= y`` gives ``fl(x + c) <= fl(y + c)``), so induction on chain
-    length holds.  Zero weights are ordinary edges, and ``inf`` is "no edge"
-    (``inf + x`` is ``inf``, never NaN).  The result does not depend on the
-    order of the points, but the sweeps' tiles hold consecutive points, so
-    a caller that can order them by scale does (see :mod:`metricforge.warp`).
+    lowered, and, if it found any, the mirror ``min(d, dᵀ)`` (only after
+    the sweeps: round 1's output is symmetric already).  Entry (i, k) is
+    the least left-associated chain sum from i to k, bit for bit: a round-1
+    sum ``w[i, m] + w[m, k]`` is the same float from either end (addition
+    commutes), an entry round 1 left alone is already relaxed through, and
+    rounding is monotone (``x <= y`` gives ``fl(x + c) <= fl(y + c)``), so
+    induction on chain length holds.  Zero weights are ordinary edges, and
+    ``inf`` is "no edge" (``inf + x`` is ``inf``, never NaN).  The result
+    does not depend on the order of the points, but the sweeps' tiles hold
+    consecutive points, so a caller that can order them by scale does (see
+    :mod:`metricforge.warp`).
     """
     _mirror_min(w)
     w += 0.0
     d = _through(w)
-    stale = d < w
-    if stale.any():
-        _relax_stale(d, w, stale)
+    if _relax_stale(d, w):
         _mirror_min(d)
     return d
 

@@ -155,12 +155,22 @@ class TestRegularity:
         assert rep.worst_witness is None
 
     def test_zero_measure_ball_flags_infinity(self):
-        m = mf.random_metric(6, seed=2)
-        m = mf.FiniteMetricSpace(m.points, m.dist, mass=np.zeros(6))
-        rep = mf.regularity_constant(m, 2.0, radii=(0.6,), centers=[0],
-                                     with_doubling=False)
-        assert rep.infinite and math.isinf(rep.K_hat)
-        assert rep.worst_witness[2] == math.inf
+        # The witness is the first ball that attains K_hat = inf: on the
+        # grid, the later ball (20, 0.1) of finite ratio 6.25 is not it.
+        g = mf.euclidean_grid(6, 0.25)
+        mass = g.mass.copy()
+        mass[0] = 0.0
+        graph = mf.random_metric(6, seed=2)
+        for m, radii, centers, witness in (
+                (mf.FiniteMetricSpace(graph.points, graph.dist, mass=np.zeros(6)),
+                 (0.6,), [0], (0, 0.6, math.inf)),
+                (mf.FiniteMetricSpace(g.points, g.dist, mass=mass),
+                 (0.1, 0.6), [0, 20], (0, 0.1, math.inf))):
+            rep = mf.regularity_constant(m, 2.0, radii=radii, centers=centers,
+                                         with_doubling=False)
+            assert rep.infinite and math.isinf(rep.K_hat)
+            assert rep.worst_witness == witness
+            assert rep.evaluated == len(radii) * len(centers)
 
     def test_needs_mass_or_eps(self):
         m = mf.random_metric(5, seed=1)

@@ -227,6 +227,11 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out.read_text())["claim"]["passed"] is True
         assert csv_out.read_text().startswith("bin_upper,envelope,count")
+        # The manifest names every file read and written; -o is one of them.
+        manifest = json.loads((tmp_path / "qm.json.manifest.json").read_text())
+        assert manifest["inputs"] == [str(src), str(dst)]
+        assert manifest["outputs"] == [str(out), str(csv_out)]
+        assert "out" not in manifest["params"]
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_sampled_distortion_without_samples_is_usage_error(self, tmp_path, capsys,
@@ -669,7 +674,7 @@ def numeric_options(command):
 
 def option_rows():
     """(command, kind or suite, dest, flag, values) for each numeric option
-    taken, read from the signatures that cli._call binds the options to."""
+    taken, read from the signatures that space._call binds the options to."""
     rows = []
     for command, fns in (("generate", generators._KINDS), ("check", cli._SUITES)):
         options = numeric_options(command)

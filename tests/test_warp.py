@@ -230,11 +230,11 @@ class TestWarpMemory:
         mf.validate_metric(mf.warp(small, 0).warped)
         return mf.random_metric(self.n, seed=0)
 
-    def test_warp_holds_rho_the_closure_and_the_stale_mask(self, space):
-        # rho and the closure are one matrix each, the stale mask an eighth
-        # of one; the rest are band- and tile-sized, with numpy's 128 KiB
-        # buffer for broadcasting sums.  A where() over the whole of rho
-        # for its tile minima, or a numpy-buffered transpose, adds a matrix.
+    def test_warp_holds_rho_and_the_closure(self, space):
+        # rho and the closure are one matrix each; the rest, the stale mask
+        # included, are band- and tile-sized, with numpy's 128 KiB buffer
+        # for broadcasting sums.  A where() over the whole of rho for its
+        # tile minima, or a numpy-buffered transpose, adds a matrix.
         w, peak = traced(mf.warp, space, 0)
         assert (w.warped.dist[:-1, :-1] < mf.rho_matrix(space, 0)).any()  # sweeps ran
         assert peak < 2.7 * 8 * self.n ** 2
