@@ -281,7 +281,11 @@ class LLCReport:
     ``lambda1``/``lambda2`` are the smallest grid values at which every
     sampled configuration passes (inf when even the grid max fails);
     ``failures1``/``failures2`` hold witnesses (a, r, x, y) at the last
-    failing grid value below the reported constant.
+    failing grid value below the reported constant.  ``usable`` says that
+    the delta-graph is connected and that each leg evaluated a configuration
+    (``evaluated1`` and ``evaluated2`` above 0).  Otherwise the constants
+    bound nothing: a disconnected graph or no radius reports inf, and a
+    leg that evaluated no configuration reports ``grid[0]``.
     """
 
     lambda1: float
@@ -391,7 +395,7 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     lambda2, failures2, ev2, sk2 = run_leg(2)
     return LLCReport(
         lambda1=lambda1, lambda2=lambda2, delta=float(delta), grid=grid,
-        failures1=failures1, failures2=failures2, usable=True,
+        failures1=failures1, failures2=failures2, usable=ev1 > 0 and ev2 > 0,
         evaluated1=ev1, evaluated2=ev2, skipped=sk1 + sk2,
         centers=tuple(int(c) for c in cs), radii=radii, seed=seed,
     )

@@ -4,8 +4,8 @@ Every command writes its outputs deterministically (re-running a command
 with the same arguments reproduces the report byte for byte) plus a
 manifest recording the options given, seeds, the files read and written,
 version, and wall-clock duration.  Exit codes: 0 pass, 1 threshold
-failure, 2 usage or structural error, 3 unusable configuration
-(diagnostic).
+failure, 2 usage or structural error, 3 a check that evaluated nothing
+(its report has no "ok").
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def _parse_gauge(text: str):
     match = _GAUGE_RE.match(text)
     if not match:
         raise ValueError(f"cannot parse gauge {text!r}; expected '<coef>t'")
-    coef = float(match.group(1)) if match.group(1) else 1.0
+    coef = space._finite_positive(f"gauge {text!r} coefficient",
+                                  float(match.group(1)) if match.group(1) else 1.0)
     return distortion.linear_gauge(coef), f"{coef}t"
 
 
@@ -130,14 +131,16 @@ def cmd_double(args, params):
     return out, ds.doubled, EXIT_PASS, f"wrote doubled space ({ds.doubled.n} points) to {out}"
 
 
+# Each suite returns (report, whether it evaluated anything, whether its
+# claims hold); cmd_check alone turns the last two into "ok" and the exit code.
+
 def _suite_metric(m, **opts):
     report = space._call("validate_metric", space.validate_metric, m, **opts)
     doc = {
-        "ok": report.ok,
         "total_violations": report.total,
         "violations": [dataclasses.asdict(v) for v in report.violations],
     }
-    return doc, EXIT_PASS if report.ok else EXIT_FAIL
+    return doc, True, report.ok
 
 
 def _lambda_grid(lambda_max):
@@ -155,23 +158,14 @@ def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=Non
     space._at_least_one("--claim-lambda2", claim_lambda2)
     rep = space._call("llc_constants", analysis.llc_constants, m,
                       lambda_grid=_lambda_grid(lambda_max), **opts)
-    doc = dataclasses.asdict(rep)
-    if not rep.usable:
-        return doc, EXIT_DIAGNOSTIC
-    ok = rep.lambda1 <= claim_lambda1 and rep.lambda2 <= claim_lambda2
-    doc["ok"] = bool(ok)
-    return doc, EXIT_PASS if ok else EXIT_FAIL
+    return (dataclasses.asdict(rep), rep.usable,
+            rep.lambda1 <= claim_lambda1 and rep.lambda2 <= claim_lambda2)
 
 
 def _suite_regularity(m, claim_k=math.inf, **opts):
     space._at_least_one("--claim-k", claim_k)
     rep = space._call("regularity_constant", analysis.regularity_constant, m, **opts)
-    doc = dataclasses.asdict(rep)
-    if rep.evaluated == 0:  # no ball fits the radii: a claim here would check nothing
-        return doc, EXIT_DIAGNOSTIC
-    ok = rep.K_hat <= claim_k
-    doc["ok"] = bool(ok)
-    return doc, EXIT_PASS if ok else EXIT_FAIL
+    return dataclasses.asdict(rep), rep.evaluated > 0, rep.K_hat <= claim_k
 
 
 def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=None,
@@ -187,21 +181,16 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
         opts["claimed"], opts["claimed_desc"] = _parse_gauge(claim_theta or claim_eta)
     profile_fn = distortion.qs_profile if kind == "qs" else distortion.qm_profile
     prof = space._call(profile_fn.__name__, profile_fn, m, dst, mapping, **opts)
-    doc = dataclasses.asdict(prof)
     if csv:
         _export_envelope_csv(prof, Path(csv))
-    ok = prof.claim.passed if prof.claim is not None else True
-    doc["ok"] = bool(ok)
-    return doc, EXIT_PASS if ok else EXIT_FAIL
+    return (dataclasses.asdict(prof), sum(prof.counts) > 0,
+            prof.claim is None or prof.claim.passed)
 
 
 def _suite_quasicircle(m, lambda_max=None, **opts):
     rep = space._call("quasicircle_check", analysis.quasicircle_check, m,
                       lambda_grid=_lambda_grid(lambda_max), **opts)
-    doc = dataclasses.asdict(rep)
-    if rep.degenerate or not rep.usable:
-        return doc, EXIT_DIAGNOSTIC
-    return doc, EXIT_PASS if rep.passed else EXIT_FAIL
+    return dataclasses.asdict(rep), rep.usable, rep.passed
 
 
 def _export_envelope_csv(prof, path: Path):
@@ -223,8 +212,12 @@ _SUITES = {
 def cmd_check(args, params):
     opts = {k: v for k, v in params.items() if k not in ("input", "suite")}
     m = _load(args.input)
-    doc, code = space._call(f"--suite {args.suite}", _SUITES[args.suite], m, **opts)
-    out = Path(vars(args).get("out") or Path(args.input).with_suffix(f".{args.suite}.json"))
+    doc, evaluated, ok = space._call(f"--suite {args.suite}", _SUITES[args.suite], m, **opts)
+    if evaluated:  # a report that evaluated nothing makes no claim
+        doc["ok"] = bool(ok)
+    code = (EXIT_PASS if ok else EXIT_FAIL) if evaluated else EXIT_DIAGNOSTIC
+    name = f"distortion-{opts.get('kind', 'qm')}" if args.suite == "distortion" else args.suite
+    out = Path(vars(args).get("out") or Path(args.input).with_suffix(f".{name}.json"))
     return out, {"suite": args.suite, **doc}, code, f"suite={args.suite} exit={code} report={out}"
 
 

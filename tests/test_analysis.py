@@ -238,6 +238,7 @@ class TestLLC:
         rep = mf.llc_constants(m, radii=(10.0 * m.diam(),), n_centers=4, seed=0)
         assert rep.lambda2 == rep.grid[0]  # nothing to test outside the space
         assert rep.evaluated2 == 0
+        assert not rep.usable  # so that lambda2 is no vacuous pass
 
     def test_disconnected_graph_flagged_unusable(self):
         m = mf.disk_sample(80, seed=6)
@@ -344,10 +345,11 @@ def test_batched_scans_match_the_oracles(data):
     n_centers = data.draw(st.integers(m.n // 2 + 1, m.n))
     rep = mf.llc_constants(m, delta=delta, lambda_grid=grid, n_centers=n_centers,
                            n_radii=data.draw(st.integers(3, 6)), seed=data.draw(st.integers(0, 9)))
-    if not rep.usable:  # no radius fits between 3 delta and the diameter, or
-        event("no estimate")  # the delta-graph is disconnected
+    if not rep.usable:  # no radius fits between 3 delta and the diameter, the
+        event("no estimate")  # delta-graph is disconnected, or a leg has no configuration
         adj = (d <= delta) | (d <= delta).T
-        assert not rep.radii or len(component_of(adj, range(m.n), 0)) < m.n
+        assert (not rep.radii or len(component_of(adj, range(m.n), 0)) < m.n
+                or 0 in (rep.evaluated1, rep.evaluated2))
         return
     assert len(rep.centers) * len(rep.radii) > m.n
     expect = llc_by_components(d, rep.delta, rep.grid, rep.centers, rep.radii)

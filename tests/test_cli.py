@@ -233,6 +233,54 @@ class TestCheckCommand:
         assert manifest["outputs"] == [str(out), str(csv_out)]
         assert "out" not in manifest["params"]
 
+    def test_default_distortion_reports_are_named_by_kind(self, tmp_path):
+        # Both were once <input>.distortion.json: the qs check replaced the qm one.
+        src, dst = tmp_path / "m.json", tmp_path / "w.json"
+        mf.save_space(mf.random_metric(24, seed=3), src)
+        assert main(["warp", str(src), "--basepoint", "p0", "-o", str(dst)]) == 0
+        for kind in ([], ["--kind", "qs"]):  # qm when no kind is given
+            assert main(["check", str(src), "--suite", "distortion", "--dst", str(dst),
+                         *kind]) == 0
+        reports = [tmp_path / f"m.distortion-{kind}.json" for kind in ("qm", "qs")]
+        manifests = [r.with_name(r.name + ".manifest.json") for r in reports]
+        assert sorted(tmp_path.iterdir()) == sorted([src, dst, *reports, *manifests,
+                                                     dst.with_name("w.json.manifest.json")])
+        assert [json.loads(r.read_text())["kind"] for r in reports] == ["QM", "QS"]
+
+    def test_one_rule_decides_every_exit_code(self, tmp_path, circle_256):
+        # A report that evaluated nothing exits 3 and has no "ok"; any other
+        # has "ok", and exits 0 when it holds and 1 when not.  A distortion
+        # check with no tuple once passed with "ok": true, and a usable
+        # quasicircle report had no "ok".
+        files = {"disk": mf.disk_sample(120, seed=1), "small": mf.disk_sample(31, seed=1),
+                 "circle": circle_256, "pair": mf.subspace(circle_256, [0, 1])}
+        for name, m in files.items():
+            mf.save_space(m, tmp_path / f"{name}.json")
+        assert main(["warp", str(tmp_path / "small.json"), "--basepoint", "p0",
+                     "-o", str(tmp_path / "warped.json")]) == 0
+        dst = ["--dst", str(tmp_path / "warped.json")]
+        cases = [  # (file, suite, options, whether anything is evaluated)
+            ("disk", "metric", [], True),
+            ("disk", "llc", ["--claim-lambda1", "1"], True),
+            ("disk", "llc", ["--delta", "0.001"], False),  # a disconnected delta-graph
+            ("disk", "regularity", ["--q", "2", "--claim-k", "1"], True),
+            ("disk", "regularity", ["--q", "2", "--radii", "10"], False),  # above the diameter
+            ("small", "distortion", dst + ["--claim-theta", "16t"], True),
+            ("small", "distortion", dst + ["--samples", "1", "--seed", "6",
+                                           "--claim-theta", "0.000000001t"], False),  # no tuple
+            ("circle", "quasicircle", [], True),
+            ("pair", "quasicircle", [], False),  # too few points for a curve
+        ]
+        for name, suite, options, evaluated in cases:
+            out = tmp_path / f"{suite}-{evaluated}.json"
+            code = main(["check", str(tmp_path / f"{name}.json"), "--suite", suite, *options,
+                         "-o", str(out)])
+            report = json.loads(out.read_text())
+            if evaluated:
+                assert code == (0 if report["ok"] else 1), (suite, options)
+            else:
+                assert code == 3 and "ok" not in report, (suite, options)
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_sampled_distortion_without_samples_is_usage_error(self, tmp_path, capsys,
                                                                samples):
@@ -270,6 +318,9 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("dst_n, claim, message", [
         (40, "16x", "cannot parse gauge '16x'"),
+        # A zero gauge makes every ratio inf: such a check failed with a meaningless witness.
+        (40, "0t", "gauge '0t' coefficient must be finite and positive"),
+        (40, "0.0t", "gauge '0.0t' coefficient must be finite and positive"),
         (5, "16t", "destination is missing a source label: unknown point label 'p5'\n"),
     ])
     def test_refused_distortion_input_is_usage_error(self, tmp_path, capsys, dst_n, claim,
@@ -387,7 +438,9 @@ class TestCheckCommand:
         assert reports[0] != reports[1]
         # Left out, the library default stands: 48 centers, not the 32 of llc.
         lib = dataclasses.asdict(mf.quasicircle_check(disk))
-        assert reports[0] == json.loads(json.dumps(lib | {"suite": "quasicircle"}))
+        assert lib["usable"]  # so the report carries "ok"
+        assert reports[0] == json.loads(json.dumps(lib | {"suite": "quasicircle",
+                                                          "ok": lib["passed"]}))
 
     @pytest.mark.parametrize("suite, options, call", [
         ("llc", [], mf.llc_constants),
