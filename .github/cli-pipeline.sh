@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# CLI pipeline: runs the CLI as a process, with scipy blocked, and writes
+# every space, report, CSV and manifest into <out-dir>.
+#
+#   .github/cli-pipeline.sh <out-dir>
+#
+# numpy is the one runtime dependency, so a scipy import fails the run.  The
+# script stops at the first command that does not exit 0; the malformed
+# file, a quoted distance, a NaN radius, an option the suite does not take,
+# a NaN edge density, a NaN threshold, an infinite delta, a delta above the
+# diameter, a Q whose powers of the radii overflow and a negative seed must
+# exit 2.  Run on two trees into two directories, `diff -r` compares
+# their outputs.
+set -eo pipefail
+[ $# -eq 1 ] || { echo "usage: $0 <out-dir>" >&2; exit 2; }
+mkdir -p "$1"
+d=$(cd "$1" && pwd)
+cd "$(dirname "$0")/.."
+
+cli() {
+  PYTHONPATH=src python -c 'import runpy, sys; sys.modules["scipy"] = None; runpy.run_module("metricforge.cli", run_name="__main__")' "$@"
+}
+usage_error() {  # usage_error <label> <cli args...>: the command must exit 2
+  local label=$1 code=0
+  shift
+  cli "$@" || code=$?
+  echo "$label: exit $code"
+  test "$code" -eq 2
+}
+cli generate --kind disk --n 60 --seed 1 -o "$d/disk.json"
+cli warp "$d/disk.json" --basepoint p0 -o "$d/warped.json"
+cli check "$d/disk.json" --suite distortion --kind qm --dst "$d/warped.json" --claim-theta 16t
+cli check "$d/warped.json" --suite metric
+# A disk has no pair that chaining shortens; a random graph metric
+# does, so its warp's stale sweeps relax entries.
+cli generate --kind random-metric --n 300 --seed 2 -o "$d/graph.json"
+cli warp "$d/graph.json" --basepoint p0 -o "$d/graph-warped.json"
+cli check "$d/graph-warped.json" --suite metric
+cli check "$d/graph.json" --suite distortion --kind qm --dst "$d/graph-warped.json" --claim-theta 16t
+# QS triples: the arity-3 path of the distortion kernel.
+cli check "$d/graph.json" --suite distortion --kind qs --dst "$d/graph-warped.json" --csv "$d/graph-qs.csv"
+# Its manifest names the warped file it read and the CSV it wrote,
+# and the qm report of the same input is kept beside its own.
+python - "$d" <<'EOF'
+import json, os, sys
+d = sys.argv[1]
+assert os.path.isfile(f"{d}/graph.distortion-qm.json")
+assert os.path.isfile(f"{d}/graph.distortion-qs.json")
+manifest = json.load(open(f"{d}/graph.distortion-qs.json.manifest.json"))
+assert f"{d}/graph-warped.json" in manifest["inputs"], manifest
+assert f"{d}/graph-qs.csv" in manifest["outputs"], manifest
+EOF
+cli generate --kind sphere-cap --eps 0.5 --n 220 -o "$d/cap.json"
+cli double "$d/cap.json" -o "$d/doubled.json"
+cli check "$d/doubled.json" --suite llc
+cli check "$d/doubled.json" --suite regularity --q 2
+cli check "$d/doubled.json" --suite metric
+# 400 centers x 32 radii: more configurations than one batch of
+# the packed search takes.
+cli check "$d/doubled.json" --suite llc --n-centers 400 --n-radii 32
+# Outputs into directories that do not exist yet.
+cli double "$d/cap.json" -o "$d/new/a/doubled.json"
+test -f "$d/new/a/doubled.json.manifest.json"
+cli check "$d/cap.json" --suite metric -o "$d/new/b/c/metric.json"
+test -f "$d/new/b/c/metric.json.manifest.json"
+# The README's 256-point circle passes the quasicircle screen.
+PYTHONPATH=src python - "$d/circle.json" <<'EOF'
+import sys
+import numpy as np, metricforge as mf
+t = 2 * np.pi * np.arange(256) / 256
+c = np.stack([np.cos(t), np.sin(t)], axis=1)
+d = np.linalg.norm(c[:, None] - c[None], axis=-1)
+mf.save_space(mf.FiniteMetricSpace([f"c{i}" for i in range(256)], d, coords=c), sys.argv[1])
+EOF
+cli check "$d/circle.json" --suite quasicircle --max-lambda 2 --max-doubling 8
+# Radii above its diameter leave the join-outside leg nothing to
+# evaluate: exit 3, not a pass.
+code=0
+cli check "$d/circle.json" --suite quasicircle --radii 5 || code=$?
+echo "radii above the diameter: exit $code"
+test "$code" -eq 3
+echo '{"points": ["a", "b"], "dist": [[0.0, 1.0]]}' > "$d/bad.json"
+usage_error "non-square file" check "$d/bad.json" --suite metric
+echo '{"points": ["a", "b"], "dist": [[0.0, "1.5"], ["1.5", 0.0]]}' > "$d/quoted.json"
+usage_error "quoted distance" check "$d/quoted.json" --suite metric
+usage_error "NaN radius" check "$d/doubled.json" --suite regularity --q 2 --radii nan
+usage_error "option llc does not take" check "$d/doubled.json" --suite llc --q 2
+usage_error "NaN edge density" generate --kind random-metric --n 20 --edge-density nan -o "$d/nan.json"
+usage_error "NaN threshold" check "$d/disk.json" --suite quasicircle --max-lambda nan
+usage_error "infinite delta" check "$d/doubled.json" --suite llc --delta inf --radii 0.5
+usage_error "delta above the diameter" check "$d/doubled.json" --suite llc --delta 1e308 --radii 0.5
+usage_error "Q of 1e308" check "$d/doubled.json" --suite regularity --q 1e308
+usage_error "negative seed" generate --kind disk --n 20 --seed -1 -o "$d/neg.json"

@@ -120,11 +120,10 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     discretization artifact rather than by geometry.  Each step takes the
     ball covering the most uncovered points (the lowest index on ties), and
     points no ball covers count once each.  Gains are exact popcounts.
-    With no radius to evaluate, the diameter is the one radius.
+    With no radius to evaluate, the diameter is the one radius.  The
+    options are checked on every space, one point included.
     """
     _, radii = _scales(m, None, radii)
-    if m.n == 1:
-        return 1
     if not radii and m.diam() > 0:
         radii = (m.diam(),)
     cs = _pick_centers(m, centers, n_centers, seed)
@@ -342,10 +341,7 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
         adj[band] = _pack((D[band] <= delta) | (D[:, band].T <= delta))  # either direction joins
     cs = _pick_centers(m, centers, n_centers, seed)
     whole = _pack(np.ones((1, m.n), dtype=bool))
-    if not radii or (m.n and not np.array_equal(_reach(adj, whole, [0]), whole)):
-        return LLCReport(math.inf, math.inf, float(delta), grid, (), (),
-                         usable=False, evaluated1=0, evaluated2=0, skipped=0,
-                         centers=tuple(int(c) for c in cs), radii=radii, seed=seed)
+    joined = radii and (m.n == 0 or np.array_equal(_reach(adj, whole, [0]), whole))
     step = _batch(adj)  # configurations per search
 
     def chunks(k):  # the indices range(k), step at a time
@@ -391,8 +387,8 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
         value = grid[key] if key < len(grid) else math.inf
         return value, failures, len(a), int((size < 2).sum())
 
-    lambda1, failures1, ev1, sk1 = run_leg(1)
-    lambda2, failures2, ev2, sk2 = run_leg(2)
+    (lambda1, failures1, ev1, sk1), (lambda2, failures2, ev2, sk2) = (
+        (run_leg(1), run_leg(2)) if joined else ((math.inf, (), 0, 0),) * 2)
     return LLCReport(
         lambda1=lambda1, lambda2=lambda2, delta=float(delta), grid=grid,
         failures1=failures1, failures2=failures2, usable=ev1 > 0 and ev2 > 0,

@@ -240,9 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     # stand for the others, and each option binds to the function taking it.
     g = sub.add_parser("generate", help="generate a test-bed space",
                        argument_default=argparse.SUPPRESS)
-    g.add_argument("--kind", required=True,
-                   choices=["grid", "disk", "disk-grid", "sphere-cap",
-                            "halfplane", "random-metric"])
+    g.add_argument("--kind", required=True, choices=list(generators._KINDS))
     g.add_argument("--side", type=int)
     g.add_argument("--spacing", type=float)
     g.add_argument("--n", type=int)

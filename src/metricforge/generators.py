@@ -173,15 +173,14 @@ def random_metric(n: int, seed: int = 0, edge_density: float = 0.35) -> FiniteMe
     rng = _rng(seed)
     w = np.full((n, n), np.inf)
     np.fill_diagonal(w, 0.0)
-    if n > 1:
-        perm = rng.permutation(n)
-        pw = rng.uniform(0.5, 2.0, size=n - 1)
-        w[perm[:-1], perm[1:]] = pw
-        w[perm[1:], perm[:-1]] = pw
-        extra = np.triu(rng.uniform(size=(n, n)) < edge_density, 1)  # the closure mirrors them
-        ew = rng.uniform(0.5, 2.0, size=(n, n))
-        keep = extra & (w == np.inf)
-        w[keep] = ew[keep]
+    perm = rng.permutation(n)
+    pw = rng.uniform(0.5, 2.0, size=n - 1)
+    w[perm[:-1], perm[1:]] = pw
+    w[perm[1:], perm[:-1]] = pw
+    extra = np.triu(rng.uniform(size=(n, n)) < edge_density, 1)  # the closure mirrors them
+    ew = rng.uniform(0.5, 2.0, size=(n, n))
+    keep = extra & (w == np.inf)
+    w[keep] = ew[keep]
     labels = tuple(f"p{i}" for i in range(n))
     return FiniteMetricSpace(labels, _closure(w))
 

@@ -234,9 +234,8 @@ def _mirror_min(d: np.ndarray) -> None:
         mirror[:] = band.T
 
 
-def _relax_stale(d: np.ndarray, w: np.ndarray) -> bool:
-    """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``,
-    and say whether any entry was stale.
+def _relax_stale(d: np.ndarray, w: np.ndarray) -> None:
+    """Relax ``d`` in place to the min-plus closure ``d = min(d, d ⊗ w)``.
 
     Middle m relaxes entry (i, k) as ``d[i, k] = min(d[i, k], d[i, m] + w[m, k])``.
     A relaxation reads and writes one row of ``d``, so the rows are closed
@@ -245,11 +244,11 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> bool:
     ``d[I]`` is below ``w[I]``, as where ``_through(w)`` lowered them (see
     :func:`_closure`): no tile writes another's rows.  Each sweep of I
     relaxes through a snapshot ``ds`` of its stale entries, and an entry
-    that drops is stale for the next sweep, until none is left.  The first
-    stale tile consumes ``w``: its diagonal becomes ``inf``, as a step from
-    m to itself lowers nothing.  The columns are cut into tiles K of
-    ``_TILE`` too.  With ``a[m]`` the min of ``ds[I, m]`` and ``b[m, K]``
-    the min of ``w[m, k]`` over k in K, rounding is monotone, so a middle
+    that drops is stale for the next sweep, until none is left.  ``w`` is
+    consumed: its diagonal becomes ``inf``, as a step from m to itself
+    lowers nothing.  The columns are cut into tiles K of ``_TILE`` too.
+    With ``a[m]`` the min of ``ds[I, m]`` and ``b[m, K]`` the min of
+    ``w[m, k]`` over k in K, rounding is monotone, so a middle
     with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of the tile and
     is left out; a tile with no middle left is skipped.  Only the tile
     itself writes ``d[I, K]``, so its maximum from the start of the sweep
@@ -257,14 +256,12 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> bool:
     candidates ``_MIDS`` middles at a time.
     """
     starts = np.arange(0, len(d), _TILE)
-    b = None
+    np.fill_diagonal(w, np.inf)
+    b = np.minimum.reduceat(w, starts, axis=1)
     for r0 in starts:
         rows = slice(r0, r0 + _TILE)
         stale = d[rows] < w[rows]
         np.fill_diagonal(stale[:, r0:], False)
-        if b is None and stale.any():
-            np.fill_diagonal(w, np.inf)
-            b = np.minimum.reduceat(w, starts, axis=1)
         while stale.any():
             ds = np.where(stale, d[rows], np.inf)
             stale[:] = False
@@ -278,7 +275,6 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> bool:
                 drop = cand < d[rows, cols]
                 np.copyto(d[rows, cols], cand, where=drop)
                 stale[:, cols] |= drop
-    return b is not None
 
 
 def _closure(w: np.ndarray) -> np.ndarray:
@@ -287,9 +283,9 @@ def _closure(w: np.ndarray) -> np.ndarray:
     ``w`` is consumed: it is made symmetric in place, ``min(w, wᵀ)``, and
     -0.0 becomes 0.0, so that ``np.fmin`` has no sign of zero to keep or
     drop.  Then ``_through(w)`` runs, ``_relax_stale`` on the entries it
-    lowered, and, if it found any, the mirror ``min(d, dᵀ)`` (only after
-    the sweeps: round 1's output is symmetric already).  Entry (i, k) is
-    the least left-associated chain sum from i to k, bit for bit: a round-1
+    lowered, and always the mirror ``min(d, dᵀ)`` (only after the sweeps:
+    round 1's output is symmetric already).  Entry (i, k) is the least
+    left-associated chain sum from i to k, bit for bit: a round-1
     sum ``w[i, m] + w[m, k]`` is the same float from either end (addition
     commutes), an entry round 1 left alone is already relaxed through, and
     rounding is monotone (``x <= y`` gives ``fl(x + c) <= fl(y + c)``), so
@@ -302,8 +298,8 @@ def _closure(w: np.ndarray) -> np.ndarray:
     _mirror_min(w)
     w += 0.0
     d = _through(w)
-    if _relax_stale(d, w):
-        _mirror_min(d)
+    _relax_stale(d, w)
+    _mirror_min(d)
     return d
 
 
@@ -347,8 +343,10 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     # The upper triangle a band of rows at a time, in row-major order: no
     # n x n temporary, and only the failing pairs' indices are kept.
     asym, small = [np.empty((0, 2), np.intp)], [np.empty((0, 2), np.intp)]
+    symmetric = True  # exactly, decided in the same scan
     for r0 in range(0, n, _ROW_BLOCK):
         band, mirror = d[r0:r0 + _ROW_BLOCK, r0:], d[r0:, r0:r0 + _ROW_BLOCK].T
+        symmetric &= np.array_equal(band, mirror)
         asym.append(np.argwhere(np.triu(np.abs(band - mirror) > tol, 1)) + r0)
         small.append(np.argwhere(np.triu(band <= tol, 1)) + r0)
     bad = np.concatenate(asym)
@@ -358,7 +356,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
 
     # Pairs flagged band by band; on a symmetric d the pair (k, i) below a
     # band is flagged with (i, k), and the sort restores row-major order.
-    symmetric, flags = np.array_equal(d, d.T), [np.empty((0, 2), np.intp)]
+    flags = [np.empty((0, 2), np.intp)]
     for r0, c0, band in _through_bands(d, symmetric):
         band += tol
         ik = np.argwhere(d[r0:r0 + _ROW_BLOCK, c0:] > band) + (r0, c0)
@@ -434,7 +432,7 @@ def _normalize_radii(m, target, radii):
     else:
         arr = np.asarray(radii, dtype=float)
         if arr.ndim == 0:
-            out = [float(arr)] * len(target)
+            out = [_finite_positive("radii", float(arr))] * len(target)
         elif arr.shape == (m.n,):
             out = [float(arr[t]) for t in target]
         else:
@@ -451,11 +449,10 @@ def greedy_cover_5r(m: FiniteMetricSpace, target: Iterable[int], radii) -> Cover
     metrically disjoint from every kept core, i.e. d(c_i, c_j) >= r_i + r_j.
     Every rejected ball then sits inside the closed 3r-inflation of some
     kept ball, so the closed 5r-inflations cover the input union.  ``radii``
-    is a mapping from target index to radius, one scalar, or one per point.
+    is a mapping from target index to radius, one scalar, or one per point,
+    and is checked on every target, an empty one included.
     """
     target = sorted(set(_indices("target", target, m.n)))
-    if not target:
-        return CoverResult((), ())
     rs = _normalize_radii(m, target, radii)
     order = sorted(range(len(target)), key=lambda k: (-rs[k], target[k]))
     centers: list[int] = []

@@ -19,6 +19,17 @@ class TestDoubling:
     def test_single_point(self):
         m = mf.FiniteMetricSpace(("a",), np.zeros((1, 1)))
         assert mf.doubling_constant(m) == 1
+        assert mf.doubling_constant(m, radii=(1.0,), centers=[0], n_centers=1, seed=3) == 1
+
+    @pytest.mark.parametrize("options, match", [
+        ({"centers": [5]}, "centers holds an index outside"),
+        ({"seed": -1}, "seed must be an integer of at least 0"),
+    ])
+    def test_single_point_checks_its_options(self, options, match):
+        # One point once returned 1 before the options were read.
+        m = mf.FiniteMetricSpace(("a",), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=match):
+            mf.doubling_constant(m, **options)
 
     def test_two_points_need_two_half_balls(self):
         m = mf.FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -525,9 +536,10 @@ class TestDefaults:
         assert mf.default_radii(m, 10.0 * m.diam()) == ()
 
 
+@pytest.mark.parametrize("side", [3, 1])
 @pytest.mark.parametrize("n_centers", [0, -1, math.nan, 2.5, True])
-def test_center_count_must_be_positive(n_centers):
-    m = mf.euclidean_grid(3, 1.0)
+def test_center_count_must_be_positive(n_centers, side):
+    m = mf.euclidean_grid(side, 1.0)
     for call in (mf.doubling_constant, mf.llc_constants,
                  lambda m, **kw: mf.regularity_constant(m, 2.0, **kw)):
         with pytest.raises(ValueError, match="n_centers"):
@@ -543,10 +555,11 @@ def test_radii_count_must_be_positive(n_radii):
             call(m, n_radii=n_radii)
 
 
-@pytest.mark.parametrize("centers", [[1.5], [True], [0, 2.0]])
-def test_centers_must_be_integers(centers):
+@pytest.mark.parametrize("side", [3, 1])
+@pytest.mark.parametrize("centers", [[1.5], [True], [0, 2.0], [0.5]])
+def test_centers_must_be_integers(centers, side):
     # [1.5, True] was once read as centre 1 twice.
-    m = mf.euclidean_grid(3, 1.0)
+    m = mf.euclidean_grid(side, 1.0)
     for call in (mf.doubling_constant, mf.llc_constants,
                  lambda m, **kw: mf.regularity_constant(m, 2.0, **kw)):
         with pytest.raises(ValueError, match="centers holds an entry that is not an integer"):

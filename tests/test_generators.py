@@ -311,4 +311,4 @@ def test_closure_keeps_components_apart():
                   [1.0, 0.0, inf, inf],
                   [inf, inf, 0.0, 2.0],
                   [inf, inf, 2.0, 0.0]])
-    assert np.array_equal(_closure(w), w)
+    assert np.array_equal(_closure(w.copy()), w)

@@ -173,6 +173,18 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             mf.greedy_cover_5r(m, {0}, {0: 0.0})
 
+    @pytest.mark.parametrize("radii, match", [
+        (np.array([1.0, 2.0]), "one per point"), (math.nan, "finite and positive"),
+        (-1.0, "finite and positive"), (0.0, "finite and positive"),
+        (math.inf, "finite and positive"),
+    ])
+    def test_empty_target_checks_radii(self, radii, match):
+        # An empty target once returned an empty cover for any radii.
+        m = space_from([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(ValueError, match=match):
+            mf.greedy_cover_5r(m, [], radii)
+        assert mf.greedy_cover_5r(m, [], 1.0) == mf.CoverResult((), ())
+
     def test_deterministic_order(self):
         m = space_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         radii = {0: 1.0, 1: 1.0, 2: 1.0}
