@@ -221,8 +221,8 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
 
     The measure proxy is the explicit mass field when present (generated
     spaces know their own density); passing ``eps`` switches to the greedy
-    eps-cover pre-measure, which is also the fallback for spaces without
-    mass.  K_hat is the max over evaluated (a, r) of
+    eps-cover pre-measure.  A space without mass needs ``eps``: without it,
+    this raises ``ValueError``.  K_hat is the max over evaluated (a, r) of
     max(mu(B̄(a,r)) / r^Q, r^Q / mu(B̄(a,r))).  Radii above the diameter
     are left out.
     """

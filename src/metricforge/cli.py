@@ -119,7 +119,7 @@ def cmd_warp(args, params):
     try:
         w = warp_space(m, m.index(args.basepoint))
     except KeyError as exc:
-        raise ValueError(str(exc)) from exc
+        raise ValueError(exc.args[0]) from exc
     out = Path(args.out)
     return (out, w.warped, EXIT_PASS,
             f"wrote warped space ({w.warped.n} points incl. {INFINITY_LABEL}) to {out}")

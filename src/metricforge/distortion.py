@@ -9,7 +9,6 @@ bins, so out-of-range tuples are recorded rather than dropped.
 Tuples are enumerated or drawn, gathered and binned ``_CHUNK`` at a time,
 and ``dst`` is read through the mapping where a tuple needs it, so memory
 is chunk-sized arrays: no pulled-back distance matrix.
-``_BATCH`` is only the unit of ``envelope_input`` ties (see ``_profile``).
 
 A bin is read off the grid from log10 of the input ratio and mended by one
 comparison each way, so it is the bin ``np.searchsorted(edges, t, side="right")``
@@ -65,8 +64,9 @@ class DistortionProfile:
 
     ``envelope[b]`` is the exact max output over evaluated tuples whose
     input ratio fell in bin b (nan when empty); ``envelope_input[b]`` is the
-    input ratio of a tuple attaining that max.  Bins 0 and -1 catch under-
-    and overflow.
+    largest input ratio among the evaluated tuples whose output equals
+    ``envelope[b]``, nan when the bin is empty or its max is NaN.  Bins 0
+    and -1 catch under- and overflow.
     """
 
     kind: str
@@ -102,7 +102,6 @@ def _distinct(cols):
     return ok
 
 
-_BATCH = 200_000  # sampled draws to a batch: the unit of envelope_input ties
 _CHUNK = 16_384  # tuples drawn, gathered and binned together
 
 # Index pairs whose distances multiply into the numerator and denominator:
@@ -114,22 +113,19 @@ _PAIRS = {
 
 
 def _chunks(n, arity, n_samples, rng, exhaustive):
-    """Tuple columns, at most _CHUNK at a time, each with whether a batch ends
-    there: every ordered tuple in lexicographic order as one batch when
-    exhaustive, else seeded uniform draws, _BATCH to a batch."""
+    """Tuple columns, at most _CHUNK at a time: every ordered tuple in
+    lexicographic order when exhaustive, else ``n_samples`` seeded uniform draws."""
     if exhaustive:
         total = n ** arity
         for s in range(0, total, _CHUNK):
             ordinals = np.arange(s, min(s + _CHUNK, total))
-            yield np.stack(np.unravel_index(ordinals, (n,) * arity)), s + _CHUNK >= total
+            yield np.stack(np.unravel_index(ordinals, (n,) * arity))
         return
-    for b in range(0, n_samples, _BATCH):
-        end = min(b + _BATCH, n_samples)
-        for s in range(b, end, _CHUNK):
-            # The same values as one default int64 draw of the whole batch,
-            # a column to a row, so that _distinct and compress read rows.
-            size = (min(_CHUNK, end - s), arity)
-            yield np.ascontiguousarray(rng.integers(0, n, size, np.int32).T), s + _CHUNK >= end
+    for s in range(0, n_samples, _CHUNK):
+        # The same values as one default int64 draw of all n_samples rows,
+        # a column to a row, so that _distinct and compress read rows.
+        size = (min(_CHUNK, n_samples - s), arity)
+        yield np.ascontiguousarray(rng.integers(0, n, size, np.int32).T)
 
 
 def _ratios(pairs, d, rows, cols):
@@ -168,8 +164,7 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     size, offsets = np.intp(n), f * np.intp(dst.n)
     heads, tails = ({pair[k] for side in pairs for pair in side} for k in (0, 1))
     nbins = BIN_COUNT + 2
-    # top and tied: this batch's max output per bin, the largest input attaining it.
-    env, env_in, top, tied = np.full((4, nbins), -np.inf)
+    env, env_in = np.full((2, nbins), -np.inf)
     counts = np.zeros(nbins, dtype=np.int64)
     worst_ratio = -np.inf
     worst_witness = None
@@ -181,18 +176,18 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
 
     # Coincident points give x/0 and 0/0 ratios: expected, and recorded.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for cols, batch_ends in _chunks(n, arity, n_samples, _rng(seed), exhaustive):
+        for cols in _chunks(n, arity, n_samples, _rng(seed), exhaustive):
             cols = cols.compress(_distinct(cols), axis=1)
             t_in = _ratios(pairs, src.dist, {i: cols[i] * size for i in heads}, cols)
             t_out = _ratios(pairs, dst.dist, {i: offsets.take(cols[i]) for i in heads},
                             {j: f.take(cols[j]) for j in tails})
             slots = _slots(t_in)
             counts += np.bincount(slots, minlength=nbins)
-            before = top.copy()
-            np.maximum.at(top, slots, t_out)
-            tied[top > before] = -np.inf  # a larger max drops the earlier ties
-            hit = t_out == top[slots]
-            np.maximum.at(tied, slots[hit], t_in[hit])
+            before = env.copy()
+            np.maximum.at(env, slots, t_out)
+            env_in[env > before] = -np.inf  # a larger max drops the earlier ties
+            hit = t_out == env[slots]
+            np.maximum.at(env_in, slots[hit], t_in[hit])
             if claimed is not None and cols.shape[1]:
                 ratio = t_out / claimed(t_in)
                 # A 0/0 ratio claims nothing; argmax would stop at the first one.
@@ -202,15 +197,9 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
                     worst_ratio = float(ratio[k])
                     worst_witness = (tuple(int(v) for v in cols[:, k]),
                                      float(t_in[k]), float(t_out[k]))
-            if batch_ends:
-                # A bin whose max this batch attains (NaN never does) takes the
-                # largest input that attains it; the others keep an earlier one.
-                np.maximum(env, top, out=env)
-                touched = (top == env) & (tied > -np.inf)
-                env_in[touched] = tied[touched]
-                top[:], tied[:] = -np.inf, -np.inf
             # Freed before the next chunk is drawn: one chunk's arrays at a time.
             cols = t_in = t_out = slots = hit = ratio = None
+    env_in[np.isnan(env)] = -np.inf  # NaN is attained by no output: no input
 
     claim = None
     if claimed is not None:

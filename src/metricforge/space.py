@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -32,7 +33,10 @@ def _non_finite(token: str):
 
 
 def _finite_positive(name: str, value: float) -> float:
-    """``value`` as a float; raises unless it is finite and positive."""
+    """``value`` as a float; raises unless it is a real number, not a bool,
+    finite and positive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < value < math.inf:  # NaN fails too
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return float(value)
@@ -427,17 +431,22 @@ class CoverResult:
 
 
 def _normalize_radii(m, target, radii):
+    """The radius of each target point, each checked by ``_finite_positive``
+    as given: no conversion turns a string or a bool into a radius."""
     if isinstance(radii, Mapping):
-        out = [float(radii[t]) for t in target]
+        if missing := [t for t in target if t not in radii]:
+            raise ValueError(f"radii has no radius for target point {missing[0]}")
+        out = [radii[t] for t in target]
     else:
-        arr = np.asarray(radii, dtype=float)
-        if arr.ndim == 0:
-            out = [_finite_positive("radii", float(arr))] * len(target)
-        elif arr.shape == (m.n,):
-            out = [float(arr[t]) for t in target]
+        rs = radii.tolist() if isinstance(radii, np.ndarray) else radii
+        shape = np.shape(rs)
+        if shape == ():
+            out = [_finite_positive("radii", rs)] * len(target)
+        elif shape == (m.n,):
+            out = [rs[t] for t in target]
         else:
             raise ValueError(f"radii must be a mapping, a scalar or one per point ({m.n}), "
-                             f"got shape {arr.shape}")
+                             f"got shape {shape}")
     return [_finite_positive("radii", r) for r in out]
 
 

@@ -96,16 +96,16 @@ def _max_nan(a, b):
 
 
 def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
-                       batch, edges, claimed=None, claimed_desc=""):
+                       edges, claimed=None, claimed_desc=""):
     """Per-tuple reference for ``qs_profile``/``qm_profile``, every field.
 
-    Sampled mode draws ``batch`` rows at a time with the default int64
-    ``rng.integers`` and skips rows with a repeated index; exhaustive mode
-    takes every ordered tuple of distinct indices as one batch.  Ratios are
-    float64 scalars, bins come from ``bisect`` on ``edges``, and after each
-    batch the attaining input of a bin is replaced by the largest input of
-    that batch whose output equals the bin's max (ties included).  The claim
-    takes each batch's first largest ratio, NaN ratios left out.
+    Sampled mode draws all ``n_samples`` rows in one default int64
+    ``rng.integers`` call and skips rows with a repeated index; exhaustive
+    mode takes every ordered tuple of distinct indices.  Ratios are float64
+    scalars, bins come from ``bisect`` on ``edges``, and the attaining input
+    of a bin is the largest input whose output equals the bin's max (ties
+    included), none when that max is NaN.  The claim takes the first largest
+    ratio, NaN ratios left out.
     """
     S = [[np.float64(x) for x in row] for row in src]
     D = [[np.float64(x) for x in row] for row in dst]
@@ -122,44 +122,33 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
 
     skipped = 0
     if exhaustive:
-        batches = [list(itertools.permutations(range(n), arity))]
+        rows = list(itertools.permutations(range(n), arity))
     else:
-        rng = np.random.default_rng(seed)
-        batches, done = [], 0
-        while done < n_samples:
-            size = min(batch, n_samples - done)
-            rows = [tuple(r) for r in rng.integers(0, n, size=(size, arity)).tolist()]
-            keep = [r for r in rows if len(set(r)) == arity]
-            skipped += size - len(keep)
-            batches.append(keep)
-            done += size
+        drawn = np.random.default_rng(seed).integers(0, n, size=(n_samples, arity)).tolist()
+        rows = [tuple(r) for r in drawn if len(set(r)) == arity]
+        skipped = n_samples - len(rows)
 
     nbins = len(edges) + 1
     env, env_in, counts = [-math.inf] * nbins, [-math.inf] * nbins, [0] * nbins
     worst, witness = -math.inf, None
     with np.errstate(all="ignore"):
-        for rows in batches:
-            evals = []
-            for t in rows:
-                t_in, t_out = ratio(S, t), ratio(D, [f[i] for i in t])
-                b = bisect.bisect_right(edges, t_in)
-                counts[b] += 1
-                env[b] = _max_nan(env[b], t_out)
-                evals.append((t, t_in, t_out, b))
-            best_in = [-math.inf] * nbins
-            for t, t_in, t_out, b in evals:
-                if t_out == env[b]:
-                    best_in[b] = _max_nan(best_in[b], t_in)
-            for b in range(nbins):
-                if best_in[b] > -math.inf:
-                    env_in[b] = best_in[b]
-            if claimed is not None and evals:
-                r = [float(t_out / claimed(t_in)) for _, t_in, t_out, _ in evals]
-                defined = [i for i, v in enumerate(r) if v == v]
-                k = max(defined, key=r.__getitem__, default=None)
-                if k is not None and r[k] > worst:
-                    t, t_in, t_out, _ = evals[k]
-                    worst, witness = r[k], (t, float(t_in), float(t_out))
+        evals = []
+        for t in rows:
+            t_in, t_out = ratio(S, t), ratio(D, [f[i] for i in t])
+            b = bisect.bisect_right(edges, t_in)
+            counts[b] += 1
+            env[b] = _max_nan(env[b], t_out)
+            evals.append((t, t_in, t_out, b))
+        for t, t_in, t_out, b in evals:
+            if t_out == env[b]:
+                env_in[b] = _max_nan(env_in[b], t_in)
+        if claimed is not None and evals:
+            r = [float(t_out / claimed(t_in)) for _, t_in, t_out, _ in evals]
+            defined = [i for i, v in enumerate(r) if v == v]
+            k = max(defined, key=r.__getitem__, default=None)
+            if k is not None and r[k] > worst:
+                t, t_in, t_out, _ = evals[k]
+                worst, witness = r[k], (t, float(t_in), float(t_out))
 
     def reported(v):
         return float(v) if math.isfinite(v) else math.nan

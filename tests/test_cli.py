@@ -106,10 +106,11 @@ class TestWarpCommand:
         a, b = warped.points.index("a"), warped.points.index("b")
         assert warped.dist[a, b] == pytest.approx(1 / 6, abs=1e-12)
 
-    def test_unknown_basepoint(self, tmp_path, three_point_file):
+    def test_unknown_basepoint(self, tmp_path, three_point_file, capsys):
         code = main(["warp", str(three_point_file), "--basepoint", "zz",
                      "-o", str(tmp_path / "w.json")])
         assert code == 2
+        assert capsys.readouterr().err == "error: unknown point label 'zz'\n"
 
     def test_missing_input(self, tmp_path):
         code = main(["warp", str(tmp_path / "nope.json"), "--basepoint", "p",
@@ -506,7 +507,7 @@ class TestCheckCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_sampled_distortion_reports_are_byte_identical_across_runs(self, tmp_path):
-        # Above the exhaustive cutoff, and over more than one batch of draws.
+        # Above the exhaustive cutoff, and over several chunks of draws.
         src, dst = tmp_path / "disk.json", tmp_path / "warped.json"
         mf.save_space(mf.disk_sample(60, seed=5), src)
         assert main(["warp", str(src), "--basepoint", "p0", "-o", str(dst)]) == 0

@@ -152,8 +152,7 @@ def coincident(m, cluster):
 
 
 class TestProfilesMatchNaiveSampler:
-    # Small batches and chunks make a few thousand samples span several
-    # batches, and each batch several gather chunks.
+    # Small chunks make a few thousand samples span several gather chunks.
     @pytest.mark.parametrize("kind, n, samples, dst_kind, gauge", [
         ("QM", 40, 2500, "warp", 16.0),
         ("QS", 70, 2300, "warp", 2.0),
@@ -161,14 +160,13 @@ class TestProfilesMatchNaiveSampler:
         ("QS", 12, None, "warp", None),
         ("QM", 35, 3000, "coincident", 4.0),
         ("QS", 10, None, "coincident", 2.0),
-        # Every output ratio ties at 1.0, across chunks and batches.
+        # Every output ratio ties at 1.0, across chunks.
         ("QM", 40, 2500, "discrete", 2.0),
         ("QS", 70, 2300, "discrete", None),
         ("QM", 9, None, "discrete", None),
         ("QS", 12, None, "discrete", 0.5),
     ])
     def test_every_field_bit_for_bit(self, monkeypatch, kind, n, samples, dst_kind, gauge):
-        monkeypatch.setattr(distortion, "_BATCH", 700)
         monkeypatch.setattr(distortion, "_CHUNK", 97)
         m = mf.random_metric(n, seed=n)
         if dst_kind == "warp":
@@ -188,15 +186,29 @@ class TestProfilesMatchNaiveSampler:
         edges = np.logspace(math.log10(distortion.BIN_LO), math.log10(distortion.BIN_HI),
                             distortion.BIN_COUNT + 1).tolist()
         expect = distortion_profile(kind, m.dist, dst.dist, mapping, samples, 7,
-                                    samples is None, 700, edges, claimed, "gauge")
+                                    samples is None, edges, claimed, "gauge")
         got = dataclasses.asdict(prof)
         for field, value in expect.items():
             assert repr(got[field]) == repr(value), field  # repr: NaN matches NaN
 
 
+def test_envelope_input_is_the_largest_tied_input_over_all_draws():
+    # Into the 0/1 discrete metric every output ratio is 1, so every tuple
+    # of a bin ties for its max, whichever part of the draws it came from.
+    m = mf.euclidean_grid(12, 0.5)
+    prof = mf.qs_profile(m, mf.FiniteMetricSpace(m.points, 1.0 - np.eye(m.n)), range(m.n),
+                         n_samples=250_000, seed=3)
+    t = np.random.default_rng(3).integers(0, m.n, (250_000, 3))
+    t = t[(t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])]
+    t_in = m.dist[t[:, 0], t[:, 1]] / m.dist[t[:, 0], t[:, 2]]
+    expect = np.full(distortion.BIN_COUNT + 2, np.nan)
+    np.fmax.at(expect, np.searchsorted(distortion._EDGES, t_in, side="right"), t_in)
+    assert repr(prof.envelope_input) == repr(tuple(expect.tolist()))  # repr: NaN matches NaN
+
+
 def test_undefined_ratios_do_not_hide_a_failed_claim():
     # Three coincident destination points give 0/0 output ratios; the claim
-    # check must still see the x/0 ones of the same batch.
+    # check must still see the x/0 ones of the same profile.
     m = mf.random_metric(10, seed=0)
     prof = mf.qs_profile(m, coincident(m, [0, 3, 5, 6]), range(10),
                          claimed=mf.linear_gauge(2))

@@ -173,16 +173,24 @@ class TestGreedyCover:
         with pytest.raises(ValueError):
             mf.greedy_cover_5r(m, {0}, {0: 0.0})
 
-    @pytest.mark.parametrize("radii, match", [
-        (np.array([1.0, 2.0]), "one per point"), (math.nan, "finite and positive"),
-        (-1.0, "finite and positive"), (0.0, "finite and positive"),
-        (math.inf, "finite and positive"),
+    @pytest.mark.parametrize("target, radii, match", [
+        ([], np.array([1.0, 2.0]), "one per point"), ([], math.nan, "finite and positive"),
+        ([], -1.0, "finite and positive"), ([], 0.0, "finite and positive"),
+        ([], math.inf, "finite and positive"),
+        # Once a KeyError, a TypeError, or a cover with strings or bools read as radii.
+        ([0, 1], {0: 1.0}, "radii has no radius for target point 1"),
+        ([0, 1], {0: None, 1: 1.0}, "radii must be a real number"),
+        ([0, 1], {0: "1.5", 1: "0.2"}, "radii must be a real number"),
+        ([0, 1], "1.5", "radii must be a real number"),
+        ([0, 1], np.array(["1", "2", "3"]), "radii must be a real number"),
+        ([0, 1], {0: True, 1: 1.0}, "radii must be a real number"),
+        ([0, 1], True, "radii must be a real number"),
     ])
-    def test_empty_target_checks_radii(self, radii, match):
+    def test_empty_target_checks_radii(self, target, radii, match):
         # An empty target once returned an empty cover for any radii.
         m = space_from([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(ValueError, match=match):
-            mf.greedy_cover_5r(m, [], radii)
+            mf.greedy_cover_5r(m, target, radii)
         assert mf.greedy_cover_5r(m, [], 1.0) == mf.CoverResult((), ())
 
     def test_deterministic_order(self):
