@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CLI pipeline: runs the CLI as a process, with scipy blocked, and writes
-# every space, report, CSV and manifest into <out-dir>.
+# every space, report, CSV and manifest into <out-dir>.  One distortion check
+# maps a space into a copy with three coincident points: its report and CSV
+# must show an inf envelope (x/0 outputs) beside the nan of an empty bin.
 #
 #   .github/cli-pipeline.sh <out-dir>
 #
@@ -49,6 +51,30 @@ assert os.path.isfile(f"{d}/graph.distortion-qs.json")
 manifest = json.load(open(f"{d}/graph.distortion-qs.json.manifest.json"))
 assert f"{d}/graph-warped.json" in manifest["inputs"], manifest
 assert f"{d}/graph-qs.csv" in manifest["outputs"], manifest
+EOF
+# Coincident destination points: an x/0 output reads inf, an empty bin nan.
+cli generate --kind random-metric --n 20 --seed 4 -o "$d/small.json"
+PYTHONPATH=src python - "$d/small.json" "$d/small-coincident.json" <<'EOF'
+import sys
+import numpy as np, metricforge as mf
+m = mf.load_space(sys.argv[1])
+d = m.dist.copy()
+for j in (3, 5):  # points 3 and 5 sit at point 0
+    d[j, :] = d[0, :]
+    d[:, j] = d[:, 0]
+d[np.ix_([0, 3, 5], [0, 3, 5])] = 0.0
+mf.save_space(mf.FiniteMetricSpace(m.points, d), sys.argv[2])
+EOF
+cli check "$d/small.json" --suite distortion --kind qm --dst "$d/small-coincident.json" --csv "$d/small-coincident.csv"
+python - "$d" <<'EOF'
+import json, sys
+d = sys.argv[1]
+report = json.load(open(f"{d}/small.distortion-qm.json"))
+envelope, counts = report["envelope"], report["counts"]
+assert "inf" in envelope, envelope
+assert any(e == "nan" and c == 0 for e, c in zip(envelope, counts)), envelope
+rows = [line.split(",") for line in open(f"{d}/small-coincident.csv").read().splitlines()[1:]]
+assert [e for _, e, _ in rows] == [str(float(e)) for e in envelope], rows
 EOF
 cli generate --kind sphere-cap --eps 0.5 --n 220 -o "$d/cap.json"
 cli double "$d/cap.json" -o "$d/doubled.json"

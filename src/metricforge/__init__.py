@@ -1,23 +1,20 @@
 """metricforge: finite metric space toolkit.
 
-Core pieces: validated finite metric spaces with covering machinery,
-a basepoint sphericalization with an adjoined ideal point, boundary
-doubling of marked spaces, quantitative estimators (doubling, Ahlfors
-regularity, linear local connectivity, quasicircle screening), and
-triple/quadruple distortion profiling.
+Core pieces: validated finite metric spaces, a basepoint sphericalization
+with an adjoined ideal point, boundary doubling of marked spaces,
+quantitative estimators (doubling, Ahlfors regularity, linear local
+connectivity, quasicircle screening), and triple/quadruple distortion
+profiling.
 """
 
 __version__ = "0.1.0"
 
 from .space import (
-    CoverResult,
     FiniteMetricSpace,
     ValidationReport,
     Violation,
     ball,
-    covering_radius,
     from_json,
-    greedy_cover_5r,
     load_space,
     sample_scale,
     save_space,
@@ -45,7 +42,7 @@ from .warp import (
     rho_matrix,
     warp,
 )
-from .glue import DoubledSpace, diam_ratio, double, project
+from .glue import DoubledSpace, double
 from .analysis import (
     LLCReport,
     QuasicircleReport,
@@ -53,7 +50,6 @@ from .analysis import (
     default_delta,
     default_radii,
     doubling_constant,
-    hausdorff_premeasure,
     llc_constants,
     quasicircle_check,
     regularity_constant,
@@ -61,9 +57,6 @@ from .analysis import (
 from .distortion import (
     ClaimCheck,
     DistortionProfile,
-    chordal,
-    check_plane_to_sphere_L,
-    cross_ratio,
     linear_gauge,
     plane_sphere_ratios,
     qm_profile,

@@ -150,7 +150,7 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff pre-measure (scaled greedy cover)
+# The eps measure of regularity_constant: net cells touched, times eps^Q
 # ---------------------------------------------------------------------------
 
 def _first_fit_cells(m: FiniteMetricSpace, eps: float) -> np.ndarray:
@@ -169,28 +169,6 @@ def _first_fit_cells(m: FiniteMetricSpace, eps: float) -> np.ndarray:
             covered |= m.dist[c] <= eps
     within = m.dist[np.asarray(kept, dtype=int)] <= eps
     return np.asarray(kept, dtype=int)[np.argmax(within, axis=0)]
-
-
-def _touched_cells(cells: np.ndarray, members) -> int:
-    """How many distinct cells of ``cells`` (see :func:`_first_fit_cells`) the
-    points ``members``, indices or a mask, fall in."""
-    return len(np.unique(cells[members]))
-
-
-def hausdorff_premeasure(m: FiniteMetricSpace, S, Q: float, eps: float) -> float:
-    """Net-cover bound on the radius-power cover sum of S.
-
-    The value is (distinct first-fit net cells touching S) * eps^Q.  Each
-    touched cell center lies within eps of S, so the corresponding closed
-    balls are centered in the eps-neighborhood of S and cover it.  Because
-    the net is built from the ambient space alone, the estimate is monotone
-    in S and subadditive over unions, like the quantity it bounds.
-    """
-    scale = _power("eps", _finite_positive("eps", eps), _finite_positive("Q", Q))
-    idx = np.asarray(_indices("target set", S, m.n), dtype=int)
-    if idx.size == 0:
-        raise ValueError("target set must be nonempty")
-    return _touched_cells(_first_fit_cells(m, eps), idx) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +198,16 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
     """Estimate the two-sided ball-measure scaling constant.
 
     The measure proxy is the explicit mass field when present (generated
-    spaces know their own density); passing ``eps`` switches to the greedy
-    eps-cover pre-measure.  A space without mass needs ``eps``: without it,
-    this raises ``ValueError``.  K_hat is the max over evaluated (a, r) of
+    spaces know their own density); passing ``eps`` switches to the cells
+    of a first-fit eps-net a ball touches, times eps^Q.  A space without
+    mass needs ``eps``: without it, this raises ``ValueError``.  K_hat is
+    the max over evaluated (a, r) of
     max(mu(B̄(a,r)) / r^Q, r^Q / mu(B̄(a,r))).  Radii above the diameter
     are left out.
     """
     _finite_positive("Q", Q)
     use_premeasure = eps is not None
-    if use_premeasure:  # hausdorff_premeasure of each ball, its checks and net made once
+    if use_premeasure:  # a ball's measure: the net cells it touches, times eps^Q
         scale = _power("eps", _finite_positive("eps", eps), Q)
     elif m.mass is None:
         raise ValueError("regularity needs point masses or an eps cover scale")
@@ -245,7 +224,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
         for r in fits:
             members = row <= r
             if use_premeasure:
-                mu = _touched_cells(cells, members) * scale
+                mu = len(np.unique(cells[members])) * scale
             else:
                 mu = float(m.mass[members].sum())
             ratio = max(mu / powers[r], powers[r] / mu) if mu > 0.0 else math.inf

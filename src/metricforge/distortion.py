@@ -1,5 +1,5 @@
-"""Cross-ratios, triple/quadruple distortion envelopes, and the
-plane-to-sphere chordal comparison.
+"""Triple/quadruple distortion envelopes and the plane-to-sphere chordal
+comparison.
 
 Distortion profiling is exhaustive on small spaces (every ordered tuple of
 distinct indices) and seeded-uniform above the cutoff.  Envelopes are
@@ -37,17 +37,6 @@ _ABOVE = np.concatenate((_EDGES, [np.nan]))
 _LOG_LO, _PER_DECADE = math.log10(BIN_LO), BIN_COUNT / math.log10(BIN_HI / BIN_LO)
 
 
-def cross_ratio(m: FiniteMetricSpace, x: int, y: int, z: int, w: int) -> float:
-    """d(x,z) d(y,w) / (d(x,w) d(y,z)) for four distinct points."""
-    x, y, z, w = _indices("cross ratio points", (x, y, z, w), m.n)
-    if len({x, y, z, w}) != 4:
-        raise ValueError("cross ratio needs four distinct points")
-    denom = m.dist[x, w] * m.dist[y, z]
-    if denom == 0.0:
-        raise ValueError("cross ratio undefined: coincident points give a zero denominator")
-    return float(m.dist[x, z] * m.dist[y, w] / denom)
-
-
 @dataclass(frozen=True)
 class ClaimCheck:
     """Pointwise comparison of outputs against a claimed gauge bound."""
@@ -63,8 +52,9 @@ class DistortionProfile:
     """Per-bin max output ratio keyed by input ratio.
 
     ``envelope[b]`` is the exact max output over evaluated tuples whose
-    input ratio fell in bin b (nan when empty); ``envelope_input[b]`` is the
-    largest input ratio among the evaluated tuples whose output equals
+    input ratio fell in bin b: inf when an output is x/0, nan when the bin
+    is empty or an output is 0/0.  ``envelope_input[b]`` is the largest
+    input ratio among the evaluated tuples whose output equals
     ``envelope[b]``, nan when the bin is empty or its max is NaN.  Bins 0
     and -1 catch under- and overflow.
     """
@@ -74,7 +64,7 @@ class DistortionProfile:
     envelope: tuple
     envelope_input: tuple
     counts: tuple
-    skipped_degenerate: int
+    skipped_degenerate: int          # tuples drawn or enumerated minus tuples evaluated
     exhaustive: bool
     seed: int
     claim: ClaimCheck | None = None
@@ -209,15 +199,16 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
             worst_ratio=float(worst_ratio),
             worst_witness=worst_witness,
         )
-    env_out = tuple(float(v) if np.isfinite(v) else math.nan for v in env)
-    env_in_out = tuple(float(v) if np.isfinite(v) else math.nan for v in env_in)
+    # An empty bin's -inf and a NaN max read nan; an x/0 output stays inf.
+    env_out, env_in_out = (tuple(float(v) if v > -np.inf else math.nan for v in a)
+                           for a in (env, env_in))
     return DistortionProfile(
         kind=kind,
         bin_edges=tuple(float(e) for e in _EDGES),
         envelope=env_out,
         envelope_input=env_in_out,
         counts=tuple(int(c) for c in counts),
-        skipped_degenerate=0 if exhaustive else n_samples - int(counts.sum()),
+        skipped_degenerate=(n ** arity if exhaustive else n_samples) - int(counts.sum()),
         exhaustive=exhaustive,
         seed=seed,
         claim=claim,
@@ -274,13 +265,6 @@ def stereographic(xy) -> np.ndarray:
     return out[0] if single else out
 
 
-def chordal(xy_a, xy_b) -> np.ndarray | float:
-    """Euclidean gap between the spherical images of two plane point sets."""
-    sa, sb = stereographic(xy_a), stereographic(xy_b)
-    d = np.linalg.norm(np.atleast_2d(sa) - np.atleast_2d(sb), axis=1)
-    return float(d[0]) if np.asarray(xy_a).ndim == 1 else d
-
-
 def plane_sphere_ratios(xy_a, xy_b) -> np.ndarray:
     """Two-sided ratio between the chordal gap and the flat rescaled gap.
 
@@ -297,16 +281,3 @@ def plane_sphere_ratios(xy_a, xy_b) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.maximum(chord / flat, flat / chord)
     return out
-
-
-def check_plane_to_sphere_L(points) -> float:
-    """Worst two-sided ratio over all distinct pairs of a planar sample."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValueError("need at least two planar points")
-    ii, jj = np.triu_indices(len(pts), 1)
-    gaps = np.linalg.norm(pts[ii] - pts[jj], axis=1)
-    keep = gaps > 0
-    if not keep.any():
-        raise ValueError("all points coincide")
-    return float(plane_sphere_ratios(pts[ii[keep]], pts[jj[keep]]).max())

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _indices, _min_plus_into
+from .space import FiniteMetricSpace, _min_plus_into
 
 
 @dataclass(frozen=True, eq=False)
 class DoubledSpace:
     """Two glued copies of a boundary-marked base space.
 
-    ``base_index`` maps doubled indices back to base indices; ``side`` is 0
-    for shared boundary points, else 1 or 2.
+    ``base_index`` maps doubled indices back to base indices, the projection
+    that forgets the side; ``side`` is 0 for shared boundary points, else 1
+    or 2.
     """
 
     base: FiniteMetricSpace
@@ -86,19 +87,3 @@ def double(m: FiniteMetricSpace) -> DoubledSpace:
     rim = tuple(int(i) for i in bd)
     return DoubledSpace(base=m, doubled=doubled, base_index=base_index,
                         side=side, rim=rim)
-
-
-def project(ds: DoubledSpace, q: int) -> int:
-    """Forget the side of a doubled point; never increases distance."""
-    return int(ds.base_index[_indices("index", [q], ds.doubled.n)[0]])
-
-
-def diam_ratio(ds: DoubledSpace) -> float:
-    """diam(X) / diam(∂X) of the base space; needs at least 2 marked points."""
-    bd = np.asarray(sorted(ds.base.boundary), dtype=int)
-    if len(bd) < 2:
-        raise ValueError("diameter ratio undefined for a singleton boundary")
-    bdiam = float(ds.base.dist[np.ix_(bd, bd)].max())
-    if bdiam == 0.0:
-        raise ValueError("marked boundary has zero diameter")
-    return float(ds.base.dist.max()) / bdiam

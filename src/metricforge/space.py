@@ -1,4 +1,4 @@
-"""Finite metric spaces: representation, validation, balls, covers, serialization.
+"""Finite metric spaces: representation, validation, balls, serialization.
 
 A :class:`FiniteMetricSpace` is an immutable bundle of point labels and a
 symmetric distance matrix, optionally carrying Euclidean coordinates, a
@@ -17,7 +17,7 @@ import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -396,14 +396,6 @@ def ball(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> s
     return set((row <= r if closed else row < r).nonzero()[0].tolist())
 
 
-def covering_radius(m: FiniteMetricSpace, subset: Iterable[int]) -> float:
-    """Max over all points of the min distance to ``subset``."""
-    idx = _indices("subset", subset, m.n)
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    return float(m.dist[:, idx].min(axis=1).max())
-
-
 def sample_scale(m: FiniteMetricSpace) -> float:
     """Max nearest-neighbor distance: the resolution proxy of a sample.
 
@@ -420,58 +412,6 @@ def sample_scale(m: FiniteMetricSpace) -> float:
         np.fill_diagonal(band[:, r0:], np.inf)
         band.min(axis=1, out=nearest[r0:r0 + _ROW_BLOCK])
     return float(nearest.max())
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    """Selected ball centers whose 5r-inflations cover the input balls."""
-
-    centers: tuple
-    radius_per_center: tuple
-
-
-def _normalize_radii(m, target, radii):
-    """The radius of each target point, each checked by ``_finite_positive``
-    as given: no conversion turns a string or a bool into a radius."""
-    if isinstance(radii, Mapping):
-        if missing := [t for t in target if t not in radii]:
-            raise ValueError(f"radii has no radius for target point {missing[0]}")
-        out = [radii[t] for t in target]
-    else:
-        rs = radii.tolist() if isinstance(radii, np.ndarray) else radii
-        shape = np.shape(rs)
-        if shape == ():
-            out = [_finite_positive("radii", rs)] * len(target)
-        elif shape == (m.n,):
-            out = [rs[t] for t in target]
-        else:
-            raise ValueError(f"radii must be a mapping, a scalar or one per point ({m.n}), "
-                             f"got shape {shape}")
-    return [_finite_positive("radii", r) for r in out]
-
-
-def greedy_cover_5r(m: FiniteMetricSpace, target: Iterable[int], radii) -> CoverResult:
-    """Greedy disjoint subfamily whose 5r-balls cover the input balls.
-
-    Candidate balls B(t, r_t) for t in ``target`` are scanned by radius
-    descending (ties by index ascending); a ball is kept iff its core is
-    metrically disjoint from every kept core, i.e. d(c_i, c_j) >= r_i + r_j.
-    Every rejected ball then sits inside the closed 3r-inflation of some
-    kept ball, so the closed 5r-inflations cover the input union.  ``radii``
-    is a mapping from target index to radius, one scalar, or one per point,
-    and is checked on every target, an empty one included.
-    """
-    target = sorted(set(_indices("target", target, m.n)))
-    rs = _normalize_radii(m, target, radii)
-    order = sorted(range(len(target)), key=lambda k: (-rs[k], target[k]))
-    centers: list[int] = []
-    kept_r: list[float] = []
-    for k in order:
-        c, r = target[k], rs[k]
-        if all(m.dist[c, c2] >= r + r2 for c2, r2 in zip(centers, kept_r)):
-            centers.append(c)
-            kept_r.append(r)
-    return CoverResult(tuple(centers), tuple(kept_r))
 
 
 def subspace(m: FiniteMetricSpace, indices: Sequence[int],

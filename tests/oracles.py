@@ -101,11 +101,13 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
 
     Sampled mode draws all ``n_samples`` rows in one default int64
     ``rng.integers`` call and skips rows with a repeated index; exhaustive
-    mode takes every ordered tuple of distinct indices.  Ratios are float64
-    scalars, bins come from ``bisect`` on ``edges``, and the attaining input
-    of a bin is the largest input whose output equals the bin's max (ties
-    included), none when that max is NaN.  The claim takes the first largest
-    ratio, NaN ratios left out.
+    mode enumerates every ordered tuple and skips the same rows; the skipped
+    count is the rows drawn or enumerated minus those evaluated.  Ratios are
+    float64 scalars, bins come from ``bisect`` on ``edges``, and the
+    attaining input of a bin is the largest input whose output equals the
+    bin's max (ties included), none when that max is NaN.  An empty bin and
+    a NaN read nan; an infinite max or input stays inf.  The claim takes
+    the first largest ratio, NaN ratios left out.
     """
     S = [[np.float64(x) for x in row] for row in src]
     D = [[np.float64(x) for x in row] for row in dst]
@@ -120,13 +122,13 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
         x, y, z, w = t
         return M[x][z] * M[y][w] / (M[x][w] * M[y][z])
 
-    skipped = 0
     if exhaustive:
-        rows = list(itertools.permutations(range(n), arity))
+        drawn = itertools.product(range(n), repeat=arity)
     else:
         drawn = np.random.default_rng(seed).integers(0, n, size=(n_samples, arity)).tolist()
-        rows = [tuple(r) for r in drawn if len(set(r)) == arity]
-        skipped = n_samples - len(rows)
+    drawn = [tuple(r) for r in drawn]
+    rows = [r for r in drawn if len(set(r)) == arity]
+    skipped = len(drawn) - len(rows)
 
     nbins = len(edges) + 1
     env, env_in, counts = [-math.inf] * nbins, [-math.inf] * nbins, [0] * nbins
@@ -151,7 +153,7 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
                 worst, witness = r[k], (t, float(t_in), float(t_out))
 
     def reported(v):
-        return float(v) if math.isfinite(v) else math.nan
+        return float(v) if v > -math.inf else math.nan
 
     claim = None
     if claimed is not None:
@@ -203,31 +205,6 @@ def chain_closure(weights):
         D = nxt
 
 
-def cover_is_valid(dist, target, radii_by_index, centers, kept_radii):
-    """Set-level check of the disjoint-core / 5r-coverage contract.
-
-    Returns (cores_disjoint, covers_inputs): the kept open cores share no
-    point, and every point of any input ball lies in some kept closed
-    5r-ball.
-    """
-    n = len(dist)
-    cores = []
-    for c, r in zip(centers, kept_radii):
-        cores.append({x for x in range(n) if dist[c][x] < r})
-    disjoint = True
-    for s1, s2 in itertools.combinations(cores, 2):
-        if s1 & s2:
-            disjoint = False
-    input_union = set()
-    for t in target:
-        r = radii_by_index[t]
-        input_union |= {x for x in range(n) if dist[t][x] < r}
-    covered = set()
-    for c, r in zip(centers, kept_radii):
-        covered |= {x for x in range(n) if dist[c][x] <= 5.0 * r}
-    return disjoint, input_union <= covered
-
-
 def rim_gap(coords, eps):
     """Euclidean distance from unit-sphere points to the cap rim circle.
 
@@ -238,14 +215,6 @@ def rim_gap(coords, eps):
     rho0 = eps * math.sqrt(1.0 - eps * eps / 4.0)
     planar = np.hypot(coords[:, 0], coords[:, 1])
     return np.hypot(planar - rho0, coords[:, 2] - z0)
-
-
-def covering_radius_naive(dist, subset):
-    subset = list(subset)
-    worst = 0.0
-    for x in range(len(dist)):
-        worst = max(worst, min(dist[x][s] for s in subset))
-    return worst
 
 
 def sample_scale_whole(dist):

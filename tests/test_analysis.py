@@ -6,6 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
+from metricforge import analysis
 from oracles import component_of, greedy_cover_count, llc_by_components, traced
 
 
@@ -73,18 +74,24 @@ def test_every_ball_cover_matches_the_greedy_oracle(n, symmetric, data):
     assert mf.doubling_constant(m, radii=radii, centers=range(n)) == worst
 
 
+def net_measure(m, S, Q, eps):
+    """The eps measure of ``regularity_constant``: the distinct first-fit
+    net cells that S touches, times eps^Q."""
+    return len(np.unique(analysis._first_fit_cells(m, eps)[sorted(S)])) * eps ** Q
+
+
 class TestPremeasure:
     def test_single_point(self):
         m = mf.FiniteMetricSpace(("a",), np.zeros((1, 1)))
-        assert mf.hausdorff_premeasure(m, {0}, 2.0, 0.1) == pytest.approx(0.01)
+        assert net_measure(m, {0}, 2.0, 0.1) == pytest.approx(0.01)
 
     def test_two_far_points_need_two_balls(self):
         m = mf.FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.3], [0.3, 0.0]]))
-        assert mf.hausdorff_premeasure(m, {0, 1}, 2.0, 0.1) == pytest.approx(0.02)
+        assert net_measure(m, {0, 1}, 2.0, 0.1) == pytest.approx(0.02)
 
     def test_grid_area_estimate(self):
         grid = mf.euclidean_grid(33, 1 / 32)
-        value = mf.hausdorff_premeasure(grid, range(grid.n), 2.0, 1 / 8)
+        value = net_measure(grid, range(grid.n), 2.0, 1 / 8)
         assert 0.25 <= value <= 4.0
 
     def test_monotone_and_subadditive_on_corpus(self):
@@ -96,38 +103,12 @@ class TestPremeasure:
             all_idx = np.arange(n)
             s = set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist())
             t = set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist())
-            hs = mf.hausdorff_premeasure(m, s, 2.0, eps)
-            ht = mf.hausdorff_premeasure(m, t, 2.0, eps)
-            hst = mf.hausdorff_premeasure(m, s | t, 2.0, eps)
-            hall = mf.hausdorff_premeasure(m, all_idx, 2.0, eps)
+            hs = net_measure(m, s, 2.0, eps)
+            ht = net_measure(m, t, 2.0, eps)
+            hst = net_measure(m, s | t, 2.0, eps)
+            hall = net_measure(m, all_idx, 2.0, eps)
             assert hst <= hs + ht + 1e-12, f"trial {trial} subadditivity"
             assert hs <= hall + 1e-12, f"trial {trial} monotonicity"
-
-    def test_bad_inputs(self):
-        m = mf.random_metric(4, seed=0)
-        for eps in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="eps must be finite and positive"):
-                mf.hausdorff_premeasure(m, {0}, 2.0, eps)
-        with pytest.raises(ValueError):
-            mf.hausdorff_premeasure(m, set(), 2.0, 0.5)
-
-    @pytest.mark.parametrize("Q", [math.nan, -1.0, 0.0, math.inf])
-    def test_exponent_must_be_finite_and_positive(self, Q):
-        grid = mf.euclidean_grid(4, 1.0)
-        with pytest.raises(ValueError, match="Q must be finite and positive"):
-            mf.hausdorff_premeasure(grid, range(grid.n), Q, 0.5)
-
-    @pytest.mark.parametrize("S, match", [
-        ([-1], "outside"), ([16], "outside"),
-        ([1.9], "not an integer index"), ([0, True], "not an integer index"),
-        (np.array([0.0, 1.0]), "not an integer index"),
-    ])
-    def test_target_entries_must_be_indices(self, S, match):
-        # -1 is not the last point, and 1.9 is not point 1.
-        grid = mf.euclidean_grid(4, 1.0)
-        with pytest.raises(ValueError, match=match):
-            mf.hausdorff_premeasure(grid, S, 2.0, 0.5)
-        assert mf.hausdorff_premeasure(grid, np.array([0, 15]), 2.0, 0.5) > 0
 
 
 class TestRegularity:
@@ -462,6 +443,29 @@ def test_radii_must_be_finite_and_positive(estimator, r):
             ESTIMATORS[estimator](m, radii=(0.5, r))
 
 
+@pytest.mark.parametrize("r", [None, "0.5", True, 0.5 + 0j])
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_radii_must_be_real_numbers(estimator, r):
+    # A string, a bool or a complex is refused, never read as a radius.
+    with pytest.raises(ValueError, match="radii must be a real number"):
+        ESTIMATORS[estimator](mf.disk_sample(80, seed=1), radii=(0.5, r))
+
+
+@pytest.mark.parametrize("delta", ["0.1", b"0.1", True, 0.1 + 0j])
+@pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
+def test_proximity_scale_must_be_a_real_number(check, delta):
+    with pytest.raises(ValueError, match="delta must be a real number"):
+        check(mf.disk_sample(30, seed=1), delta=delta)
+
+
+@pytest.mark.parametrize("value", ["2", True, 2 + 0j])
+@pytest.mark.parametrize("option", ["Q", "eps"])
+def test_regularity_scales_must_be_real_numbers(option, value):
+    options = {"Q": 2.0, option: value}
+    with pytest.raises(ValueError, match=f"{option} must be a real number"):
+        mf.regularity_constant(mf.euclidean_grid(5, 0.25), **options)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
 @pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
 def test_lambda_grid_values_must_be_finite_and_at_least_one(check, value):
@@ -575,8 +579,6 @@ def test_regularity_powers_must_be_finite_and_positive(options, name):
     # r ** Q and eps ** Q once ended in ZeroDivisionError or OverflowError.
     with pytest.raises(ValueError, match=rf"{name} \*\* Q, with .* must be finite and positive"):
         mf.regularity_constant(mf.euclidean_grid(5, 0.25), **options)
-    with pytest.raises(ValueError, match=r"eps \*\* Q, with eps 1e\+308"):
-        mf.hausdorff_premeasure(mf.euclidean_grid(5, 0.25), [0], 2.0, 1e308)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,32 +18,6 @@ def planar_space(coords):
                                 cdist(coords, coords), coords=coords)
 
 
-class TestCrossRatio:
-    def test_unit_square(self):
-        m = planar_space([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert mf.cross_ratio(m, 0, 1, 2, 3) == pytest.approx(2.0, abs=1e-12)
-
-    def test_equidistant_points_give_one(self):
-        dist = np.ones((4, 4)) - np.eye(4)
-        m = mf.FiniteMetricSpace(("a", "b", "c", "d"), dist)
-        assert mf.cross_ratio(m, 0, 1, 2, 3) == 1.0
-
-    def test_swapping_pair_roles_gives_reciprocal(self):
-        m = planar_space([(0, 0), (2, 0), (1.5, 1), (-0.5, 2)])
-        forward = mf.cross_ratio(m, 0, 1, 2, 3)
-        assert mf.cross_ratio(m, 0, 1, 3, 2) == pytest.approx(1.0 / forward, rel=1e-12)
-
-    def test_repeated_points_rejected(self):
-        m = planar_space([(0, 0), (1, 0), (1, 1), (0, 1)])
-        with pytest.raises(ValueError):
-            mf.cross_ratio(m, 0, 0, 2, 3)
-
-    def test_coincident_points_give_no_ratio(self):
-        m = planar_space([(0, 0), (1, 0), (1, 1), (0, 0)])  # d(x, w) = 0
-        with pytest.raises(ValueError, match="zero denominator"):
-            mf.cross_ratio(m, 0, 1, 2, 3)
-
-
 class TestProfilesIdentity:
     def test_qs_identity_envelope_matches_input(self):
         m = mf.random_metric(14, seed=3)
@@ -97,6 +71,25 @@ class TestProfileContracts:
         assert not prof.exhaustive
         assert prof.skipped_degenerate > 0
         assert sum(prof.counts) + prof.skipped_degenerate == 20000
+
+    @pytest.mark.parametrize("fn, tuples, skipped", [(mf.qs_profile, 1000, 280),
+                                                     (mf.qm_profile, 10_000, 4960)])
+    def test_exhaustive_mode_counts_degenerates(self, fn, tuples, skipped):
+        # All n^arity tuples are enumerated; those with a repeated point are skipped.
+        m = mf.random_metric(10, seed=2)
+        prof = fn(m, m, range(m.n))
+        assert prof.exhaustive
+        assert prof.skipped_degenerate == skipped
+        assert sum(prof.counts) + skipped == tuples
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    @pytest.mark.parametrize("fn, arity", [(mf.qs_profile, 3), (mf.qm_profile, 4)])
+    def test_exhaustive_skipped_is_enumerated_minus_evaluated(self, fn, arity, n):
+        m = mf.random_metric(n, seed=n)
+        prof = fn(m, m, range(m.n))
+        assert prof.exhaustive
+        assert sum(prof.counts) == math.perm(n, arity)
+        assert prof.skipped_degenerate == n ** arity - math.perm(n, arity)
 
     def test_determinism(self):
         m = mf.random_metric(70, seed=3)
@@ -217,6 +210,74 @@ def test_undefined_ratios_do_not_hide_a_failed_claim():
     assert prof.claim.worst_ratio == math.inf
     (a, b, c), _, t_out = prof.claim.worst_witness
     assert {a, c} <= {0, 3, 5, 6} and t_out == math.inf
+
+
+def test_infinite_envelope_reads_inf_not_nan():
+    # x/0 outputs make a bin's max inf, with a finite input attaining it;
+    # a bin whose max is 0/0 and an empty bin read nan, input included.
+    m = mf.random_metric(120, seed=4)
+    prof = mf.qm_profile(m, coincident(m, [0, 3, 5, 6, 9]), range(m.n))
+    assert not prof.exhaustive
+    for b, t_in in ((20, 0.196), (28, 4.38), (29, 6.70)):
+        assert prof.envelope[b] == math.inf
+        assert prof.envelope_input[b] == pytest.approx(t_in, abs=0.005)
+    assert math.isnan(prof.envelope[24]) and math.isnan(prof.envelope_input[24])
+    assert prof.counts[0] == 0
+    assert math.isnan(prof.envelope[0]) and math.isnan(prof.envelope_input[0])
+
+
+@pytest.mark.parametrize("samples", [None, 20_000])
+@pytest.mark.parametrize("fn", [mf.qs_profile, mf.qm_profile])
+def test_only_empty_and_undefined_bins_read_nan(fn, samples):
+    # Into a copy with coincident points, x/0 outputs give inf envelopes,
+    # each with the finite input that attains it; no envelope is -inf.
+    n = 8 if samples is None else 90
+    m = mf.random_metric(n, seed=5)
+    prof = fn(m, coincident(m, [0, 3, 5]), range(n), n_samples=samples or 0, seed=2)
+    assert prof.exhaustive == (samples is None)
+    env, env_in = np.array(prof.envelope), np.array(prof.envelope_input)
+    assert np.isinf(env).any() and not (env == -math.inf).any()
+    assert np.isfinite(env_in[np.isinf(env)]).all()
+    empty = np.array(prof.counts) == 0
+    assert np.isnan(env[empty]).all() and np.isnan(env_in[empty]).all()
+    assert np.isnan(env_in[np.isnan(env)]).all()
+
+
+def tally(pairs):
+    """The (count, max ratio) of each bin, from (ratio, count) pairs."""
+    bins = {}
+    for t, k in pairs:
+        b = int(np.searchsorted(distortion._EDGES, t, side="right"))
+        count, top = bins.get(b, (0, -math.inf))
+        bins[b] = (count + k, max(top, t))
+    return bins
+
+
+@pytest.mark.parametrize("fn", [mf.qs_profile, mf.qm_profile])
+def test_equidistant_points_give_ratio_one(fn):
+    m = mf.FiniteMetricSpace(("a", "b", "c", "d"), 1.0 - np.eye(4))
+    prof = fn(m, m, [3, 2, 1, 0])
+    expect = tally([(1.0, 24)])
+    assert {b: (prof.counts[b], prof.envelope[b]) for b in prof.nonempty_bins()} == expect
+    assert all(prof.envelope_input[b] == 1.0 for b in expect)
+
+
+@pytest.mark.parametrize("fn, ratios", [
+    # QS: a side or the diagonal over a side or the diagonal.
+    (mf.qs_profile, (2 ** -0.5, 1.0, 2 ** 0.5)),
+    # QM: of the three pairings, the diagonals' product is 2, the sides' 1.
+    (mf.qm_profile, (0.5, 1.0, 2.0)),
+])
+def test_unit_square_ratios(fn, ratios):
+    # The 24 ordered tuples of distinct corners: 8 at each of three ratios.
+    square = planar_space([(0, 0), (1, 0), (1, 1), (0, 1)])
+    prof = fn(square, square, range(4))
+    expect = tally([(t, 8) for t in ratios])
+    assert prof.nonempty_bins() == sorted(expect)
+    for b, (count, top) in expect.items():
+        assert prof.counts[b] == count
+        assert prof.envelope[b] == pytest.approx(top, rel=1e-12)
+        assert prof.envelope_input[b] == prof.envelope[b]
 
 
 class TestProfileMemory:
@@ -344,14 +405,18 @@ class TestStereographic:
         s = mf.stereographic(pts)
         assert np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0)) < 1e-12
 
+    @staticmethod
+    def chordal(a, b):
+        return float(np.linalg.norm(mf.stereographic(a) - mf.stereographic(b)))
+
     def test_worked_pair(self):
-        assert mf.chordal((0.0, 0.0), (1.0, 0.0)) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert self.chordal((0.0, 0.0), (1.0, 0.0)) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_coincident_points(self):
-        assert mf.chordal((0.3, -0.7), (0.3, -0.7)) == 0.0
+        assert self.chordal((0.3, -0.7), (0.3, -0.7)) == 0.0
 
     def test_far_points_approach_the_puncture(self):
-        assert mf.chordal((0.0, 0.0), (1e6, 0.0)) > 2.0 - 1e-5
+        assert self.chordal((0.0, 0.0), (1e6, 0.0)) > 2.0 - 1e-5
 
     def test_identity_against_closed_form(self):
         rng = np.random.default_rng(8)
@@ -366,13 +431,14 @@ class TestStereographic:
 
 class TestPlaneToSphereComparison:
     def test_worked_pair_ratio(self):
-        ratio = mf.check_plane_to_sphere_L(np.array([(0.0, 0.0), (1.0, 0.0)]))
+        ratio = mf.plane_sphere_ratios((0.0, 0.0), (1.0, 0.0))[0]
         assert ratio == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_collinear_scan_approaches_but_never_exceeds_four(self):
-        t = np.concatenate([np.linspace(0, 3, 400), np.geomspace(3, 1e3, 200)])
+        t = np.unique(np.concatenate([np.linspace(0, 3, 400), np.geomspace(3, 1e3, 200)]))
         pts = np.stack([t, np.zeros_like(t)], axis=1)
-        worst = mf.check_plane_to_sphere_L(pts)
+        ii, jj = np.triu_indices(len(pts), 1)
+        worst = mf.plane_sphere_ratios(pts[ii], pts[jj]).max()
         assert 3.9 < worst <= 4.0 + 1e-12
 
     def test_equal_norm_pairs_match_closed_form(self):
@@ -393,9 +459,3 @@ class TestPlaneToSphereComparison:
         a = rng.uniform(-1e3, 1e3, size=(200_000, 2))
         b = rng.uniform(-1e3, 1e3, size=(200_000, 2))
         assert mf.plane_sphere_ratios(a, b).max() <= 4.0 + 1e-12
-
-    def test_needs_two_distinct_points(self):
-        with pytest.raises(ValueError):
-            mf.check_plane_to_sphere_L(np.array([(1.0, 1.0)]))
-        with pytest.raises(ValueError, match="all points coincide"):
-            mf.check_plane_to_sphere_L(np.array([(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]))

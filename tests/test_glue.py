@@ -30,7 +30,7 @@ class TestDoubleLine:
         ds = mf.double(marked_line)
         d = ds.doubled
         for q in range(d.n):
-            base_q = mf.project(ds, q)
+            base_q = int(ds.base_index[q])
             assert d.dist[0, q] == marked_line.dist[0, base_q]
 
 
@@ -85,7 +85,7 @@ class TestDoubleContract:
         for _ in range(300):
             q1 = int(rng.choice(side1))
             q2 = int(rng.choice(side2))
-            x, y = mf.project(ds, q1), mf.project(ds, q2)
+            x, y = int(ds.base_index[q1]), int(ds.base_index[q2])
             expect = min(disk.dist[x, z] + disk.dist[z, y] for z in rim)
             assert ds.doubled.dist[q1, q2] == expect
 
@@ -100,15 +100,15 @@ class TestDoubleContract:
 class TestProject:
     def test_forgets_side(self, marked_line):
         ds = mf.double(marked_line)
-        assert mf.project(ds, ds.doubled.points.index("2#2")) == 2
-        assert mf.project(ds, ds.doubled.points.index("2#1")) == 2
-        assert mf.project(ds, 0) == 0
+        assert ds.base_index[ds.doubled.points.index("2#2")] == 2
+        assert ds.base_index[ds.doubled.points.index("2#1")] == 2
+        assert ds.base_index[0] == 0
 
     def test_mirror_pair_projects_to_zero_gap(self, marked_line):
         ds = mf.double(marked_line)
         q1 = ds.doubled.points.index("1#1")
         q2 = ds.doubled.points.index("1#2")
-        assert marked_line.dist[mf.project(ds, q1), mf.project(ds, q2)] == 0.0
+        assert marked_line.dist[ds.base_index[q1], ds.base_index[q2]] == 0.0
         assert ds.doubled.dist[q1, q2] > 0
 
     def test_one_lipschitz_on_random_pairs(self):
@@ -119,38 +119,6 @@ class TestProject:
         dd = ds.doubled.dist[q[:, 0], q[:, 1]]
         bb = disk.dist[ds.base_index[q[:, 0]], ds.base_index[q[:, 1]]]
         assert np.all(bb <= dd + 1e-12)
-
-    def test_out_of_range(self, marked_line):
-        ds = mf.double(marked_line)
-        with pytest.raises(ValueError):
-            mf.project(ds, 99)
-
-
-class TestDiamRatio:
-    def test_equal_diameters_give_one(self):
-        dist = np.array([
-            [0.0, 1.0, 0.6],
-            [1.0, 0.0, 0.8],
-            [0.6, 0.8, 0.0],
-        ])
-        m = mf.FiniteMetricSpace(("a", "b", "c"), dist, boundary={0, 1})
-        assert mf.diam_ratio(mf.double(m)) == 1.0
-
-    def test_shrinking_cap_grows_ratio(self):
-        a_small = mf.diam_ratio(mf.double(mf.sphere_cap_complement(0.1, 260, seed=6)))
-        a_large = mf.diam_ratio(mf.double(mf.sphere_cap_complement(0.4, 260, seed=6)))
-        assert a_small > a_large
-
-    def test_singleton_boundary_error(self, marked_line):
-        ds = mf.double(marked_line)
-        with pytest.raises(ValueError):
-            mf.diam_ratio(ds)
-
-    def test_zero_diameter_boundary_error(self):
-        dist = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        m = mf.FiniteMetricSpace(("a", "b", "c"), dist, boundary={0, 1})
-        with pytest.raises(ValueError, match="zero diameter"):
-            mf.diam_ratio(mf.double(m))
 
 
 class TestDoubledLabels:

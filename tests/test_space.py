@@ -12,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 import metricforge as mf
 from metricforge import space
-from oracles import (cover_is_valid, covering_radius_naive, metric_violations,
-                     metric_violations_by_middle_point, sample_scale_whole, space_json,
-                     space_record, traced, triangle_ok)
+from oracles import (metric_violations, metric_violations_by_middle_point, sample_scale_whole,
+                     space_json, space_record, traced, triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -103,124 +102,6 @@ class TestBall:
     def test_negative_radius_rejected(self, m):
         with pytest.raises(ValueError):
             mf.ball(m, 0, -1.0)
-
-
-class TestCoveringRadius:
-    def test_whole_subset_gives_zero(self):
-        m = space_from([[0, 1], [1, 0]])
-        assert mf.covering_radius(m, {0, 1}) == 0.0
-
-    def test_collinear(self):
-        m = space_from([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert mf.covering_radius(m, {0}) == 2.0
-
-    def test_grid_corners(self):
-        grid = mf.euclidean_grid(5, 1.0)
-        corners = [grid.index(f"g{i}_{j}") for i in (0, 4) for j in (0, 4)]
-        value = mf.covering_radius(grid, corners)
-        assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-        assert value == pytest.approx(covering_radius_naive(grid.dist, corners), abs=0)
-
-    def test_empty_subset_rejected(self):
-        m = space_from([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            mf.covering_radius(m, set())
-
-
-class TestGreedyCover:
-    def test_far_balls_both_survive(self):
-        m = space_from([[0, 3], [3, 0]])
-        res = mf.greedy_cover_5r(m, {0, 1}, {0: 1.0, 1: 1.0})
-        assert set(res.centers) == {0, 1}
-
-    def test_overlap_forces_rejection(self):
-        m = space_from([[0, 0.5], [0.5, 0]])
-        res = mf.greedy_cover_5r(m, {0, 1}, {0: 1.0, 1: 1.0})
-        assert len(res.centers) == 1
-        ok_disjoint, ok_cover = cover_is_valid(
-            m.dist, [0, 1], {0: 1.0, 1: 1.0}, res.centers, res.radius_per_center)
-        assert ok_disjoint and ok_cover
-
-    def test_collinear_line(self):
-        n = 10
-        dist = np.abs(np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float)))
-        m = space_from(dist)
-        radii = {i: 1.0 for i in range(n)}
-        res = mf.greedy_cover_5r(m, range(n), radii)
-        for a in res.centers:
-            for b in res.centers:
-                if a != b:
-                    assert m.dist[a, b] > 2.0 - 1e-12
-        ok_disjoint, ok_cover = cover_is_valid(m.dist, range(n), radii,
-                                               res.centers, res.radius_per_center)
-        assert ok_disjoint and ok_cover
-
-    def test_radii_array_is_indexed_by_point(self):
-        # Radii in an array belong to the points, not to the sorted target.
-        m = space_from(np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))
-        assert mf.greedy_cover_5r(m, [5, 2], {5: 1.0, 2: 3.0}).centers == (2,)
-        assert mf.greedy_cover_5r(m, [5, 2], np.array([0, 0, 3.0, 0, 0, 1.0])).centers == (2,)
-        with pytest.raises(ValueError, match="one per point"):
-            mf.greedy_cover_5r(m, [5, 2], np.array([1.0, 3.0]))
-
-    def test_empty_target(self):
-        m = space_from([[0, 1], [1, 0]])
-        res = mf.greedy_cover_5r(m, set(), {})
-        assert res.centers == ()
-
-    def test_nonpositive_radii_rejected(self):
-        m = space_from([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            mf.greedy_cover_5r(m, {0}, {0: 0.0})
-
-    @pytest.mark.parametrize("target, radii, match", [
-        ([], np.array([1.0, 2.0]), "one per point"), ([], math.nan, "finite and positive"),
-        ([], -1.0, "finite and positive"), ([], 0.0, "finite and positive"),
-        ([], math.inf, "finite and positive"),
-        # Once a KeyError, a TypeError, or a cover with strings or bools read as radii.
-        ([0, 1], {0: 1.0}, "radii has no radius for target point 1"),
-        ([0, 1], {0: None, 1: 1.0}, "radii must be a real number"),
-        ([0, 1], {0: "1.5", 1: "0.2"}, "radii must be a real number"),
-        ([0, 1], "1.5", "radii must be a real number"),
-        ([0, 1], np.array(["1", "2", "3"]), "radii must be a real number"),
-        ([0, 1], {0: True, 1: 1.0}, "radii must be a real number"),
-        ([0, 1], True, "radii must be a real number"),
-    ])
-    def test_empty_target_checks_radii(self, target, radii, match):
-        # An empty target once returned an empty cover for any radii.
-        m = space_from([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        with pytest.raises(ValueError, match=match):
-            mf.greedy_cover_5r(m, target, radii)
-        assert mf.greedy_cover_5r(m, [], 1.0) == mf.CoverResult((), ())
-
-    def test_deterministic_order(self):
-        m = space_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        radii = {0: 1.0, 1: 1.0, 2: 1.0}
-        a = mf.greedy_cover_5r(m, {0, 1, 2}, radii)
-        b = mf.greedy_cover_5r(m, {0, 1, 2}, radii)
-        assert a == b
-        assert a.centers[0] == 0  # equal radii tie broken by index
-
-    def test_contract_on_random_instances(self):
-        # mixed Euclidean clouds and graph metrics, radii spread over scales
-        rng = np.random.default_rng(2024)
-        for trial in range(1000):
-            n = int(rng.integers(3, 201))
-            if trial % 5 == 0:
-                m = mf.random_metric(n, seed=trial)
-            else:
-                from scipy.spatial.distance import cdist
-                pts = rng.normal(size=(n, 2)) * rng.uniform(0.5, 3.0)
-                m = mf.FiniteMetricSpace(tuple(map(str, range(n))), cdist(pts, pts))
-            k = int(rng.integers(1, n + 1))
-            target = rng.choice(n, size=k, replace=False)
-            radii = {int(t): float(rng.uniform(0.05, 1.5)) for t in target}
-            res = mf.greedy_cover_5r(m, target, radii)
-            ok_disjoint, ok_cover = cover_is_valid(
-                m.dist, [int(t) for t in target], radii,
-                res.centers, res.radius_per_center)
-            assert ok_disjoint, f"trial {trial}: kept cores overlap"
-            assert ok_cover, f"trial {trial}: 5r balls fail to cover"
 
 
 class TestSerialization:
@@ -552,13 +433,15 @@ class TestSubspace:
 
 POINT_CALLS = {
     "subspace": lambda m, i: mf.subspace(m, [i, 0]),
-    "covering_radius": lambda m, i: mf.covering_radius(m, {i}),
-    "greedy_cover_5r": lambda m, i: mf.greedy_cover_5r(m, {i}, 1.0),
     "ball": lambda m, i: mf.ball(m, i, 1.5),
-    "cross_ratio": lambda m, i: mf.cross_ratio(m, i, 5, 6, 7),
     "warp": lambda m, i: mf.warp(m, i),
     "check_inclusions": lambda m, i: mf.check_inclusions(mf.warp(m, 0), i, 0.01, 2.0),
-    "project": lambda m, i: mf.project(mf.double(m.with_boundary({0})), i),
+    "with_boundary": lambda m, i: m.with_boundary([i, 0]),
+    "doubling_constant": lambda m, i: mf.doubling_constant(m, radii=(1.5,), centers=[i, 0]),
+    "regularity_constant": lambda m, i: mf.regularity_constant(m, 2.0, radii=(1.5,),
+                                                               centers=[i, 0]),
+    "llc_constants": lambda m, i: mf.llc_constants(m, radii=(1.5,), centers=[i, 0]),
+    "quasicircle_check": lambda m, i: mf.quasicircle_check(m, radii=(1.5,), centers=[i, 0]),
 }
 
 
@@ -569,7 +452,7 @@ POINT_CALLS = {
 def test_point_indices_are_checked(call, index, match):
     # -1 once meant the last point and True or 1.5 point 1; warp(m, True)
     # failed inside numpy.
-    m = mf.euclidean_grid(3, 1.0)  # 17 points once doubled
+    m = mf.euclidean_grid(3, 1.0)  # 10 points once warped
     with pytest.raises(ValueError, match=match):
         POINT_CALLS[call](m, index)
     POINT_CALLS[call](m, 4)
