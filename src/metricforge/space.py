@@ -187,6 +187,8 @@ _TILE = 16  # rows and columns per tile of warp's stale sweeps
 
 _MIDS = 64  # middle points per candidate array of a tile: 128 KiB of sums
 
+_PAIRS = 4 * _MIDS  # (middle, column tile) pairs per chunk of the sweeps' row test: 32 KiB of sums
+
 
 def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """``out = min(out, a ⊗ b)`` in place, one middle point m at a time.
@@ -250,18 +252,28 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> None:
     relaxes through a snapshot ``ds`` of its stale entries, and an entry
     that drops is stale for the next sweep, until none is left.  ``w`` is
     consumed: its diagonal becomes ``inf``, as a step from m to itself
-    lowers nothing.  The columns are cut into tiles K of ``_TILE`` too.
-    With ``a[m]`` the min of ``ds[I, m]`` and ``b[m, K]`` the min of
-    ``w[m, k]`` over k in K, rounding is monotone, so a middle
-    with ``a[m] + b[m, K] >= max d[I, K]`` lowers no entry of the tile and
-    is left out; a tile with no middle left is skipped.  Only the tile
-    itself writes ``d[I, K]``, so its maximum from the start of the sweep
-    is current.  ``b`` is a sixteenth of ``d``, and a tile sums its
-    candidates ``_MIDS`` middles at a time.
+    lowers nothing.
+
+    The columns are cut into tiles K of ``_TILE`` too, and a sweep sums
+    only the (middle m, tile K) pairs that may lower an entry.  With
+    ``b[K, m]`` the min of ``w[m, k]`` over k in K, and ``e[i, K]`` the max
+    of ``d[i, k]`` over K at the start of the sweep, middle m lowers no
+    entry of row i in K when ``ds[i, m] + b[K, m] >= e[i, K]``, as
+    ``w[m, k] >= b[K, m]``, rounding is monotone and ``d[i, k] <=
+    e[i, K]``.  Only tile (I, K) writes ``d[I, K]``, so ``e`` is still
+    current when that tile runs, and a middle left out of it sums to at
+    least ``d[i, k]``: what drops, and to what, is unchanged.  A pair is
+    kept when ``ds[i, m] + b[K, m] < e[i, K]`` for some row i of I, in two
+    steps: for all m and K at once, the min of ``ds[I, m]`` plus
+    ``b[K, m]`` against the max of ``e[I, K]``, and then row by row on the
+    pairs that pass, ``_PAIRS`` of them at a time.  The kept pairs are
+    walked by column tile; a tile with none is skipped.  ``b`` is a
+    sixteenth of ``d``, and a tile sums its candidates ``_MIDS`` middles at
+    a time.
     """
-    starts = np.arange(0, len(d), _TILE)
+    n, starts = len(d), np.arange(0, len(d), _TILE)
     np.fill_diagonal(w, np.inf)
-    b = np.minimum.reduceat(w, starts, axis=1)
+    b = np.minimum.reduceat(w.T, starts, axis=0)  # b[K, m], K-major like the pairs
     for r0 in starts:
         rows = slice(r0, r0 + _TILE)
         stale = d[rows] < w[rows]
@@ -269,15 +281,23 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> None:
         while stale.any():
             ds = np.where(stale, d[rows], np.inf)
             stale[:] = False
-            a = ds.min(axis=0)
-            keep = a[:, None] + b < np.maximum.reduceat(d[rows].max(axis=0), starts)
-            for c in np.flatnonzero(keep.any(axis=0)):
-                cols, mids = slice(starts[c], starts[c] + _TILE), np.flatnonzero(keep[:, c])
-                cand = np.inf  # the middles _MIDS at a time
-                for part in (mids[s:s + _MIDS] for s in range(0, len(mids), _MIDS)):
-                    cand = np.minimum(cand, (ds[:, part, None] + w[part, cols]).min(axis=1))
-                drop = cand < d[rows, cols]
-                np.copyto(d[rows, cols], cand, where=drop)
+            e = np.maximum.reduceat(d[rows], starts, axis=1)
+            pairs = np.flatnonzero(ds.min(axis=0) + b < e.max(axis=0)[:, None])  # K * n + m
+            keep = np.empty(len(pairs), dtype=bool)  # row by row, a chunk at a time
+            for s in range(0, len(pairs), _PAIRS):
+                c, m = np.divmod(pairs[s:s + _PAIRS], n)
+                (ds[:, m] + b[c, m] < e[:, c]).any(axis=0, out=keep[s:s + _PAIRS])
+            pairs = pairs[keep]
+            edges = np.searchsorted(pairs, np.arange(len(starts) + 1) * n)
+            for c in np.flatnonzero(np.diff(edges)):  # the column tiles with a pair left
+                cols, ms = slice(starts[c], starts[c] + _TILE), pairs[edges[c]:edges[c + 1]] - c * n
+                cand = (ds[:, ms[:_MIDS], None] + w[ms[:_MIDS], cols]).min(axis=1)
+                for s in range(_MIDS, len(ms), _MIDS):
+                    part = ms[s:s + _MIDS]
+                    np.minimum(cand, (ds[:, part, None] + w[part, cols]).min(axis=1), out=cand)
+                tile = d[rows, cols]
+                drop = cand < tile
+                np.copyto(tile, cand, where=drop)
                 stale[:, cols] |= drop
 
 

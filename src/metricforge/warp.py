@@ -15,7 +15,11 @@ The closure does not depend on the order of the points, so ``warp`` passes
 it rho with the points sorted by d(x, p) and undoes the order after.
 Sorted, a tile of 16 points holds points at like scales, and its entries of
 rho are alike, so the closure's stale sweeps (``space._relax_stale``) can
-bound a tile's sums and skip it.
+bound a tile's sums and skip it.  They skip a middle point for a tile of
+columns unless it may lower an entry of some row: its stale entry in that
+row plus its least weight into the tile must be below the row's largest
+entry in the tile.  Rounding is monotone, and only that tile writes those
+entries, so a skipped middle would have lowered nothing.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricforge as mf
+from metricforge.space import _closure, _mirror_min, _relax_stale, _through
 from oracles import brute_chain_min, chain_closure, traced
 
 
@@ -192,6 +193,31 @@ def test_kernel_matches_chain_closure_across_row_bands(n, seed, p, kind):
     assert w.warped.dist[:n, :n].tobytes() == expect.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 9, 15, 17, 31, 33, 47, 49, 63, 65]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["rho", "scaled", "scaled with inf"]))
+def test_closure_is_chain_closure_where_rows_prune_unlike_their_tile(n, seed, kind):
+    # The stale sweeps keep a (middle, column tile) pair only if it may
+    # lower an entry of some row of the row tile, by a bound per row; rows
+    # at unlike scales within a tile make that bound prune pairs that the
+    # bound of the whole tile keeps.  Such inputs: rho of a random metric
+    # in its own order (warp sorts it by scale), and weights whose rows and
+    # columns are scaled by unlike powers of 10, with or without missing
+    # (inf) edges.  n < 16 is a single tile; n % 16 in {1, 15} leaves a
+    # ragged last tile.
+    rng = np.random.default_rng(seed)
+    if kind == "rho":
+        w = mf.rho_matrix(mf.random_metric(n, seed=seed), int(rng.integers(n)))
+    else:
+        scale = 10.0 ** rng.integers(-6, 7, size=n)
+        w = rng.uniform(0.5, 2.0, size=(n, n)) * scale[:, None] * scale
+        if kind == "scaled with inf":
+            w[rng.uniform(size=(n, n)) < 0.6] = np.inf
+        np.fill_diagonal(w, 0.0)
+    expect = chain_closure(np.minimum(w, w.T))
+    assert _closure(w).tobytes() == expect.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(17, 120), seed=st.integers(0, 2**32 - 1), p=st.integers(0, 119),
        kind=st.sampled_from(["ties", "random_metric"]))
@@ -245,6 +271,30 @@ class TestWarpMemory:
         warped = mf.warp(space, 0).warped
         report, peak = traced(mf.validate_metric, warped)
         assert report.ok and peak < 1.5 * 8 * self.n ** 2
+
+
+def test_stale_sweeps_hold_tile_sized_arrays():
+    # The sweeps alone, on the bench's warp-graph input: rho of
+    # random_metric(450) at basepoint 0, sorted as warp sorts it, after
+    # round 1.  d and w are held before tracing.  The sweeps hold arrays of
+    # one row tile, the tile minima of w (a sixteenth of a matrix) and the
+    # (middle, column tile) pairs of one sweep; the per-row test of those
+    # pairs gathers them a chunk at a time.  Gathered all at once, it
+    # holds 16 floats per pair that the tile test keeps: several matrices.
+    def sweep_input(m):
+        order = np.argsort(m.dist[0], kind="stable")
+        w = mf.rho_matrix(m, 0)[np.ix_(order, order)]
+        _mirror_min(w)
+        w += 0.0
+        return _through(w), w
+
+    _relax_stale(*sweep_input(mf.random_metric(20, seed=1)))  # warm-up
+    n = 450
+    d, w = sweep_input(mf.random_metric(n, seed=0))
+    expect = d.copy()
+    _, peak = traced(_relax_stale, d, w)
+    assert (d < expect).any()  # the sweeps lowered entries
+    assert peak < 0.35 * 8 * n ** 2
 
 
 class TestInftyBall:
