@@ -10,7 +10,8 @@
 # script stops at the first command that does not exit 0; the malformed
 # file, a quoted distance, a NaN radius, an option the suite does not take,
 # a NaN edge density, a NaN threshold, an infinite delta, a delta above the
-# diameter, a Q whose powers of the radii overflow and a negative seed must
+# diameter, a Q whose powers of the radii overflow, a zero gauge and a
+# negative seed (to generate, and to a quasicircle check of two points) must
 # exit 2.  Run on two trees into two directories, `diff -r` compares
 # their outputs.
 set -eo pipefail
@@ -31,14 +32,14 @@ usage_error() {  # usage_error <label> <cli args...>: the command must exit 2
 }
 cli generate --kind disk --n 60 --seed 1 -o "$d/disk.json"
 cli warp "$d/disk.json" --basepoint p0 -o "$d/warped.json"
-cli check "$d/disk.json" --suite distortion --kind qm --dst "$d/warped.json" --claim-theta 16t
+cli check "$d/disk.json" --suite distortion --kind qm --dst "$d/warped.json" --claim-gauge 16
 cli check "$d/warped.json" --suite metric
 # A disk has no pair that chaining shortens; a random graph metric
 # does, so its warp's stale sweeps relax entries.
 cli generate --kind random-metric --n 300 --seed 2 -o "$d/graph.json"
 cli warp "$d/graph.json" --basepoint p0 -o "$d/graph-warped.json"
 cli check "$d/graph-warped.json" --suite metric
-cli check "$d/graph.json" --suite distortion --kind qm --dst "$d/graph-warped.json" --claim-theta 16t
+cli check "$d/graph.json" --suite distortion --kind qm --dst "$d/graph-warped.json" --claim-gauge 16
 # QS triples: the arity-3 path of the distortion kernel.
 cli check "$d/graph.json" --suite distortion --kind qs --dst "$d/graph-warped.json" --csv "$d/graph-qs.csv"
 # Its manifest names the warped file it read and the CSV it wrote,
@@ -117,3 +118,6 @@ usage_error "infinite delta" check "$d/doubled.json" --suite llc --delta inf --r
 usage_error "delta above the diameter" check "$d/doubled.json" --suite llc --delta 1e308 --radii 0.5
 usage_error "Q of 1e308" check "$d/doubled.json" --suite regularity --q 1e308
 usage_error "negative seed" generate --kind disk --n 20 --seed -1 -o "$d/neg.json"
+usage_error "zero gauge" check "$d/disk.json" --suite distortion --dst "$d/warped.json" --claim-gauge 0
+cli generate --kind disk --n 2 --seed 1 -o "$d/two.json"
+usage_error "two-point quasicircle, negative seed" check "$d/two.json" --suite quasicircle --seed -1

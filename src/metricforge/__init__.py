@@ -57,7 +57,6 @@ from .analysis import (
 from .distortion import (
     ClaimCheck,
     DistortionProfile,
-    linear_gauge,
     plane_sphere_ratios,
     qm_profile,
     qs_profile,

@@ -410,11 +410,12 @@ def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
     grid = _grid(lambda_grid)
     _at_least_one("max_lambda", max_lambda)
     _at_least_one("max_doubling", max_doubling)
+    centers = _pick_centers(m, centers, n_centers, seed)
     if m.n < 3:
         return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
                                  degenerate=True, usable=False, failures=())
-    llc = llc_constants(m, delta=delta, lambda_grid=grid,
-                        centers=centers, radii=radii, n_centers=n_centers, seed=seed)
+    llc = llc_constants(m, delta=delta, lambda_grid=grid, centers=centers, radii=radii,
+                        seed=seed)
     m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii or None,
                               seed=seed)
     passed = (llc.usable and llc.lambda1 <= max_lambda

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import re
 import sys
 import time
 from pathlib import Path
@@ -90,19 +89,6 @@ def _parse_radii(text):
     return tuple(float(v) for v in text.split(","))
 
 
-_GAUGE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*\*?\s*t\s*$")
-
-
-def _parse_gauge(text: str):
-    """Linear gauge strings like '16t', '2.5 t', or plain 't'."""
-    match = _GAUGE_RE.match(text)
-    if not match:
-        raise ValueError(f"cannot parse gauge {text!r}; expected '<coef>t'")
-    coef = space._finite_positive(f"gauge {text!r} coefficient",
-                                  float(match.group(1)) if match.group(1) else 1.0)
-    return distortion.linear_gauge(coef), f"{coef}t"
-
-
 # ---------------------------------------------------------------------------
 # Commands: each computes only, and returns (output path, space or report,
 # exit code, stdout line); main times it and writes the output and manifest.
@@ -168,8 +154,7 @@ def _suite_regularity(m, claim_k=math.inf, **opts):
     return dataclasses.asdict(rep), rep.evaluated > 0, rep.K_hat <= claim_k
 
 
-def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=None,
-                      **opts):
+def _suite_distortion(m, dst, kind="qm", csv=None, **opts):
     dst = _load(dst)
     # Pair points by shared label; extra destination points (the adjoined
     # "∞" of a warped file) simply have no preimage.
@@ -177,8 +162,6 @@ def _suite_distortion(m, dst, kind="qm", csv=None, claim_theta=None, claim_eta=N
         mapping = [dst.index(lbl) for lbl in m.points]
     except KeyError as exc:
         raise ValueError(f"destination is missing a source label: {exc.args[0]}") from exc
-    if claim_theta or claim_eta:
-        opts["claimed"], opts["claimed_desc"] = _parse_gauge(claim_theta or claim_eta)
     profile_fn = distortion.qs_profile if kind == "qs" else distortion.qm_profile
     prof = space._call(profile_fn.__name__, profile_fn, m, dst, mapping, **opts)
     if csv:
@@ -281,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--claim-k", dest="claim_k", type=float)
     c.add_argument("--claim-lambda1", dest="claim_lambda1", type=float)
     c.add_argument("--claim-lambda2", dest="claim_lambda2", type=float)
-    gauge = c.add_mutually_exclusive_group()
-    gauge.add_argument("--claim-theta", dest="claim_theta")
-    gauge.add_argument("--claim-eta", dest="claim_eta")
+    c.add_argument("--claim-gauge", dest="gauge", type=float, help="C of the gauge t -> C t")
     c.add_argument("--dst", help="destination space file for distortion")
     c.add_argument("--kind", choices=["qs", "qm"])
     c.add_argument("--samples", dest="n_samples", type=int)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import FiniteMetricSpace, _count, _indices, _rng
+from .space import FiniteMetricSpace, _count, _finite_positive, _indices, _rng
 
 BIN_LO, BIN_HI, BIN_COUNT = 1e-4, 1e4, 48
 EXHAUSTIVE_TRIPLE_CUTOFF = 60
@@ -39,11 +39,13 @@ _LOG_LO, _PER_DECADE = math.log10(BIN_LO), BIN_COUNT / math.log10(BIN_HI / BIN_L
 
 @dataclass(frozen=True)
 class ClaimCheck:
-    """Pointwise comparison of outputs against a claimed gauge bound."""
+    """Pointwise comparison of outputs against the claimed gauge t -> C t,
+    described as ``f"{C}t"``: it passes when no evaluated tuple's output
+    exceeds C times its input."""
 
     description: str
     passed: bool
-    worst_ratio: float               # max over tuples of out / claimed(t_in)
+    worst_ratio: float               # max over tuples of t_out / (C * t_in)
     worst_witness: tuple | None      # (indices, t_in, t_out)
 
 
@@ -143,9 +145,10 @@ def _slots(t):
     return b
 
 
-def _profile(kind, src, dst, mapping, n_samples, seed,
-             exhaustive_cutoff, claimed, claimed_desc):
+def _profile(kind, src, dst, mapping, n_samples, seed, exhaustive_cutoff, gauge):
     f = _check_mapping(src, dst, mapping)
+    if gauge is not None:
+        gauge = _finite_positive("gauge", gauge)
     pairs = _PAIRS[kind]
     arity = 3 if kind == "QS" else 4
     n = src.n
@@ -178,8 +181,9 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
             env_in[env > before] = -np.inf  # a larger max drops the earlier ties
             hit = t_out == env[slots]
             np.maximum.at(env_in, slots[hit], t_in[hit])
-            if claimed is not None and cols.shape[1]:
-                ratio = t_out / claimed(t_in)
+            if gauge is not None and cols.shape[1]:
+                with np.errstate(over="ignore"):  # a huge gauge: C t reads inf, the ratio 0
+                    ratio = t_out / (gauge * t_in)
                 # A 0/0 ratio claims nothing; argmax would stop at the first one.
                 ratio[np.isnan(ratio)] = -np.inf
                 k = int(np.argmax(ratio))
@@ -192,9 +196,9 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
     env_in[np.isnan(env)] = -np.inf  # NaN is attained by no output: no input
 
     claim = None
-    if claimed is not None:
+    if gauge is not None:
         claim = ClaimCheck(
-            description=claimed_desc or "claimed gauge",
+            description=f"{gauge}t",
             passed=bool(worst_ratio <= 1.0),
             worst_ratio=float(worst_ratio),
             worst_witness=worst_witness,
@@ -217,30 +221,23 @@ def _profile(kind, src, dst, mapping, n_samples, seed,
 
 def qs_profile(src: FiniteMetricSpace, dst: FiniteMetricSpace, mapping,
                n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-               claimed=None, claimed_desc: str = "") -> DistortionProfile:
+               gauge: float | None = None) -> DistortionProfile:
     """Triple-distortion envelope: out-ratio of (a,b,c) binned by in-ratio.
 
     The input ratio is d(a,b)/d(a,c); the output ratio is the same quotient
-    after applying the injective index ``mapping`` into ``dst``.  A claimed
-    gauge (callable on arrays) is checked pointwise over every evaluated
-    tuple, worst witness recorded.
+    after applying the injective index ``mapping`` into ``dst``.  A ``gauge``
+    C, finite and positive, claims the gauge t -> C t: it is checked
+    pointwise over every evaluated tuple, worst witness recorded.
     """
-    return _profile("QS", src, dst, mapping, n_samples, seed,
-                    EXHAUSTIVE_TRIPLE_CUTOFF, claimed, claimed_desc)
+    return _profile("QS", src, dst, mapping, n_samples, seed, EXHAUSTIVE_TRIPLE_CUTOFF, gauge)
 
 
 def qm_profile(src: FiniteMetricSpace, dst: FiniteMetricSpace, mapping,
                n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-               claimed=None, claimed_desc: str = "") -> DistortionProfile:
-    """Quadruple-distortion envelope keyed by the source cross-ratio."""
-    return _profile("QM", src, dst, mapping, n_samples, seed,
-                    EXHAUSTIVE_QUAD_CUTOFF, claimed, claimed_desc)
-
-
-def linear_gauge(coefficient: float):
-    """The gauge t -> coefficient * t as an array-ready callable."""
-    c = float(coefficient)
-    return lambda t: c * np.asarray(t)
+               gauge: float | None = None) -> DistortionProfile:
+    """Quadruple-distortion envelope keyed by the source cross-ratio; a
+    ``gauge`` C claims the gauge t -> C t, as in :func:`qs_profile`."""
+    return _profile("QM", src, dst, mapping, n_samples, seed, EXHAUSTIVE_QUAD_CUTOFF, gauge)
 
 
 # ---------------------------------------------------------------------------

@@ -484,7 +484,7 @@ def _json_pieces(items: Iterable, depth: int, brackets: bytes = b"[]"):
 
 
 def _json_floats(a: np.ndarray):
-    """The pieces of a float array's JSON list, a row at a time.  Each distinct
+    """The pieces of a float matrix's JSON list, a row at a time.  Each distinct
     float (by bits, so -0.0 keeps its sign) is encoded once, up front, from one
     sort of the bits, into ``text``: the separator before an entry and the
     repr (at most 24 characters: ``-2.2250738585072014e-308``), NUL-padded.
@@ -497,7 +497,7 @@ def _json_floats(a: np.ndarray):
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     bits = bits[first]
     del first
-    f, pad = bits.view(np.float64), b",\n" + b" " * (a.ndim + 1)
+    f, pad = bits.view(np.float64), b",\n   "
     text = np.empty(len(f), dtype=[("pad", f"S{len(pad)}"), ("repr", "S24")])
     text["pad"] = pad
     for i in range(0, len(f), 1024):  # as Python floats, whose reprs are faster than numpy's
@@ -513,26 +513,27 @@ def _json_floats(a: np.ndarray):
             row = memoryview(text[r].tobytes().translate(None, b"\0"))  # sliced, not copied
             yield (b"[", row[1:], pad[1:-1] + b"]") if row else (b"[]",)
 
-    if a.ndim == 1:
-        return next(listed(a[None]))
     return _json_pieces((p for r0 in range(0, len(a), _RANK_BAND)
                          for p in listed(a[r0:r0 + _RANK_BAND])), 1)
 
 
 def _json_chunks(m: FiniteMetricSpace):
     """``json.dumps(doc, sort_keys=True, indent=1)`` of the space's record, in
-    ASCII bytes (``json`` escapes the rest), in pieces: ``dist`` and
-    ``coords`` a row at a time.  All but the rows' text is done before this
-    returns, so a space that cannot be encoded (a label ``json`` does not
-    take) raises here."""
-    doc = {b"points": [json.dumps(list(m.points), indent=1).replace("\n", "\n ").encode()],
-           b"dist": _json_floats(m.dist)}
+    ASCII bytes (``json`` escapes the rest), in pieces: ``dist`` a row at a
+    time.  All but the rows' text is done before this returns, so a space
+    that cannot be encoded (a label ``json`` does not take) raises here.
+    ``dist``'s table is built first, so that no other text is held through
+    its sort."""
+    def small(value):  # as json.dumps(indent=1) lays it out at depth 1, in one piece
+        return [json.dumps(value, indent=1).replace("\n", "\n ").encode()]
+
+    doc = {b"dist": _json_floats(m.dist), b"points": small(m.points)}
     if m.coords is not None:
-        doc[b"coords"] = _json_floats(m.coords)
+        doc[b"coords"] = small(m.coords.tolist())
     if m.mass is not None:
-        doc[b"mass"] = _json_floats(m.mass)
+        doc[b"mass"] = small(m.mass.tolist())
     if m.boundary is not None:
-        doc[b"boundary"] = _json_pieces(((b"%d" % i,) for i in sorted(m.boundary)), 1)
+        doc[b"boundary"] = small(sorted(m.boundary))
     return _json_pieces((itertools.chain((b'"%s": ' % k,), doc[k]) for k in sorted(doc)), 0, b"{}")
 
 

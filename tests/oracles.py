@@ -96,7 +96,7 @@ def _max_nan(a, b):
 
 
 def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
-                       edges, claimed=None, claimed_desc=""):
+                       edges, gauge=None):
     """Per-tuple reference for ``qs_profile``/``qm_profile``, every field.
 
     Sampled mode draws all ``n_samples`` rows in one default int64
@@ -106,8 +106,8 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
     float64 scalars, bins come from ``bisect`` on ``edges``, and the
     attaining input of a bin is the largest input whose output equals the
     bin's max (ties included), none when that max is NaN.  An empty bin and
-    a NaN read nan; an infinite max or input stays inf.  The claim takes
-    the first largest ratio, NaN ratios left out.
+    a NaN read nan; an infinite max or input stays inf.  The claim of the
+    gauge t -> gauge * t takes the first largest ratio, NaN ratios left out.
     """
     S = [[np.float64(x) for x in row] for row in src]
     D = [[np.float64(x) for x in row] for row in dst]
@@ -144,8 +144,8 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
         for t, t_in, t_out, b in evals:
             if t_out == env[b]:
                 env_in[b] = _max_nan(env_in[b], t_in)
-        if claimed is not None and evals:
-            r = [float(t_out / claimed(t_in)) for _, t_in, t_out, _ in evals]
+        if gauge is not None and evals:
+            r = [float(t_out / (gauge * t_in)) for _, t_in, t_out, _ in evals]
             defined = [i for i, v in enumerate(r) if v == v]
             k = max(defined, key=r.__getitem__, default=None)
             if k is not None and r[k] > worst:
@@ -156,8 +156,8 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
         return float(v) if v > -math.inf else math.nan
 
     claim = None
-    if claimed is not None:
-        claim = {"description": claimed_desc or "claimed gauge", "passed": worst <= 1.0,
+    if gauge is not None:
+        claim = {"description": f"{float(gauge)}t", "passed": worst <= 1.0,
                  "worst_ratio": float(worst), "worst_witness": witness}
     return {"kind": kind, "bin_edges": tuple(float(e) for e in edges),
             "envelope": tuple(reported(v) for v in env),

@@ -493,6 +493,16 @@ def test_quasicircle_checks_the_grid_on_any_size(n, grid):
         mf.quasicircle_check(mf.disk_sample(n, seed=2), lambda_grid=grid)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("option, value", [("seed", -1), ("n_centers", 0), ("centers", [7])])
+def test_quasicircle_checks_its_centers_on_any_size(n, option, value):
+    # Fewer than 3 points once returned a degenerate report before the
+    # centers, their count and the seed were looked at, where llc refuses them.
+    m = mf.subspace(mf.disk_sample(2, seed=2), range(n))
+    with pytest.raises(ValueError, match=option):
+        mf.quasicircle_check(m, **{option: value})
+
+
 @pytest.mark.parametrize("n", [2, 150])
 @pytest.mark.parametrize("option", ["max_lambda", "max_doubling"])
 @pytest.mark.parametrize("bound", [math.nan, 0.5, 0, -1])

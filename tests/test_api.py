@@ -10,7 +10,7 @@ def test_exported_names_are_pinned():
         "analysis", "ball", "check_inclusions", "default_delta", "default_radii",
         "disk_grid", "disk_sample", "distortion", "double", "doubling_constant",
         "euclidean_grid", "from_json", "generate", "generators", "glue",
-        "halfplane_sample", "infty_ball", "linear_gauge", "llc_constants", "load_space",
+        "halfplane_sample", "infty_ball", "llc_constants", "load_space",
         "plane_sphere_ratios", "point_scales", "qm_profile", "qs_profile",
         "quasicircle_check", "random_metric", "regularity_constant", "rho", "rho_matrix",
         "sample_scale", "save_space", "space", "sphere_cap_complement", "stereographic",

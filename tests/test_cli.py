@@ -223,16 +223,17 @@ class TestCheckCommand:
         out = tmp_path / "qm.json"
         csv_out = tmp_path / "envelope.csv"
         code = main(["check", str(src), "--suite", "distortion", "--kind", "qm",
-                     "--dst", str(dst), "--claim-theta", "16t",
+                     "--dst", str(dst), "--claim-gauge", "16",
                      "-o", str(out), "--csv", str(csv_out)])
         assert code == 0
-        assert json.loads(out.read_text())["claim"]["passed"] is True
+        claim = json.loads(out.read_text())["claim"]
+        assert claim["passed"] is True and claim["description"] == "16.0t"
         assert csv_out.read_text().startswith("bin_upper,envelope,count")
         # The manifest names every file read and written; -o is one of them.
         manifest = json.loads((tmp_path / "qm.json.manifest.json").read_text())
         assert manifest["inputs"] == [str(src), str(dst)]
         assert manifest["outputs"] == [str(out), str(csv_out)]
-        assert "out" not in manifest["params"]
+        assert "out" not in manifest["params"] and manifest["params"]["gauge"] == 16.0
 
     def test_default_distortion_reports_are_named_by_kind(self, tmp_path):
         # Both were once <input>.distortion.json: the qs check replaced the qm one.
@@ -266,9 +267,9 @@ class TestCheckCommand:
             ("disk", "llc", ["--delta", "0.001"], False),  # a disconnected delta-graph
             ("disk", "regularity", ["--q", "2", "--claim-k", "1"], True),
             ("disk", "regularity", ["--q", "2", "--radii", "10"], False),  # above the diameter
-            ("small", "distortion", dst + ["--claim-theta", "16t"], True),
+            ("small", "distortion", dst + ["--claim-gauge", "16"], True),
             ("small", "distortion", dst + ["--samples", "1", "--seed", "6",
-                                           "--claim-theta", "0.000000001t"], False),  # no tuple
+                                           "--claim-gauge", "1e-9"], False),  # no tuple
             ("circle", "quasicircle", [], True),
             ("pair", "quasicircle", [], False),  # too few points for a curve
         ]
@@ -291,7 +292,7 @@ class TestCheckCommand:
         main(["warp", str(src), "--basepoint", "p0", "-o", str(dst)])
         out = tmp_path / "qm.json"
         code = main(["check", str(src), "--suite", "distortion", "--kind", "qm",
-                     "--dst", str(dst), "--claim-theta", "0.001t",
+                     "--dst", str(dst), "--claim-gauge", "0.001",
                      "--samples", samples, "-o", str(out)])
         assert code == 2
         assert "n_samples" in capsys.readouterr().err
@@ -303,26 +304,17 @@ class TestCheckCommand:
         # Three points hold no four distinct ones: a claim would see no tuple.
         out = tmp_path / "qm.json"
         code = main(["check", str(three_point_file), "--suite", "distortion", "--kind", "qm",
-                     "--dst", str(three_point_file), "--claim-theta", "1t", "-o", str(out)])
+                     "--dst", str(three_point_file), "--claim-gauge", "1", "-o", str(out)])
         assert code == 2
         assert "needs at least 4 points" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_gauge_claims_are_exclusive(self, tmp_path, three_point_file, capsys):
-        out = tmp_path / "qs.json"
-        code = main(["check", str(three_point_file), "--suite", "distortion", "--kind", "qs",
-                     "--dst", str(three_point_file), "--claim-theta", "0.001t",
-                     "--claim-eta", "100t", "-o", str(out)])
-        assert code == 2
-        assert "not allowed with" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("dst_n, claim, message", [
-        (40, "16x", "cannot parse gauge '16x'"),
         # A zero gauge makes every ratio inf: such a check failed with a meaningless witness.
-        (40, "0t", "gauge '0t' coefficient must be finite and positive"),
-        (40, "0.0t", "gauge '0.0t' coefficient must be finite and positive"),
-        (5, "16t", "destination is missing a source label: unknown point label 'p5'\n"),
+        (40, "0", "gauge must be finite and positive, got 0.0"),
+        # A NaN gauge once passed with no witness.
+        (40, "nan", "gauge must be finite and positive, got nan"),
+        (5, "16", "destination is missing a source label: unknown point label 'p5'\n"),
     ])
     def test_refused_distortion_input_is_usage_error(self, tmp_path, capsys, dst_n, claim,
                                                      message):
@@ -331,7 +323,7 @@ class TestCheckCommand:
         mf.save_space(mf.disk_sample(dst_n, seed=2), dst)
         out = tmp_path / "qm.json"
         assert main(["check", str(src), "--suite", "distortion", "--dst", str(dst),
-                     "--claim-theta", claim, "-o", str(out)]) == 2
+                     "--claim-gauge", claim, "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [dst, src]
 
@@ -515,7 +507,7 @@ class TestCheckCommand:
         for k in (1, 2):
             out, csv_out = tmp_path / f"r{k}.json", tmp_path / f"r{k}.csv"
             code = main(["check", str(src), "--suite", "distortion", "--kind", "qm",
-                         "--dst", str(dst), "--claim-theta", "16t", "--samples", "300000",
+                         "--dst", str(dst), "--claim-gauge", "16", "--samples", "300000",
                          "-o", str(out), "--csv", str(csv_out)])
             assert code in (0, 1)
             assert json.loads(out.read_text())["exhaustive"] is False
@@ -711,6 +703,7 @@ DOMAINS = {
     "lambda_max": ("finite and at least 1", ("1e308",), st.floats(1, 64)),
     "claim_k": THRESHOLD, "claim_lambda1": THRESHOLD, "claim_lambda2": THRESHOLD,
     "max_lambda": THRESHOLD,
+    "gauge": ("finite and positive", ("1e308",), st.floats(1e-3, 1e3)),
     "max_doubling": ("an integer, at least 1", (HUGE_INT,), st.integers(1, 100)),
     # At most 30 points a QM profile is exhaustive and draws no sample.
     "n_samples": ("an integer, at least 1, when sampled", ("0", "-1"),

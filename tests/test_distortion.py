@@ -171,15 +171,13 @@ class TestProfilesMatchNaiveSampler:
         else:
             dst = mf.FiniteMetricSpace(m.points, 1.0 - np.eye(n))
             mapping = np.random.default_rng(n).permutation(n)
-        claimed = None if gauge is None else mf.linear_gauge(gauge)
         fn = mf.qs_profile if kind == "QS" else mf.qm_profile
-        prof = fn(m, dst, mapping, n_samples=samples or 0, seed=7,
-                  claimed=claimed, claimed_desc="gauge")
+        prof = fn(m, dst, mapping, n_samples=samples or 0, seed=7, gauge=gauge)
         assert prof.exhaustive == (samples is None)
         edges = np.logspace(math.log10(distortion.BIN_LO), math.log10(distortion.BIN_HI),
                             distortion.BIN_COUNT + 1).tolist()
         expect = distortion_profile(kind, m.dist, dst.dist, mapping, samples, 7,
-                                    samples is None, edges, claimed, "gauge")
+                                    samples is None, edges, gauge)
         got = dataclasses.asdict(prof)
         for field, value in expect.items():
             assert repr(got[field]) == repr(value), field  # repr: NaN matches NaN
@@ -204,7 +202,7 @@ def test_undefined_ratios_do_not_hide_a_failed_claim():
     # check must still see the x/0 ones of the same profile.
     m = mf.random_metric(10, seed=0)
     prof = mf.qs_profile(m, coincident(m, [0, 3, 5, 6]), range(10),
-                         claimed=mf.linear_gauge(2))
+                         gauge=2)
     assert prof.exhaustive
     assert not prof.claim.passed
     assert prof.claim.worst_ratio == math.inf
@@ -324,9 +322,8 @@ def test_mapped_profile_equals_the_pulled_back_one(fn, n):
     src, dst = mf.disk_sample(n, seed=3), mf.random_metric(n + 25, seed=4)
     f = np.random.default_rng(5).permutation(dst.n)[:n]
     pulled = mf.FiniteMetricSpace(src.points, dst.dist[np.ix_(f, f)])
-    gauge = mf.linear_gauge(2.0)
-    got = fn(src, dst, f, n_samples=50_000, seed=6, claimed=gauge)
-    want = fn(src, pulled, range(n), n_samples=50_000, seed=6, claimed=gauge)
+    got = fn(src, dst, f, n_samples=50_000, seed=6, gauge=2.0)
+    want = fn(src, pulled, range(n), n_samples=50_000, seed=6, gauge=2.0)
     assert got.exhaustive == (n == 12)
     assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
 
@@ -339,7 +336,7 @@ def test_sampled_profile_needs_a_sample(kind, n, samples):
     m = mf.random_metric(n, seed=1)
     fn = mf.qm_profile if kind == "QM" else mf.qs_profile
     with pytest.raises(ValueError, match="n_samples"):
-        fn(m, m, range(n), n_samples=samples, claimed=mf.linear_gauge(0.001))
+        fn(m, m, range(n), n_samples=samples, gauge=0.001)
     assert fn(mf.random_metric(8, seed=1), m, range(8), n_samples=samples).exhaustive
 
 
@@ -350,19 +347,28 @@ def test_exhaustive_profile_needs_a_tuple(kind, n):
     m = mf.random_metric(n, seed=1)
     fn = mf.qm_profile if kind == "QM" else mf.qs_profile
     with pytest.raises(ValueError, match="needs at least"):
-        fn(m, m, range(n), claimed=mf.linear_gauge(0.001))
+        fn(m, m, range(n), gauge=0.001)
     arity = 4 if kind == "QM" else 3
     least = mf.random_metric(arity, seed=1)
     assert sum(fn(least, least, range(arity)).counts) > 0
+
+
+@pytest.mark.parametrize("fn", [mf.qm_profile, mf.qs_profile])
+@pytest.mark.parametrize("gauge", [math.nan, math.inf, -math.inf, 0, -1, True, "16"])
+def test_gauge_must_be_finite_and_positive(fn, gauge):
+    # A NaN gauge once passed with a worst ratio of -inf and no witness, and
+    # a negative or infinite one passed too.
+    m = mf.random_metric(8, seed=1)
+    with pytest.raises(ValueError, match="gauge"):
+        fn(m, m, range(8), gauge=gauge)
 
 
 class TestWarpDistortion:
     def test_warp_is_quasi_mobius_with_slope_16(self):
         m = mf.random_metric(22, seed=13)
         w = mf.warp(m, 4)
-        prof = mf.qm_profile(m, w.warped, range(m.n),
-                             claimed=mf.linear_gauge(16.0), claimed_desc="16t")
-        assert prof.claim.passed
+        prof = mf.qm_profile(m, w.warped, range(m.n), gauge=16.0)
+        assert prof.claim.passed and prof.claim.description == "16.0t"
 
     def test_rescaled_cross_ratios_equal_base_cross_ratios(self):
         m = mf.random_metric(18, seed=17)
@@ -380,10 +386,8 @@ class TestWarpDistortion:
         coords[0] = (0.0, 0.0)
         m = planar_space(coords)
         w = mf.warp(m, 0)
-        qs = mf.qs_profile(m, w.warped, range(m.n),
-                           claimed=mf.linear_gauge(16.0), claimed_desc="16t")
-        qm = mf.qm_profile(m, w.warped, range(m.n),
-                           claimed=mf.linear_gauge(16.0), claimed_desc="16t")
+        qs = mf.qs_profile(m, w.warped, range(m.n), gauge=16.0)
+        qm = mf.qm_profile(m, w.warped, range(m.n), gauge=16.0)
         assert not qs.claim.passed
         assert qm.claim.passed
 
