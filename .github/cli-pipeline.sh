@@ -3,6 +3,8 @@
 # every space, report, CSV and manifest into <out-dir>.  One distortion check
 # maps a space into a copy with three coincident points: its report and CSV
 # must show an inf envelope (x/0 outputs) beside the nan of an empty bin.
+# A claim into a copy with all distances 0 has no defined ratio to check and
+# must exit 3, as must a quasicircle check whose radii exceed the diameter.
 #
 #   .github/cli-pipeline.sh <out-dir>
 #
@@ -10,9 +12,9 @@
 # script stops at the first command that does not exit 0; the malformed
 # file, a quoted distance, a NaN radius, an option the suite does not take,
 # a NaN edge density, a NaN threshold, an infinite delta, a delta above the
-# diameter, a Q whose powers of the radii overflow, a zero gauge and a
-# negative seed (to generate, and to a quasicircle check of two points) must
-# exit 2.  Run on two trees into two directories, `diff -r` compares
+# diameter, a Q whose powers of the radii overflow, a zero gauge, a
+# --lambda-max whose grid would overflow and a negative seed (to generate,
+# and to a quasicircle check of two points) must exit 2.  Run on two trees into two directories, `diff -r` compares
 # their outputs.
 set -eo pipefail
 [ $# -eq 1 ] || { echo "usage: $0 <out-dir>" >&2; exit 2; }
@@ -77,6 +79,17 @@ assert any(e == "nan" and c == 0 for e, c in zip(envelope, counts)), envelope
 rows = [line.split(",") for line in open(f"{d}/small-coincident.csv").read().splitlines()[1:]]
 assert [e for _, e, _ in rows] == [str(float(e)) for e in envelope], rows
 EOF
+# All distances 0: every output ratio is 0/0, and a claim checks nothing.
+PYTHONPATH=src python - "$d/small.json" "$d/small-zero.json" <<'EOF'
+import sys
+import numpy as np, metricforge as mf
+m = mf.load_space(sys.argv[1])
+mf.save_space(mf.FiniteMetricSpace(m.points, np.zeros((m.n, m.n))), sys.argv[2])
+EOF
+code=0
+cli check "$d/small.json" --suite distortion --dst "$d/small-zero.json" --claim-gauge 1 -o "$d/small-zero.distortion-qm.json" || code=$?
+echo "claim with no defined ratio: exit $code"
+test "$code" -eq 3
 cli generate --kind sphere-cap --eps 0.5 --n 220 -o "$d/cap.json"
 cli double "$d/cap.json" -o "$d/doubled.json"
 cli check "$d/doubled.json" --suite llc
@@ -100,6 +113,7 @@ d = np.linalg.norm(c[:, None] - c[None], axis=-1)
 mf.save_space(mf.FiniteMetricSpace([f"c{i}" for i in range(256)], d, coords=c), sys.argv[1])
 EOF
 cli check "$d/circle.json" --suite quasicircle --max-lambda 2 --max-doubling 8
+cli check "$d/circle.json" --suite llc --lambda-max 4
 # Radii above its diameter leave the join-outside leg nothing to
 # evaluate: exit 3, not a pass.
 code=0
@@ -119,5 +133,6 @@ usage_error "delta above the diameter" check "$d/doubled.json" --suite llc --del
 usage_error "Q of 1e308" check "$d/doubled.json" --suite regularity --q 1e308
 usage_error "negative seed" generate --kind disk --n 20 --seed -1 -o "$d/neg.json"
 usage_error "zero gauge" check "$d/disk.json" --suite distortion --dst "$d/warped.json" --claim-gauge 0
+usage_error "lambda-max of 1.7e308" check "$d/circle.json" --suite llc --lambda-max 1.7e308
 cli generate --kind disk --n 2 --seed 1 -o "$d/two.json"
 usage_error "two-point quasicircle, negative seed" check "$d/two.json" --suite quasicircle --seed -1

@@ -22,7 +22,6 @@ from .space import (_ROW_BLOCK, FiniteMetricSpace, _at_least_one, _count, _finit
 
 DELTA_FACTOR = 2.5      # default proximity scale, in units of sample resolution
 RADII_FLOOR = 3.0       # radii below RADII_FLOOR * delta are discretization noise
-DEFAULT_LAMBDA_GRID = tuple(2.0 ** (k / 4.0) for k in range(17))  # 1 .. 16
 
 
 def default_delta(m: FiniteMetricSpace) -> float:
@@ -60,16 +59,18 @@ def _scales(m: FiniteMetricSpace, delta: float | None, radii, count: int = 8):
     return delta, tuple(_finite_positive("radii", r) for r in radii)
 
 
-def _grid(lambda_grid) -> tuple:
-    """The λ grid as floats, or the default grid for None.  The scan stops at
-    the first passing value, so the grid must ascend from at least 1."""
-    grid = tuple(float(v) for v in (DEFAULT_LAMBDA_GRID if lambda_grid is None
-                                    else lambda_grid))
-    if not (grid and 1.0 <= grid[0] and grid[-1] < math.inf  # NaN fails too
-            and all(a < b for a, b in zip(grid, grid[1:]))):
-        raise ValueError("lambda grid values must be finite and at least 1.0, "
-                         "in ascending order")
-    return grid
+def _grid(lambda_max: float) -> tuple:
+    """The λ grid: ``2 ** (k / 4)`` for k = 0, 1, ... up to the first value
+    at or above ``lambda_max``, which must be finite, at least 1 and at most
+    ``2 ** (4095 / 4)``, about 1.51e308: the next grid value overflows."""
+    lambda_max = _finite_positive("lambda_max", lambda_max)
+    _at_least_one("lambda_max", lambda_max)
+    if lambda_max > 2.0 ** (4095 / 4.0):
+        raise ValueError(f"lambda_max must be at most 2 ** (4095 / 4), got {lambda_max}")
+    grid = [1.0]
+    while grid[-1] < lambda_max:
+        grid.append(2.0 ** (len(grid) / 4.0))
+    return tuple(grid)
 
 
 def _pick_centers(m, centers, n_centers, seed):
@@ -301,7 +302,7 @@ def _reach(adj: np.ndarray, allowed: np.ndarray, starts) -> np.ndarray:
 
 
 def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
-                  lambda_grid=None, centers=None, radii=None,
+                  lambda_max: float = 16.0, centers=None, radii=None,
                   n_centers: int = 32, n_radii: int = 8,
                   seed: int = 0) -> LLCReport:
     """Estimate join-inside (lambda1) and join-outside (lambda2) constants.
@@ -310,10 +311,11 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     B(a, r) lie in one component of the delta-graph restricted to B(a, λr);
     lambda2 asks the same of the complement of B(a, r) inside the complement
     of B(a, r/λ).  Configurations with r above the diameter are vacuous for
-    lambda2 and skipped; both estimates are monotone along the grid.
+    lambda2 and skipped; both estimates are monotone along the grid of λ:
+    ``2 ** (k / 4)`` from 1 to the first value at or above ``lambda_max``.
     """
     delta, radii = _scales(m, delta, radii, n_radii)
-    grid = _grid(lambda_grid)
+    grid = _grid(lambda_max)
     D = m.dist
     adj = np.empty((m.n, -(-m.n // 64)), dtype=np.uint64)  # _pack's words, a band at a time
     for band in (slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, m.n, _ROW_BLOCK)):
@@ -402,20 +404,21 @@ class QuasicircleReport:
 
 def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
                       max_doubling: int = 8, delta: float | None = None,
-                      lambda_grid=None, centers=None, radii=None,
+                      lambda_max: float = 16.0, centers=None, radii=None,
                       n_centers: int = 48, n_radii: int = 8,
                       seed: int = 0) -> QuasicircleReport:
-    """Screen a closed-curve sample for quasicircle behavior."""
+    """Screen a closed-curve sample for quasicircle behavior, with the λ grid
+    up to ``lambda_max`` as in :func:`llc_constants`."""
     delta, radii = _scales(m, delta, radii, n_radii)
-    grid = _grid(lambda_grid)
+    _grid(lambda_max)
     _at_least_one("max_lambda", max_lambda)
     _at_least_one("max_doubling", max_doubling)
     centers = _pick_centers(m, centers, n_centers, seed)
     if m.n < 3:
         return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
                                  degenerate=True, usable=False, failures=())
-    llc = llc_constants(m, delta=delta, lambda_grid=grid, centers=centers, radii=radii,
-                        seed=seed)
+    llc = llc_constants(m, delta=delta, lambda_max=lambda_max, centers=centers,
+                        radii=radii, seed=seed)
     m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii or None,
                               seed=seed)
     passed = (llc.usable and llc.lambda1 <= max_lambda

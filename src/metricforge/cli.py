@@ -129,21 +129,10 @@ def _suite_metric(m, **opts):
     return doc, True, report.ok
 
 
-def _lambda_grid(lambda_max):
-    """Quarter-octave grid 1 .. --lambda-max, or None for the default grid."""
-    if lambda_max is None:
-        return None
-    space._at_least_one("--lambda-max", lambda_max)
-    steps = int(math.ceil(4 * math.log2(space._finite_positive("--lambda-max", lambda_max)))) + 1
-    return tuple(2.0 ** (k / 4.0) for k in range(steps))
-
-
-def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, lambda_max=None,
-               **opts):
+def _suite_llc(m, claim_lambda1=math.inf, claim_lambda2=math.inf, **opts):
     space._at_least_one("--claim-lambda1", claim_lambda1)
     space._at_least_one("--claim-lambda2", claim_lambda2)
-    rep = space._call("llc_constants", analysis.llc_constants, m,
-                      lambda_grid=_lambda_grid(lambda_max), **opts)
+    rep = space._call("llc_constants", analysis.llc_constants, m, **opts)
     return (dataclasses.asdict(rep), rep.usable,
             rep.lambda1 <= claim_lambda1 and rep.lambda2 <= claim_lambda2)
 
@@ -166,13 +155,13 @@ def _suite_distortion(m, dst, kind="qm", csv=None, **opts):
     prof = space._call(profile_fn.__name__, profile_fn, m, dst, mapping, **opts)
     if csv:
         _export_envelope_csv(prof, Path(csv))
-    return (dataclasses.asdict(prof), sum(prof.counts) > 0,
-            prof.claim is None or prof.claim.passed)
+    claim = prof.claim  # with no witness, no tuple had a defined ratio to check
+    evaluated = sum(prof.counts) > 0 and (claim is None or claim.worst_witness is not None)
+    return dataclasses.asdict(prof), evaluated, claim is None or claim.passed
 
 
-def _suite_quasicircle(m, lambda_max=None, **opts):
-    rep = space._call("quasicircle_check", analysis.quasicircle_check, m,
-                      lambda_grid=_lambda_grid(lambda_max), **opts)
+def _suite_quasicircle(m, **opts):
+    rep = space._call("quasicircle_check", analysis.quasicircle_check, m, **opts)
     return dataclasses.asdict(rep), rep.usable, rep.passed
 
 

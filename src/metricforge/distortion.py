@@ -40,8 +40,8 @@ _LOG_LO, _PER_DECADE = math.log10(BIN_LO), BIN_COUNT / math.log10(BIN_HI / BIN_L
 @dataclass(frozen=True)
 class ClaimCheck:
     """Pointwise comparison of outputs against the claimed gauge t -> C t,
-    described as ``f"{C}t"``: it passes when no evaluated tuple's output
-    exceeds C times its input."""
+    described as ``f"{C}t"``: it passes when some evaluated tuple has a
+    defined ratio (a witness) and no tuple's output exceeds C times its input."""
 
     description: str
     passed: bool
@@ -199,7 +199,7 @@ def _profile(kind, src, dst, mapping, n_samples, seed, exhaustive_cutoff, gauge)
     if gauge is not None:
         claim = ClaimCheck(
             description=f"{gauge}t",
-            passed=bool(worst_ratio <= 1.0),
+            passed=worst_witness is not None and worst_ratio <= 1.0,
             worst_ratio=float(worst_ratio),
             worst_witness=worst_witness,
         )

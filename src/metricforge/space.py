@@ -327,7 +327,7 @@ def _closure(w: np.ndarray) -> np.ndarray:
     return d
 
 
-def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> ValidationReport:
+def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.
 
     The space is well formed by construction (see
@@ -335,18 +335,16 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     are checked here.  Axiom failures are collected into the report with
     witness tuples, capped per axiom.
 
-    The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + tol`` is first
-    tested for all triples at once, against the first min-plus round
+    The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + METRIC_TOL`` is
+    first tested for all triples at once, against the first min-plus round
     ``min(d, d ⊗ d)`` that ``warp`` also starts from (``_through``).
     Rounding is monotone, so some middle point m fails (i, k) exactly when
-    ``d(i,k)`` exceeds the min over m of ``d(i,m) + d(m,k)``, plus tol.  On
-    a symmetric ``d`` that round costs half a full one.  Only when this
+    ``d(i,k)`` exceeds the min over m of ``d(i,m) + d(m,k)``, plus
+    ``METRIC_TOL``.  On a symmetric ``d`` that round costs half a full one.  Only when this
     test flags a pair does a scan per middle point count the failing
     triples and list witnesses, and it looks only at the flagged pairs
     (i, k): by the same monotone rounding they hold every failing triple.
     """
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     d = m.dist
     n = m.n
 
@@ -361,7 +359,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
                  for w, e in itertools.islice(witnesses, _WITNESS_CAP - len(kept)))
 
     diag = np.abs(np.diagonal(d))
-    bad = np.flatnonzero(diag > tol)
+    bad = np.flatnonzero(diag > METRIC_TOL)
     push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
 
     # The upper triangle a band of rows at a time, in row-major order: no
@@ -371,18 +369,18 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
     for r0 in range(0, n, _ROW_BLOCK):
         band, mirror = d[r0:r0 + _ROW_BLOCK, r0:], d[r0:, r0:r0 + _ROW_BLOCK].T
         symmetric &= np.array_equal(band, mirror)
-        asym.append(np.argwhere(np.triu(np.abs(band - mirror) > tol, 1)) + r0)
-        small.append(np.argwhere(np.triu(band <= tol, 1)) + r0)
+        asym.append(np.argwhere(np.triu(np.abs(band - mirror) > METRIC_TOL, 1)) + r0)
+        small.append(np.argwhere(np.triu(band <= METRIC_TOL, 1)) + r0)
     bad = np.concatenate(asym)
     push("symmetry", len(bad), (((int(i), int(j)), abs(d[i, j] - d[j, i])) for i, j in bad))
     bad = np.concatenate(small)
-    push("positivity", len(bad), (((int(i), int(j)), tol - d[i, j]) for i, j in bad))
+    push("positivity", len(bad), (((int(i), int(j)), METRIC_TOL - d[i, j]) for i, j in bad))
 
     # Pairs flagged band by band; on a symmetric d the pair (k, i) below a
     # band is flagged with (i, k), and the sort restores row-major order.
     flags = [np.empty((0, 2), np.intp)]
     for r0, c0, band in _through_bands(d, symmetric):
-        band += tol
+        band += METRIC_TOL
         ik = np.argwhere(d[r0:r0 + _ROW_BLOCK, c0:] > band) + (r0, c0)
         flags += [ik, ik[ik[:, 1] >= r0 + _ROW_BLOCK, ::-1]] if symmetric else [ik]
     flags = np.concatenate(flags)
@@ -391,7 +389,7 @@ def validate_metric(m: FiniteMetricSpace, tol: float = METRIC_TOL) -> Validation
         flagged = d[rows, cols]
         for j in range(n):
             through = d[rows, j] + d[j, cols]
-            bad = np.flatnonzero(flagged > through + tol)
+            bad = np.flatnonzero(flagged > through + METRIC_TOL)
             push("triangle", bad.size,
                  (((int(rows[s]), j, int(cols[s])), flagged[s] - through[s]) for s in bad))
 

@@ -157,7 +157,8 @@ def distortion_profile(kind, src, dst, mapping, n_samples, seed, exhaustive,
 
     claim = None
     if gauge is not None:
-        claim = {"description": f"{float(gauge)}t", "passed": worst <= 1.0,
+        claim = {"description": f"{float(gauge)}t",
+                 "passed": witness is not None and worst <= 1.0,
                  "worst_ratio": float(worst), "worst_witness": witness}
     return {"kind": kind, "bin_edges": tuple(float(e) for e in edges),
             "envelope": tuple(reported(v) for v in env),

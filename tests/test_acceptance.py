@@ -296,14 +296,13 @@ def test_c10_shrinking_rim_trend():
     doubles = {e: mf.double(mf.sphere_cap_complement(e, n, seed=42))
                for e in eps_values}
     delta = max(mf.default_delta(d.doubled) for d in doubles.values())
-    grid64 = tuple(2.0 ** (k / 4.0) for k in range(25))
     rng = np.random.default_rng(7)
     lam2 = []
     for e in eps_values:
         ds = doubles[e]
         centers = sorted(set(ds.rim)
                          | set(rng.choice(ds.doubled.n, 24, replace=False).tolist()))
-        rep = mf.llc_constants(ds.doubled, delta=delta, lambda_grid=grid64,
+        rep = mf.llc_constants(ds.doubled, delta=delta, lambda_max=64.0,
                                centers=centers, seed=7)
         assert rep.usable
         lam2.append(rep.lambda2)

@@ -267,8 +267,8 @@ class TestLLC:
 
     def test_lambda_grid_must_start_at_one(self):
         m = mf.random_metric(6, seed=0)
-        with pytest.raises(ValueError):
-            mf.llc_constants(m, lambda_grid=(0.5, 1.0))
+        with pytest.raises(ValueError, match="lambda_max must be at least 1"):
+            mf.llc_constants(m, lambda_max=0.5)
 
     def test_deterministic(self):
         disk = mf.disk_sample(150, seed=2)
@@ -285,14 +285,14 @@ def arc_with_gaps(circle, gaps):
 def test_llc_matches_component_oracle(case, circle_256):
     # Failing inputs, so that witnesses are exercised, and asymmetric ones,
     # where only one direction of a pair is within delta.
-    grid = None
+    lambda_max = 16.0
     if case == "open-arc":
         m = arc_with_gaps(circle_256, [(192, 256)])
     elif case == "gapped-circle":
         m = arc_with_gaps(circle_256, [(20, 24)])
     elif case == "capped-grid":  # lambda1 fails even at the grid max
         m = arc_with_gaps(circle_256, [(20, 24)])
-        grid = (1.0, 1.25)
+        lambda_max = 1.19  # the grid 1, 2 ** 0.25, 2 ** 0.5
     else:
         arc = arc_with_gaps(circle_256, [(200, 256)])
         d = arc.dist.copy()
@@ -301,7 +301,7 @@ def test_llc_matches_component_oracle(case, circle_256):
         else:
             d *= np.random.default_rng(5).uniform(0.8, 1.25, size=d.shape)
         m = mf.FiniteMetricSpace(arc.points, d)
-    rep = mf.llc_constants(m, lambda_grid=grid, n_centers=40, seed=1)
+    rep = mf.llc_constants(m, lambda_max=lambda_max, n_centers=40, seed=1)
     assert rep.usable
     expect = llc_by_components(m.dist, rep.delta, rep.grid, rep.centers, rep.radii)
     got = (rep.lambda1, rep.lambda2, rep.failures1, rep.failures2,
@@ -314,7 +314,7 @@ def test_llc_matches_component_oracle(case, circle_256):
 @given(data=st.data())
 def test_batched_scans_match_the_oracles(data):
     # Arcs of a circle with random gaps, some rescaled asymmetrically, under
-    # short random grids: configurations first pass at different grid
+    # short grids: configurations first pass at different grid
     # values, a leg can fail at the grid's maximum, and there are more
     # configurations and centers than one batch takes.
     size = data.draw(st.integers(40, 100))
@@ -331,11 +331,10 @@ def test_batched_scans_match_the_oracles(data):
         rng = np.random.default_rng(data.draw(st.integers(0, 99)))
         d *= rng.uniform(0.8, 1.25, size=d.shape)
     m = mf.FiniteMetricSpace(tuple(map(str, range(len(keep)))), d)
-    values = st.sampled_from([1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0])
-    grid = tuple(sorted(data.draw(st.sets(values, min_size=1, max_size=5))))
+    lambda_max = data.draw(st.floats(1.0, 9.0))
     delta = data.draw(st.floats(1.5, 6.0)) * 2.0 * np.sin(np.pi / size)
     n_centers = data.draw(st.integers(m.n // 2 + 1, m.n))
-    rep = mf.llc_constants(m, delta=delta, lambda_grid=grid, n_centers=n_centers,
+    rep = mf.llc_constants(m, delta=delta, lambda_max=lambda_max, n_centers=n_centers,
                            n_radii=data.draw(st.integers(3, 6)), seed=data.draw(st.integers(0, 9)))
     if not rep.usable:  # no radius fits between 3 delta and the diameter, the
         event("no estimate")  # delta-graph is disconnected, or a leg has no configuration
@@ -349,7 +348,7 @@ def test_batched_scans_match_the_oracles(data):
             rep.evaluated2, rep.skipped) == expect
     for lam in (rep.lambda1, rep.lambda2):
         event("a leg fails at the grid's maximum" if math.isinf(lam) else
-              "a leg passes above the grid's first value" if lam > grid[0] else
+              "a leg passes above the grid's first value" if lam > 1.0 else
               "a leg passes at the grid's first value")
     worst = {a: max(greedy_cover_count(d, np.flatnonzero(d[a] < r), r / 2.0)
                     for r in rep.radii) for a in rep.centers}
@@ -466,31 +465,49 @@ def test_regularity_scales_must_be_real_numbers(option, value):
         mf.regularity_constant(mf.euclidean_grid(5, 0.25), **options)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
+# Outside [1, 2 ** (4095 / 4)], or not a real number; 1.7e308 once overflowed
+# the CLI's step count, ceil(4 log2 lambda_max), with an OverflowError.
+BAD_LAMBDA_MAX = [math.nan, math.inf, -math.inf, 0.5, 1.7e308, True, "2"]
+
+
+@pytest.mark.parametrize("value", BAD_LAMBDA_MAX)
 @pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
 def test_lambda_grid_values_must_be_finite_and_at_least_one(check, value):
     m = mf.disk_sample(80, seed=1)
-    with pytest.raises(ValueError, match="lambda grid values must be finite and at least 1"):
-        check(m, lambda_grid=(1.0, value, 2.0))
-
-
-@pytest.mark.parametrize("grid", [(8.0, 4.0, 2.0, 1.5, 1.0), (1.0, 1.5, 1.5, 2.0)])
-@pytest.mark.parametrize("check", [mf.llc_constants, mf.quasicircle_check])
-def test_lambda_grid_must_ascend(check, grid):
-    # The scan takes the first passing value: a descending grid once reported
-    # lambda1 = lambda2 = 8 where the ascending one gives 1 and 1.5.
-    m = mf.disk_sample(150, seed=2)
-    with pytest.raises(ValueError, match="in ascending order"):
-        check(m, lambda_grid=grid, seed=1)
+    with pytest.raises(ValueError, match="lambda_max must be"):
+        check(m, lambda_max=value)
 
 
 @pytest.mark.parametrize("n", [2, 150])
-@pytest.mark.parametrize("grid", [(8.0, 4.0, math.nan), (0.5, 1.0), (1.0, math.inf)])
-def test_quasicircle_checks_the_grid_on_any_size(n, grid):
+@pytest.mark.parametrize("value", BAD_LAMBDA_MAX)
+def test_quasicircle_checks_the_grid_on_any_size(n, value):
     # Fewer than 3 points once returned a degenerate report before the grid
     # was looked at, where a bad radius is refused on any size.
-    with pytest.raises(ValueError, match="lambda grid"):
-        mf.quasicircle_check(mf.disk_sample(n, seed=2), lambda_grid=grid)
+    with pytest.raises(ValueError, match="lambda_max must be"):
+        mf.quasicircle_check(mf.disk_sample(n, seed=2), lambda_max=value)
+
+
+@pytest.mark.parametrize("lambda_max, size, top", [
+    (1.0, 1, 1.0), (math.sqrt(2), 3, math.sqrt(2)), (3.0, 8, 3.3636),
+    (16.0, 17, 16.0), (64.0, 25, 64.0), (1e308, 4094, 1.0689e308)])
+def test_lambda_grid_runs_to_the_first_quarter_octave_at_lambda_max(monkeypatch, lambda_max,
+                                                                    size, top):
+    # The CLI once counted ceil(4 log2 lambda_max) steps, which rounds up at
+    # sqrt(2): its grid ran one value past, to 2 ** 0.75.
+    m = mf.disk_sample(80, seed=1)
+    grids = [mf.llc_constants(m, lambda_max=lambda_max).grid]
+
+    def llc_constants(*args, **kwargs):  # the grid quasicircle_check scans
+        rep = mf.llc_constants(*args, **kwargs)
+        grids.append(rep.grid)
+        return rep
+
+    monkeypatch.setattr(analysis, "llc_constants", llc_constants)
+    mf.quasicircle_check(m, lambda_max=lambda_max)
+    for grid in grids:
+        assert grid == tuple(2.0 ** (k / 4.0) for k in range(size))
+        assert grid[-1] == pytest.approx(top, rel=1e-4)
+    assert len(grids) == 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -327,6 +327,29 @@ class TestCheckCommand:
         assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [dst, src]
 
+    def test_claim_with_no_defined_ratio_is_diagnostic(self, tmp_path):
+        # Into a space whose distances are all 0 every output ratio is 0/0:
+        # the claim checked nothing, yet it once passed with "ok": true.
+        m = mf.random_metric(8, seed=1)
+        src, dst, out = tmp_path / "src.json", tmp_path / "zero.json", tmp_path / "qm.json"
+        mf.save_space(m, src)
+        mf.save_space(mf.FiniteMetricSpace(m.points, np.zeros((8, 8))), dst)
+        argv = ["check", str(src), "--suite", "distortion", "--dst", str(dst), "-o", str(out)]
+        assert main(argv) == 0  # without a claim, the envelope is the answer
+        assert main(argv + ["--claim-gauge", "1"]) == 3
+        report = json.loads(out.read_text())
+        assert "ok" not in report and sum(report["counts"]) == 1680
+        assert not report["claim"]["passed"] and report["claim"]["worst_witness"] is None
+
+    def test_lambda_max_sets_the_grid(self, tmp_path, circle_256):
+        # The CLI once counted ceil(4 log2 lambda_max) grid steps, which rounds
+        # up at sqrt(2): its grid ran one value past, to 2 ** 0.75.
+        path, out = tmp_path / "circle.json", tmp_path / "llc.json"
+        mf.save_space(circle_256, path)
+        assert main(["check", str(path), "--suite", "llc", "--lambda-max", repr(math.sqrt(2)),
+                     "-o", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["grid"] == [1.0, 2 ** 0.25, 2 ** 0.5]
+
     def test_llc_unusable_delta_is_diagnostic(self, tmp_path):
         path = tmp_path / "disk.json"
         mf.save_space(mf.disk_sample(60, seed=1), path)
@@ -340,10 +363,11 @@ class TestCheckCommand:
             assert main(["check", str(path), "--suite", suite, "--lambda-max", "0.5"]) == 2
             assert "lambda" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "inf", "nan", "-2"])
+    @pytest.mark.parametrize("value", ["0", "inf", "nan", "-2", "1.7e308"])
     def test_lambda_max_must_be_finite_and_at_least_one(self, tmp_path, capsys, circle_256,
                                                         value):
-        # 0 once fell back to the default grid, and inf overflowed the grid size.
+        # 0 once fell back to the default grid, and inf and 1.7e308 overflowed
+        # the grid size: 1.7e308 with an OverflowError traceback and exit 1.
         path = tmp_path / "circle.json"
         mf.save_space(circle_256, path)
         for suite in ("llc", "quasicircle"):
@@ -351,9 +375,10 @@ class TestCheckCommand:
             code = main(["check", str(path), "--suite", suite, "--lambda-max", value,
                          "-o", str(out)])
             assert code == 2
-            assert re.search(r"--lambda-max must be (at least 1|finite and positive), got",
+            assert re.search(r"lambda_max must be (at least 1|finite and positive|at most "
+                             r"2 \*\* \(4095 / 4\)), got",
                              capsys.readouterr().err)
-            assert not out.exists()
+            assert sorted(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("option", [["--q", "nan"], ["--q", "inf"], ["--q", "0"],
                                         ["--q", "-1"], ["--q", "2", "--eps", "nan"],
@@ -700,7 +725,8 @@ DOMAINS = {
                               (), st.floats(0.05, 3)),
     "n_centers": ("an integer, at least 1", (), st.integers(1, 40)),
     "n_radii": ("an integer, at least 1", (), st.integers(1, 10)),
-    "lambda_max": ("finite and at least 1", ("1e308",), st.floats(1, 64)),
+    "lambda_max": ("finite, at least 1 and at most 2 ** (4095 / 4)", ("1e308",),
+                   st.floats(1, 64)),
     "claim_k": THRESHOLD, "claim_lambda1": THRESHOLD, "claim_lambda2": THRESHOLD,
     "max_lambda": THRESHOLD,
     "gauge": ("finite and positive", ("1e308",), st.floats(1e-3, 1e3)),

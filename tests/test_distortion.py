@@ -158,6 +158,9 @@ class TestProfilesMatchNaiveSampler:
         ("QS", 70, 2300, "discrete", None),
         ("QM", 9, None, "discrete", None),
         ("QS", 12, None, "discrete", 0.5),
+        # Every output ratio is 0/0: the claim has no witness.
+        ("QM", 9, None, "zero", 1.0),
+        ("QS", 70, 2300, "zero", 2.0),
     ])
     def test_every_field_bit_for_bit(self, monkeypatch, kind, n, samples, dst_kind, gauge):
         monkeypatch.setattr(distortion, "_CHUNK", 97)
@@ -168,8 +171,8 @@ class TestProfilesMatchNaiveSampler:
         elif dst_kind == "coincident":  # 0/0 and x/0 ratios: NaN and inf
             dst = coincident(m, [0, 3, 5, 6])
             mapping = range(n)
-        else:
-            dst = mf.FiniteMetricSpace(m.points, 1.0 - np.eye(n))
+        else:  # the 0/1 discrete metric, or all distances 0
+            dst = mf.FiniteMetricSpace(m.points, (dst_kind == "discrete") * (1.0 - np.eye(n)))
             mapping = np.random.default_rng(n).permutation(n)
         fn = mf.qs_profile if kind == "QS" else mf.qm_profile
         prof = fn(m, dst, mapping, n_samples=samples or 0, seed=7, gauge=gauge)
@@ -208,6 +211,16 @@ def test_undefined_ratios_do_not_hide_a_failed_claim():
     assert prof.claim.worst_ratio == math.inf
     (a, b, c), _, t_out = prof.claim.worst_witness
     assert {a, c} <= {0, 3, 5, 6} and t_out == math.inf
+
+
+@pytest.mark.parametrize("fn, tuples", [(mf.qs_profile, 336), (mf.qm_profile, 1680)])
+def test_a_claim_no_tuple_could_check_does_not_pass(fn, tuples):
+    # Into a space whose distances are all 0 every output ratio is 0/0, so no
+    # tuple checks the claim; it once read passed, with no witness.
+    m = mf.random_metric(8, seed=1)
+    prof = fn(m, mf.FiniteMetricSpace(m.points, np.zeros((8, 8))), range(8), gauge=1.0)
+    assert sum(prof.counts) == tuples
+    assert prof.claim == distortion.ClaimCheck("1.0t", False, -math.inf, None)
 
 
 def test_infinite_envelope_reads_inf_not_nan():
