@@ -4,7 +4,9 @@
 # maps a space into a copy with three coincident points: its report and CSV
 # must show an inf envelope (x/0 outputs) beside the nan of an empty bin.
 # A claim into a copy with all distances 0 has no defined ratio to check and
-# must exit 3, as must a quasicircle check whose radii exceed the diameter.
+# must exit 3, as must a quasicircle check whose radii exceed the diameter
+# (written beside the passing screen of the same circle, not over it) and
+# one of a 3-point disk, whose default delta reaches its diameter.
 #
 #   .github/cli-pipeline.sh <out-dir>
 #
@@ -117,8 +119,15 @@ cli check "$d/circle.json" --suite llc --lambda-max 4
 # Radii above its diameter leave the join-outside leg nothing to
 # evaluate: exit 3, not a pass.
 code=0
-cli check "$d/circle.json" --suite quasicircle --radii 5 || code=$?
+cli check "$d/circle.json" --suite quasicircle --radii 5 -o "$d/circle-radii5.quasicircle.json" || code=$?
 echo "radii above the diameter: exit $code"
+test "$code" -eq 3
+# Three points: llc reports a sample that answers nothing, and so does
+# the screen built on it.
+cli generate --kind disk --n 3 --seed 2 -o "$d/three.json"
+code=0
+cli check "$d/three.json" --suite quasicircle || code=$?
+echo "three-point quasicircle: exit $code"
 test "$code" -eq 3
 echo '{"points": ["a", "b"], "dist": [[0.0, 1.0]]}' > "$d/bad.json"
 usage_error "non-square file" check "$d/bad.json" --suite metric

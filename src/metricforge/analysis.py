@@ -232,8 +232,7 @@ def regularity_constant(m: FiniteMetricSpace, Q: float, radii=None, centers=None
             if ratio > k_hat:
                 k_hat = ratio
                 worst = (int(a), float(r), float(ratio))
-    m_hat = doubling_constant(m, radii=radii or None, centers=cs, seed=seed) \
-        if with_doubling else 0
+    m_hat = doubling_constant(m, radii=radii, centers=cs, seed=seed) if with_doubling else 0
     return RegularityReport(
         Q=float(Q),
         K_hat=float(k_hat),
@@ -389,7 +388,9 @@ class QuasicircleReport:
     The caller asserts the sample traces a closed curve; that claim is not
     verified topologically.  An open arc passes the join-inside leg with a
     small constant, so the join-outside leg is reported too: a gap in the
-    curve makes lambda2 blow up, with witnesses at the gap.
+    curve makes lambda2 blow up, with witnesses at the gap.  ``degenerate``
+    says the sample has fewer than 3 points; ``usable`` is that of
+    :func:`llc_constants`, which no sample of fewer than 3 points attains.
     """
 
     m_hat: int
@@ -407,24 +408,18 @@ def quasicircle_check(m: FiniteMetricSpace, max_lambda: float = 2.0,
                       lambda_max: float = 16.0, centers=None, radii=None,
                       n_centers: int = 48, n_radii: int = 8,
                       seed: int = 0) -> QuasicircleReport:
-    """Screen a closed-curve sample for quasicircle behavior, with the λ grid
-    up to ``lambda_max`` as in :func:`llc_constants`."""
-    delta, radii = _scales(m, delta, radii, n_radii)
-    _grid(lambda_max)
+    """Screen a closed-curve sample for quasicircle behavior: the constants
+    of :func:`llc_constants` with these options, and the doubling count of
+    :func:`doubling_constant` on the same centers and radii."""
     _at_least_one("max_lambda", max_lambda)
     _at_least_one("max_doubling", max_doubling)
-    centers = _pick_centers(m, centers, n_centers, seed)
-    if m.n < 3:
-        return QuasicircleReport(0, math.inf, math.inf, 0.0, passed=False,
-                                 degenerate=True, usable=False, failures=())
     llc = llc_constants(m, delta=delta, lambda_max=lambda_max, centers=centers,
-                        radii=radii, seed=seed)
-    m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii or None,
-                              seed=seed)
+                        radii=radii, n_centers=n_centers, n_radii=n_radii, seed=seed)
+    m_hat = doubling_constant(m, centers=llc.centers, radii=llc.radii, seed=seed)
     passed = (llc.usable and llc.lambda1 <= max_lambda
               and llc.lambda2 <= max_lambda and m_hat <= max_doubling)
     return QuasicircleReport(
         m_hat=m_hat, lambda1=llc.lambda1, lambda2=llc.lambda2,
-        delta=float(delta), passed=bool(passed), degenerate=False,
+        delta=llc.delta, passed=bool(passed), degenerate=m.n < 3,
         usable=llc.usable, failures=llc.failures1 + llc.failures2,
     )

@@ -406,12 +406,12 @@ def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
     return ValidationReport(tuple(itertools.chain.from_iterable(found.values())), total)
 
 
-def ball(m: FiniteMetricSpace, center: int, r: float, closed: bool = False) -> set:
-    """Indices within distance ``r`` of ``center`` (strict unless closed)."""
+def ball(m: FiniteMetricSpace, center: int, r: float) -> set:
+    """Indices at distance below ``r`` from ``center``: the open ball."""
     if not r >= 0:  # NaN fails too
         raise ValueError(f"ball radius must be nonnegative, got {r}")
     row = m.dist[_indices("center", [center], m.n)[0]]
-    return set((row <= r if closed else row < r).nonzero()[0].tolist())
+    return set((row < r).nonzero()[0].tolist())
 
 
 def sample_scale(m: FiniteMetricSpace) -> float:
@@ -432,24 +432,19 @@ def sample_scale(m: FiniteMetricSpace) -> float:
     return float(nearest.max())
 
 
-def subspace(m: FiniteMetricSpace, indices: Sequence[int],
-             boundary: Iterable[int] | None = None) -> FiniteMetricSpace:
-    """Restriction of a space to a subset of its points (metric inherited).
-
-    ``boundary``, if given, is expressed in the new index order; otherwise
-    surviving marks of the parent boundary are carried over.
-    """
+def subspace(m: FiniteMetricSpace, indices: Sequence[int]) -> FiniteMetricSpace:
+    """Restriction of a space to a subset of its points (metric inherited),
+    keeping the surviving marks of the parent boundary in the new order."""
     idx = np.asarray(_indices("subspace indices", indices, m.n), dtype=int)
     if len(set(idx.tolist())) != len(idx):
         raise ValueError("subspace indices must be distinct")
-    if boundary is None and m.boundary is not None:
-        boundary = [k for k, i in enumerate(idx) if i in m.boundary] or None
+    marks = [k for k, i in enumerate(idx) if m.boundary and i in m.boundary]
     return FiniteMetricSpace(
         points=tuple(m.points[i] for i in idx),
         dist=m.dist[np.ix_(idx, idx)],
         coords=None if m.coords is None else m.coords[idx],
         mass=None if m.mass is None else m.mass[idx],
-        boundary=boundary,
+        boundary=marks or None,
     )
 
 

@@ -530,6 +530,55 @@ def test_quasicircle_thresholds_must_be_at_least_one(n, option, bound):
         mf.quasicircle_check(mf.disk_sample(n, seed=2), **{option: bound})
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quasicircle_is_llc_plus_the_doubling_count(circle_256, data):
+    # The screen once resolved its own scales and checked a default delta
+    # against the diameter, so sparse samples raised where llc reports
+    # unusable; on fewer than 3 points it reported delta 0.0 and m_hat 0.
+    n = data.draw(st.integers(0, 12))
+    seed = data.draw(st.integers(0, 49))
+    kind = data.draw(st.sampled_from(["disk", "random", "arc"]))
+    if kind == "arc":
+        start = data.draw(st.integers(0, 255 - n))
+        m = mf.subspace(circle_256, range(start, start + n))
+    else:
+        make = mf.disk_sample if kind == "disk" else mf.random_metric
+        m = mf.subspace(make(max(n, 1), seed=seed), range(n))
+    scale = max(m.diam(), 1.0)
+    options = {"seed": seed}
+    if data.draw(st.booleans()):  # at or above the diameter, both raise
+        options["delta"] = data.draw(st.floats(0.05, 1.2)) * scale
+    if data.draw(st.booleans()):
+        options["radii"] = tuple(f * scale for f in data.draw(
+            st.lists(st.floats(0.05, 1.5), max_size=4)))
+    if data.draw(st.booleans()):
+        options["centers"] = data.draw(st.lists(st.integers(0, n - 1), max_size=4)
+                                       if n else st.just([]))
+    if data.draw(st.booleans()):
+        options["n_radii"] = data.draw(st.integers(1, 5))
+
+    def outcome(call, **kwargs):
+        try:
+            return call(m, **kwargs, **options)
+        except ValueError as e:
+            return str(e)
+
+    rep = outcome(mf.quasicircle_check)
+    llc = outcome(mf.llc_constants, n_centers=48)
+    if isinstance(llc, str):
+        event("both raise")
+        assert rep == llc
+        return
+    event("usable" if llc.usable else "unusable")
+    assert (rep.lambda1, rep.lambda2, rep.delta, rep.usable, rep.failures) == (
+        llc.lambda1, llc.lambda2, llc.delta, llc.usable, llc.failures1 + llc.failures2)
+    assert rep.m_hat == mf.doubling_constant(m, centers=llc.centers, radii=llc.radii, seed=seed)
+    assert rep.degenerate == (n < 3)
+    assert rep.passed == (llc.usable and max(llc.lambda1, llc.lambda2) <= 2.0
+                          and rep.m_hat <= 8)
+
+
 class TestQuasicircle:
     def test_circle_passes(self, circle_256):
         rep = mf.quasicircle_check(circle_256, max_lambda=2.0, max_doubling=8, seed=3)

@@ -422,6 +422,18 @@ class TestCheckCommand:
                      "--max-lambda", "2", "--max-doubling", "8"])
         assert code == 0
 
+    def test_quasicircle_on_a_sparse_disk_evaluates_nothing(self, tmp_path):
+        # Three points: the default delta, 2.5 times the largest gap, reaches
+        # the diameter.  llc exits 3 there, and quasicircle once exited 2,
+        # refusing a delta that was never given.
+        path = tmp_path / "three.json"
+        assert main(["generate", "--kind", "disk", "--n", "3", "--seed", "2",
+                     "-o", str(path)]) == 0
+        for suite in ("llc", "quasicircle"):
+            out = tmp_path / f"three.{suite}.json"
+            assert main(["check", str(path), "--suite", suite, "-o", str(out)]) == 3
+            assert "ok" not in json.loads(out.read_text())
+
     @pytest.mark.parametrize("suite, option", [
         ("quasicircle", "--max-lambda"), ("quasicircle", "--max-doubling"),
         ("regularity", "--claim-k"),

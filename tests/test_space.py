@@ -85,11 +85,11 @@ class TestBall:
     def test_open_ball(self, m):
         assert mf.ball(m, 0, 1.5) == {0, 1}
 
-    def test_zero_radius_closed(self, m):
-        assert mf.ball(m, 1, 0.0, closed=True) == {1}
+    def test_zero_radius_is_empty(self, m):
+        assert mf.ball(m, 1, 0.0) == set()
 
     def test_whole_space(self, m):
-        assert mf.ball(m, 0, 2.5, closed=True) == {0, 1, 2}
+        assert mf.ball(m, 0, 2.5) == {0, 1, 2}
 
     def test_negative_radius_rejected(self, m):
         with pytest.raises(ValueError):
