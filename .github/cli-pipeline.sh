@@ -6,18 +6,27 @@
 # A claim into a copy with all distances 0 has no defined ratio to check and
 # must exit 3, as must a quasicircle check whose radii exceed the diameter
 # (written beside the passing screen of the same circle, not over it) and
-# one of a 3-point disk, whose default delta reaches its diameter.
+# one of a 3-point disk, whose default delta reaches its diameter.  Some legs
+# reach code no other leg runs: a metric check of a space with one pair
+# stretched must exit 1 with its triangle failures listed; an llc check of
+# the circle with 20 points cut out fails its join-outside leg at the top of
+# the λ grid, and its quasicircle screen must exit 1; a regularity check
+# with --eps measures balls by the premeasure; and the grid, disk-grid and
+# halfplane generators run.
 #
 #   .github/cli-pipeline.sh <out-dir>
 #
 # numpy is the one runtime dependency, so a scipy import fails the run.  The
-# script stops at the first command that does not exit 0; the malformed
-# file, a quoted distance, a NaN radius, an option the suite does not take,
-# a NaN edge density, a NaN threshold, an infinite delta, a delta above the
-# diameter, a Q whose powers of the radii overflow, a zero gauge, a
-# --lambda-max whose grid would overflow and a negative seed (to generate,
-# and to a quasicircle check of two points) must exit 2.  Run on two trees into two directories, `diff -r` compares
-# their outputs.
+# script stops at the first command that does not exit as it must (0 unless
+# said); the malformed file, a quoted distance, a NaN radius, an option the
+# suite does not take, a NaN edge density, a NaN threshold, an infinite
+# delta, a delta above the diameter, a Q whose powers of the radii overflow,
+# a zero gauge, a --lambda-max whose grid would overflow, a negative seed (to
+# generate, and to a quasicircle check of two points), and a file with a
+# negative distance (to double, warp, the llc and metric checks, and as a
+# distortion check's --dst) or a negative mass (to a regularity check) must
+# exit 2.  Run on two trees into two directories, `diff -r` compares their
+# outputs.
 set -eo pipefail
 [ $# -eq 1 ] || { echo "usage: $0 <out-dir>" >&2; exit 2; }
 mkdir -p "$1"
@@ -27,13 +36,14 @@ cd "$(dirname "$0")/.."
 cli() {
   PYTHONPATH=src python -c 'import runpy, sys; sys.modules["scipy"] = None; runpy.run_module("metricforge.cli", run_name="__main__")' "$@"
 }
-usage_error() {  # usage_error <label> <cli args...>: the command must exit 2
-  local label=$1 code=0
-  shift
+exits() {  # exits <code> <label> <cli args...>: the command must exit <code>
+  local want=$1 label=$2 code=0
+  shift 2
   cli "$@" || code=$?
   echo "$label: exit $code"
-  test "$code" -eq 2
+  test "$code" -eq "$want"
 }
+usage_error() { exits 2 "$@"; }  # usage_error <label> <cli args...>
 cli generate --kind disk --n 60 --seed 1 -o "$d/disk.json"
 cli warp "$d/disk.json" --basepoint p0 -o "$d/warped.json"
 cli check "$d/disk.json" --suite distortion --kind qm --dst "$d/warped.json" --claim-gauge 16
@@ -88,14 +98,29 @@ import numpy as np, metricforge as mf
 m = mf.load_space(sys.argv[1])
 mf.save_space(mf.FiniteMetricSpace(m.points, np.zeros((m.n, m.n))), sys.argv[2])
 EOF
-code=0
-cli check "$d/small.json" --suite distortion --dst "$d/small-zero.json" --claim-gauge 1 -o "$d/small-zero.distortion-qm.json" || code=$?
-echo "claim with no defined ratio: exit $code"
-test "$code" -eq 3
+exits 3 "claim with no defined ratio" check "$d/small.json" --suite distortion --dst "$d/small-zero.json" --claim-gauge 1 -o "$d/small-zero.distortion-qm.json"
+# One pair stretched to 10: the triangle pass counts and lists its failures.
+PYTHONPATH=src python - "$d/small.json" "$d/small-stretched.json" <<'EOF'
+import sys
+import metricforge as mf
+m = mf.load_space(sys.argv[1])
+d = m.dist.copy()
+d[0, 1] = d[1, 0] = 10.0
+mf.save_space(mf.FiniteMetricSpace(m.points, d), sys.argv[2])
+EOF
+exits 1 "stretched pair" check "$d/small-stretched.json" --suite metric
+python - "$d/small-stretched.metric.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["total_violations"] == 36, report
+assert report["violations"][0]["witness"] == [0, 2, 1], report
+EOF
 cli generate --kind sphere-cap --eps 0.5 --n 220 -o "$d/cap.json"
 cli double "$d/cap.json" -o "$d/doubled.json"
 cli check "$d/doubled.json" --suite llc
 cli check "$d/doubled.json" --suite regularity --q 2
+# Balls of an eps-net's cells: the premeasure.
+cli check "$d/doubled.json" --suite regularity --q 2 --eps 0.1 -o "$d/doubled-eps.regularity.json"
 cli check "$d/doubled.json" --suite metric
 # 400 centers x 32 radii: more configurations than one batch of
 # the packed search takes.
@@ -118,17 +143,31 @@ cli check "$d/circle.json" --suite quasicircle --max-lambda 2 --max-doubling 8
 cli check "$d/circle.json" --suite llc --lambda-max 4
 # Radii above its diameter leave the join-outside leg nothing to
 # evaluate: exit 3, not a pass.
-code=0
-cli check "$d/circle.json" --suite quasicircle --radii 5 -o "$d/circle-radii5.quasicircle.json" || code=$?
-echo "radii above the diameter: exit $code"
-test "$code" -eq 3
+exits 3 "radii above the diameter" check "$d/circle.json" --suite quasicircle --radii 5 -o "$d/circle-radii5.quasicircle.json"
+# The circle without points 40-59 is an arc: the join-outside leg rises
+# through the λ grid and fails at its top, and the screen fails.
+PYTHONPATH=src python - "$d/circle.json" "$d/arc.json" <<'EOF'
+import sys
+import metricforge as mf
+m = mf.load_space(sys.argv[1])
+mf.save_space(mf.subspace(m, [i for i in range(m.n) if not 40 <= i < 60]), sys.argv[2])
+EOF
+cli check "$d/arc.json" --suite llc
+python - "$d/arc.llc.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert round(report["lambda1"], 2) == 2.83 and report["lambda2"] == "inf", report
+assert len(report["failures2"]) == 20, report
+EOF
+exits 1 "arc quasicircle" check "$d/arc.json" --suite quasicircle --max-lambda 2 --max-doubling 8
 # Three points: llc reports a sample that answers nothing, and so does
 # the screen built on it.
 cli generate --kind disk --n 3 --seed 2 -o "$d/three.json"
-code=0
-cli check "$d/three.json" --suite quasicircle || code=$?
-echo "three-point quasicircle: exit $code"
-test "$code" -eq 3
+exits 3 "three-point quasicircle" check "$d/three.json" --suite quasicircle
+# The generators no other leg runs.
+cli generate --kind grid --side 12 --spacing 0.25 -o "$d/grid.json"
+cli generate --kind disk-grid --spacing 0.2 -o "$d/disk-grid.json"
+cli generate --kind halfplane --n 50 --seed 3 -o "$d/halfplane.json"
 echo '{"points": ["a", "b"], "dist": [[0.0, 1.0]]}' > "$d/bad.json"
 usage_error "non-square file" check "$d/bad.json" --suite metric
 echo '{"points": ["a", "b"], "dist": [[0.0, "1.5"], ["1.5", 0.0]]}' > "$d/quoted.json"
@@ -145,3 +184,21 @@ usage_error "zero gauge" check "$d/disk.json" --suite distortion --dst "$d/warpe
 usage_error "lambda-max of 1.7e308" check "$d/circle.json" --suite llc --lambda-max 1.7e308
 cli generate --kind disk --n 2 --seed 1 -o "$d/two.json"
 usage_error "two-point quasicircle, negative seed" check "$d/two.json" --suite quasicircle --seed -1
+# A negative distance or mass is refused as the file is read.
+cli generate --kind disk --n 60 --seed 0 --mark-boundary -o "$d/disk0.json"
+python - "$d" <<'EOF'
+import json, sys
+d = sys.argv[1]
+doc = json.load(open(f"{d}/disk0.json"))
+doc["dist"][3][7] = doc["dist"][7][3] = -0.5
+json.dump(doc, open(f"{d}/negpair.json", "w"))
+doc = json.load(open(f"{d}/grid.json"))
+doc["mass"][5] = -0.5
+json.dump(doc, open(f"{d}/negmass.json", "w"))
+EOF
+usage_error "negative distance, double" double "$d/negpair.json" -o "$d/negpair-doubled.json"
+usage_error "negative distance, warp" warp "$d/negpair.json" --basepoint p0 -o "$d/negpair-warped.json"
+usage_error "negative distance, llc" check "$d/negpair.json" --suite llc
+usage_error "negative distance, metric" check "$d/negpair.json" --suite metric
+usage_error "negative distance, --dst" check "$d/disk.json" --suite distortion --dst "$d/negpair.json" -o "$d/negpair.distortion-qm.json"
+usage_error "negative mass, regularity" check "$d/negmass.json" --suite regularity --q 2

@@ -41,9 +41,8 @@ def _jsonable(obj):
         return "nan" if math.isnan(v) else v
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in seq]
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     return obj

@@ -26,10 +26,11 @@ import numpy as np
 # entry, so 1e-9 is generous without masking real defects.
 METRIC_TOL = 1e-9
 
+_SIGNS = "distances and masses must be finite and nonnegative, coordinates finite"
+
 
 def _non_finite(token: str):
-    raise ValueError(f"non-finite number {token}: distances must be finite and "
-                     "nonnegative, coordinates and masses finite")
+    raise ValueError(f"non-finite number {token}: {_SIGNS}")
 
 
 def _finite_positive(name: str, value: float) -> float:
@@ -93,8 +94,9 @@ class FiniteMetricSpace:
         Distinct, order-significant point labels (strings for anything that
         will be serialized).
     dist : (n, n) array of float
-        Pairwise distances, symmetric with zero diagonal.  Construction does
-        not enforce the metric axioms; run :func:`validate_metric`.
+        Pairwise distances, symmetric with zero diagonal.  Construction
+        checks finiteness and signs; symmetry, the diagonal, positivity and
+        the triangle inequality are left to :func:`validate_metric`.
     coords : (n, k) array, optional
         Ambient coordinates for generated Euclidean/spherical samples.
     mass : (n,) array, optional
@@ -104,9 +106,9 @@ class FiniteMetricSpace:
         an explicit input; it is never inferred from a bare point cloud.
 
     Construction is where structure is checked: duplicate labels, array
-    shapes that do not match the point count, a NaN or infinite number in
-    ``dist``, ``coords`` or ``mass``, and boundary indices outside ``[0, n)``
-    raise ``ValueError``, so no malformed space exists.
+    shapes that do not match the point count, a NaN or infinite number, a
+    negative one in ``dist`` or ``mass`` (-0.0 is not), and boundary indices
+    outside ``[0, n)`` raise ``ValueError``, so no malformed space exists.
     """
 
     points: tuple
@@ -124,9 +126,11 @@ class FiniteMetricSpace:
         for name in ("dist", "coords", "mass"):
             if getattr(self, name) is not None:
                 a = np.asarray(getattr(self, name), dtype=np.float64)
-                # min and max propagate NaN and reach ±inf: no n x n temporary
-                if a.size and not np.isfinite([a.min(), a.max()]).all():
+                lo, hi = a.min(initial=0.0), a.max(initial=0.0)  # NaN propagates; no n x n copy
+                if not np.isfinite([lo, hi]).all():
                     _non_finite(repr(float(a[~np.isfinite(a)][0])))
+                if lo < 0 and name != "coords":  # -0.0 is not below 0
+                    raise ValueError(f"negative number {float(lo)!r} in {name}: {_SIGNS}")
                 a.setflags(write=False)
                 object.__setattr__(self, name, a)
         if self.dist.shape != (n, n):
@@ -331,9 +335,9 @@ def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
     """Check the metric axioms and boundary marking of a space.
 
     The space is well formed by construction (see
-    :class:`FiniteMetricSpace`), finite numbers included, so only the axioms
-    are checked here.  Axiom failures are collected into the report with
-    witness tuples, capped per axiom.
+    :class:`FiniteMetricSpace`), finite and nonnegative numbers included, so
+    only the other axioms are checked here.  Axiom failures are collected
+    into the report with witness tuples, capped per axiom.
 
     The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + METRIC_TOL`` is
     first tested for all triples at once, against the first min-plus round
@@ -392,10 +396,6 @@ def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
             bad = np.flatnonzero(flagged > through + METRIC_TOL)
             push("triangle", bad.size,
                  (((int(rows[s]), j, int(cols[s])), flagged[s] - through[s]) for s in bad))
-
-    if m.mass is not None:
-        bad = np.flatnonzero(m.mass < 0)
-        push("mass", bad.size, (((int(i),), -m.mass[i]) for i in bad))
 
     if m.boundary is not None:
         if len(m.boundary) == 0:
@@ -465,15 +465,15 @@ _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's
 
 
-def _json_pieces(items: Iterable, depth: int, brackets: bytes = b"[]"):
+def _json_pieces(items: Iterable, depth: int):
     """A JSON list in the layout of ``json.dumps(indent=1)``, in pieces, of items
-    that are iterables of pieces; b"{}" for an object."""
+    that are iterables of pieces."""
     pad, first = b"\n" + b" " * (depth + 1), True
     for item in items:
-        yield (brackets[:1] if first else b",") + pad
+        yield (b"[" if first else b",") + pad
         yield from item
         first = False
-    yield brackets if first else b"\n" + b" " * depth + brackets[1:]
+    yield b"[]" if first else b"\n" + b" " * depth + b"]"
 
 
 def _json_floats(a: np.ndarray):
@@ -513,21 +513,20 @@ def _json_floats(a: np.ndarray):
 def _json_chunks(m: FiniteMetricSpace):
     """``json.dumps(doc, sort_keys=True, indent=1)`` of the space's record, in
     ASCII bytes (``json`` escapes the rest), in pieces: ``dist`` a row at a
-    time.  All but the rows' text is done before this returns, so a space
-    that cannot be encoded (a label ``json`` does not take) raises here.
-    ``dist``'s table is built first, so that no other text is held through
-    its sort."""
-    def small(value):  # as json.dumps(indent=1) lays it out at depth 1, in one piece
-        return [json.dumps(value, indent=1).replace("\n", "\n ").encode()]
-
-    doc = {b"dist": _json_floats(m.dist), b"points": small(m.points)}
+    time, the rest from one ``json.dumps`` with 0 for ``dist``, cut where that
+    key starts a line (a string escapes its newlines).  All but the rows' text
+    is done before this returns, so a space that cannot be encoded (a label
+    ``json`` does not take) raises here.  ``dist``'s table is built first, so
+    that no other text is held through its sort."""
+    rows, doc = _json_floats(m.dist), {"dist": 0, "points": m.points}
     if m.coords is not None:
-        doc[b"coords"] = small(m.coords.tolist())
+        doc["coords"] = m.coords.tolist()
     if m.mass is not None:
-        doc[b"mass"] = small(m.mass.tolist())
+        doc["mass"] = m.mass.tolist()
     if m.boundary is not None:
-        doc[b"boundary"] = small(sorted(m.boundary))
-    return _json_pieces((itertools.chain((b'"%s": ' % k,), doc[k]) for k in sorted(doc)), 0, b"{}")
+        doc["boundary"] = sorted(m.boundary)
+    head, tail = json.dumps(doc, sort_keys=True, indent=1).encode().split(b'\n "dist": 0')
+    return itertools.chain((head, b'\n "dist": '), rows, (tail,))
 
 
 def to_json(m: FiniteMetricSpace) -> str:

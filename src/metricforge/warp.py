@@ -79,8 +79,6 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     p = _indices("basepoint", [p], m.n)[0]
     if INFINITY_LABEL in m.points:
         raise ValueError(f"label {INFINITY_LABEL!r} is reserved for the adjoined point")
-    if m.dist.min() < 0:  # finite already: the space checks that itself
-        raise ValueError("cannot warp: distances must be finite and nonnegative")
     h = point_scales(m, p)
     order = np.argsort(m.dist[p], kind="stable")  # tiles then hold points at like scales
     grid = np.ix_(order, order)

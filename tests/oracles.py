@@ -15,8 +15,10 @@ import tracemalloc
 
 import numpy as np
 
+from metricforge.space import METRIC_TOL
 
-def triangle_ok(dist, tol=1e-9):
+
+def triangle_ok(dist, tol=METRIC_TOL):
     """Exhaustive triple-loop check of the triangle inequality."""
     n = len(dist)
     for i in range(n):
@@ -27,12 +29,12 @@ def triangle_ok(dist, tol=1e-9):
     return True
 
 
-def metric_violations(dist, tol=1e-9, mass=None):
+def metric_violations(dist, tol=METRIC_TOL):
     """Every failed metric axiom, as (axiom, witness, excess) in report order.
 
     Plain loops over Python floats: diagonal entries, then the upper
     triangle for symmetry and positivity, then triangle triples with the
-    middle point outermost and (i, k) row-major, then negative masses.
+    middle point outermost and (i, k) row-major.
     """
     d = [[float(x) for x in row] for row in dist]
     n = len(d)
@@ -54,16 +56,13 @@ def metric_violations(dist, tol=1e-9, mass=None):
                 through = d[i][j] + d[j][k]
                 if d[i][k] > through + tol:
                     out.append(("triangle", (i, j, k), d[i][k] - through))
-    for i, w in enumerate([] if mass is None else mass):
-        if w < 0:
-            out.append(("mass", (i,), -float(w)))
     return out
 
 
-def metric_violations_by_middle_point(dist, tol=1e-9, cap=25):
+def metric_violations_by_middle_point(dist, tol=METRIC_TOL, cap=25):
     """(total, kept) for the matrix axioms, the triangle counted per middle point.
 
-    Numpy twin of :func:`metric_violations` without masses, for matrices
+    Numpy twin of :func:`metric_violations`, for matrices
     too large for its triple loop: ``kept`` holds the first ``cap``
     witnesses of each axiom in the same order.
     """

@@ -628,6 +628,30 @@ def test_malformed_space_is_usage_error(tmp_path, capsys, defect, command):
     assert sorted(tmp_path.iterdir()) == [bad, good]  # no output, report or manifest
 
 
+# A negative entry planted in a well-formed file: d(3, 7) = d(7, 3), or one mass.
+NEGATIVE = {
+    "dist": lambda doc: [doc["dist"][i].__setitem__(j, -0.5) for i, j in ((3, 7), (7, 3))],
+    "mass": lambda doc: doc["mass"].__setitem__(5, -0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_negative_distance_or_mass_is_usage_error(tmp_path, capsys, entry, command):
+    # Such a file was read by every command but warp: double wrote a space,
+    # and a distortion or regularity check could pass.
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    mf.save_space(mf.sphere_cap_complement(n=30, eps=0.5, seed=1), good)
+    doc = json.loads(good.read_text())
+    NEGATIVE[entry](doc)
+    bad.write_text(json.dumps(doc))
+    argv = [a.format(good=good, bad=bad) for a in READERS[command]]
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot parse space file {bad}: "
+                                       f"negative number -0.5 in {entry}: {space._SIGNS}\n")
+    assert sorted(tmp_path.iterdir()) == [bad, good]
+
+
 def test_csv_space_file_is_usage_error(tmp_path, capsys):
     # JSON is the only space format; a distance-matrix CSV no longer parses.
     path = tmp_path / "space.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -75,6 +76,44 @@ class TestValidate:
     def test_nan_mass_is_not_a_measure(self):
         with pytest.raises(ValueError, match="non-finite number nan"):
             space_from([[0, 1], [1, 0]], mass=[math.nan, 1.0])
+
+    @staticmethod
+    def arrays(n):
+        """A metric's arrays with -0.0 in dist and mass and negative coords."""
+        dist, mass = 1.0 - np.eye(n), np.ones(n)
+        dist[0, 0], mass[-1] = -0.0, -0.0
+        return {"dist": dist, "coords": -np.arange(2.0 * n).reshape(n, 2), "mass": mass}
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), field=st.sampled_from(["dist", "mass"]), data=st.data())
+    def test_negative_distance_or_mass_is_refused(self, n, field, data):
+        # However small or large, one negative entry of dist or mass is
+        # refused where the space is built, and the error names it; -0.0 in
+        # either, and negative coords, are not.
+        space_from(**self.arrays(n))
+        arrays = self.arrays(n)
+        value = data.draw(st.sampled_from([-5e-324, -1.7976931348623157e308])
+                          | st.floats(max_value=-5e-324, allow_infinity=False))
+        arrays[field].flat[data.draw(st.integers(0, arrays[field].size - 1))] = value
+        with pytest.raises(ValueError, match=rf"^negative number {re.escape(repr(value))} "
+                                             rf"in {field}: .*finite and nonnegative"):
+            space_from(**arrays)
+
+    @pytest.mark.parametrize("value", [-5e-324, -0.5, -1.7976931348623157e308])
+    @pytest.mark.parametrize("field", ["dist", "mass"])
+    def test_file_with_a_negative_distance_or_mass_is_refused(self, tmp_path, field, value):
+        # The reader builds the space, so it refuses the file with the same error.
+        arrays = self.arrays(3)
+        arrays[field][1] = value  # a row of dist, or one mass
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"points": ["0", "1", "2"],
+                                    **{k: a.tolist() for k, a in arrays.items()}}))
+        with pytest.raises(ValueError) as built:
+            space_from(**arrays)
+        with pytest.raises(ValueError) as loaded:
+            mf.load_space(path)
+        assert str(loaded.value) == str(built.value)
+        assert str(built.value).startswith(f"negative number {value!r} in {field}:")
 
 
 class TestBall:
@@ -175,16 +214,18 @@ class TestSerialization:
     @given(data=st.data())
     def test_saved_file_is_the_stdlib_layout_and_loads_bit_for_bit(self, data):
         # Labels with quotes, escapes, newlines and non-ASCII; any finite
-        # float, -0.0 included; each optional field present or not.
+        # float in coords and any nonnegative one in dist and mass, -0.0
+        # included; each optional field present or not.
         labels = data.draw(st.lists(st.text('a"\\\né∞\x00😀', max_size=3), unique=True,
                                     max_size=5))
         n = len(labels)
-        floats = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
-        def array(shape):
-            return data.draw(hnp.arrays(np.float64, shape, elements=floats))
+        nonnegative = st.floats(0.0, allow_infinity=False) | st.just(-0.0)
+        def array(shape, elements=nonnegative):
+            return data.draw(hnp.arrays(np.float64, shape, elements=elements))
         k = data.draw(st.none() | st.integers(0, 3))
+        signed = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
         m = mf.FiniteMetricSpace(
-            labels, array((n, n)), coords=None if k is None else array((n, k)),
+            labels, array((n, n)), coords=None if k is None else array((n, k), signed),
             mass=array((n,)) if data.draw(st.booleans()) else None,
             boundary=data.draw(st.none() | st.sets(st.integers(0, max(n - 1, 0)),
                                                    max_size=n)))
@@ -240,10 +281,12 @@ class TestSerialization:
         [0.0, -0.0],
     ], ids=["longest-reprs", "least-subnormal", "signed-zeros"])
     def test_saved_bytes_of_extreme_floats(self, tmp_path, values):
-        # Both values in one row of dist and coords, and in mass.
+        # Both values in one row of coords; their magnitudes (-0.0 is not
+        # negative) in one row of dist, and in mass.
+        coords = [values, values[::-1], [1.0, values[0]]]
+        values = [-v if v < 0 else v for v in values]
         m = space_from([[values[0], values[1], 1.0], [1.0, values[1], values[0]],
-                        [values[1], values[0], 0.0]],
-                       coords=[values, values[::-1], [1.0, values[0]]], mass=values + [2.0])
+                        [values[1], values[0], 0.0]], coords=coords, mass=values + [2.0])
         path = tmp_path / "x.json"
         mf.save_space(m, path)
         assert path.read_bytes() == mf.to_json(m).encode() == space_json(m).encode()
@@ -287,21 +330,24 @@ class TestSerialization:
         # plus whitespace around it, read through the default buffer or one
         # of 1-7 characters, so that every token crosses a buffer edge.  A
         # key the reader does not know may hold a bare number, which a buffer
-        # edge could cut short.
+        # edge could cut short.  dist and mass hold nonnegative numbers
+        # (and -0.0), coords and the skipped key any number.
         n = data.draw(st.integers(0, 5))
         number = (st.floats(allow_nan=False, allow_infinity=False)
                   | st.integers(-2**60, 2**60) | st.just(-0.0))
-        def rows(k):
-            return data.draw(st.lists(st.lists(number, min_size=k, max_size=k),
+        nonnegative = (st.floats(0.0, allow_infinity=False)
+                       | st.integers(0, 2**60) | st.just(-0.0))
+        def rows(k, elements=nonnegative):
+            return data.draw(st.lists(st.lists(elements, min_size=k, max_size=k),
                                       min_size=n, max_size=n))
         record = {"points": data.draw(st.lists(st.text('a"\\\né∞\x00😀', max_size=3),
                                                unique=True, min_size=n, max_size=n)),
                   "dist": rows(n)}
         k = data.draw(st.none() | st.integers(0, 3))
         if k is not None:
-            record["coords"] = rows(k)
+            record["coords"] = rows(k, number)
         if data.draw(st.booleans()):
-            record["mass"] = data.draw(st.lists(number, min_size=n, max_size=n))
+            record["mass"] = data.draw(st.lists(nonnegative, min_size=n, max_size=n))
         if n and data.draw(st.booleans()):
             record["boundary"] = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
         if data.draw(st.booleans()):  # a key the reader skips, as json.loads read it
@@ -514,17 +560,18 @@ def test_point_cloud_spaces_validate(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 7), data=st.data())
 def test_violation_counts_and_witnesses_match_naive_lister(n, data):
-    # Small integer entries (many ties, zeros, negatives) and an occasional
+    # Small integer entries (many ties and zeros) and an occasional
     # asymmetric or fractional entry make every axiom fail somewhere.  A
-    # space holds finite numbers only, so none other is drawn.
-    cells = st.one_of(st.integers(-1, 4).map(float), st.floats(-1.0, 4.0))
+    # space holds finite nonnegative numbers only, so none other is drawn;
+    # its masses raise no violation.
+    cells = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
     dist = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
-    mass = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    mass = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     report = mf.validate_metric(space_from(dist, mass=mass))
-    expect = metric_violations(dist, mass=mass)
+    expect = metric_violations(dist)
     assert report.total == len(expect)
     kept = []
-    for axiom in ("diagonal", "symmetry", "positivity", "triangle", "mass"):
+    for axiom in ("diagonal", "symmetry", "positivity", "triangle"):
         kept += [v for v in expect if v[0] == axiom][:25]
     got = [(v.axiom, v.witness, v.excess) for v in report.violations]
     assert repr(got) == repr(kept)  # repr: exact floats
