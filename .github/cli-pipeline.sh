@@ -23,10 +23,11 @@
 # delta, a delta above the diameter, a Q whose powers of the radii overflow,
 # a zero gauge, a --lambda-max whose grid would overflow, a negative seed (to
 # generate, and to a quasicircle check of two points), and a file with a
-# negative distance (to double, warp, the llc and metric checks, and as a
-# distortion check's --dst) or a negative mass (to a regularity check) must
-# exit 2.  Run on two trees into two directories, `diff -r` compares their
-# outputs.
+# negative distance, an asymmetric pair or a nonzero diagonal entry (to
+# double, warp, the llc and metric checks, and as a distortion check's
+# --dst) or a negative mass (to a regularity check) must exit 2; a file with
+# two distinct points at distance 0 still warps.  Run on two trees into two
+# directories, `diff -r` compares their outputs.
 set -eo pipefail
 [ $# -eq 1 ] || { echo "usage: $0 <out-dir>" >&2; exit 2; }
 mkdir -p "$1"
@@ -184,7 +185,9 @@ usage_error "zero gauge" check "$d/disk.json" --suite distortion --dst "$d/warpe
 usage_error "lambda-max of 1.7e308" check "$d/circle.json" --suite llc --lambda-max 1.7e308
 cli generate --kind disk --n 2 --seed 1 -o "$d/two.json"
 usage_error "two-point quasicircle, negative seed" check "$d/two.json" --suite quasicircle --seed -1
-# A negative distance or mass is refused as the file is read.
+# A negative distance or mass, an asymmetric pair (d(3, 7) scaled by 1.5
+# one way) and a nonzero diagonal entry are refused as the file is read;
+# two distinct points at distance 0 (point 7 moved onto point 3) are not.
 cli generate --kind disk --n 60 --seed 0 --mark-boundary -o "$d/disk0.json"
 python - "$d" <<'EOF'
 import json, sys
@@ -195,10 +198,25 @@ json.dump(doc, open(f"{d}/negpair.json", "w"))
 doc = json.load(open(f"{d}/grid.json"))
 doc["mass"][5] = -0.5
 json.dump(doc, open(f"{d}/negmass.json", "w"))
+doc = json.load(open(f"{d}/disk0.json"))
+doc["dist"][3][7] *= 1.5
+json.dump(doc, open(f"{d}/asympair.json", "w"))
+doc = json.load(open(f"{d}/disk0.json"))
+doc["dist"][5][5] = 0.25
+json.dump(doc, open(f"{d}/diagonal.json", "w"))
+doc = json.load(open(f"{d}/disk0.json"))
+dist = doc["dist"]
+for k in range(len(dist)):
+    dist[7][k] = dist[k][7] = dist[3][k]
+dist[7][7] = dist[3][7] = dist[7][3] = 0.0
+json.dump(doc, open(f"{d}/coincident.json", "w"))
 EOF
-usage_error "negative distance, double" double "$d/negpair.json" -o "$d/negpair-doubled.json"
-usage_error "negative distance, warp" warp "$d/negpair.json" --basepoint p0 -o "$d/negpair-warped.json"
-usage_error "negative distance, llc" check "$d/negpair.json" --suite llc
-usage_error "negative distance, metric" check "$d/negpair.json" --suite metric
-usage_error "negative distance, --dst" check "$d/disk.json" --suite distortion --dst "$d/negpair.json" -o "$d/negpair.distortion-qm.json"
+for f in negpair asympair diagonal; do
+  usage_error "$f, double" double "$d/$f.json" -o "$d/$f-doubled.json"
+  usage_error "$f, warp" warp "$d/$f.json" --basepoint p0 -o "$d/$f-warped.json"
+  usage_error "$f, llc" check "$d/$f.json" --suite llc
+  usage_error "$f, metric" check "$d/$f.json" --suite metric
+  usage_error "$f, --dst" check "$d/disk.json" --suite distortion --dst "$d/$f.json" -o "$d/$f.distortion-qm.json"
+done
 usage_error "negative mass, regularity" check "$d/negmass.json" --suite regularity --q 2
+cli warp "$d/coincident.json" --basepoint p0 -o "$d/coincident-warped.json"

@@ -119,8 +119,9 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     ball: on gridded samples, open balls drop entire rings of points lying
     at exactly-representable distances, inflating the count by a
     discretization artifact rather than by geometry.  Each step takes the
-    ball covering the most uncovered points (the lowest index on ties), and
-    points no ball covers count once each.  Gains are exact popcounts.
+    ball covering the most uncovered points (the lowest index on ties): an
+    uncovered point of B(a, r) covers itself (``D[x, x]`` is 0), so every
+    step covers at least one.  Gains are exact popcounts.
     With no radius to evaluate, the diameter is the one radius.  The
     options are checked on every space, one point included.
     """
@@ -142,10 +143,8 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
                 for w, word in enumerate(words):  # (centers x n) temporaries, one word at a time
                     gain += np.bitwise_count(word & now[:, w, None])
                 gain[~inside[live]] = -1  # argmax takes the lowest index on ties
-                top, gained = np.argmax(gain, axis=1), gain.max(axis=1) > 0
-                # With no gain left, each uncovered point counts once.
-                count[live] += np.where(gained, 1, np.bitwise_count(now).sum(1, dtype=np.intp))
-                left[live] = np.where(gained[:, None], now & ~balls[top], 0)
+                count[live] += 1
+                left[live] = now & ~balls[np.argmax(gain, axis=1)]
             best = max(best, int(count.max()))
     return int(best)
 
@@ -318,7 +317,7 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     D = m.dist
     adj = np.empty((m.n, -(-m.n // 64)), dtype=np.uint64)  # _pack's words, a band at a time
     for band in (slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, m.n, _ROW_BLOCK)):
-        adj[band] = _pack((D[band] <= delta) | (D[:, band].T <= delta))  # either direction joins
+        adj[band] = _pack(D[band] <= delta)
     cs = _pick_centers(m, centers, n_centers, seed)
     whole = _pack(np.ones((1, m.n), dtype=bool))
     joined = radii and (m.n == 0 or np.array_equal(_reach(adj, whole, [0]), whole))

@@ -26,7 +26,8 @@ import numpy as np
 # entry, so 1e-9 is generous without masking real defects.
 METRIC_TOL = 1e-9
 
-_SIGNS = "distances and masses must be finite and nonnegative, coordinates finite"
+_SIGNS = ("distances and masses must be finite and nonnegative, distances symmetric with a "
+          "zero diagonal, coordinates finite")
 
 
 def _non_finite(token: str):
@@ -94,9 +95,7 @@ class FiniteMetricSpace:
         Distinct, order-significant point labels (strings for anything that
         will be serialized).
     dist : (n, n) array of float
-        Pairwise distances, symmetric with zero diagonal.  Construction
-        checks finiteness and signs; symmetry, the diagonal, positivity and
-        the triangle inequality are left to :func:`validate_metric`.
+        Pairwise distances, symmetric with zero diagonal.
     coords : (n, k) array, optional
         Ambient coordinates for generated Euclidean/spherical samples.
     mass : (n,) array, optional
@@ -107,8 +106,13 @@ class FiniteMetricSpace:
 
     Construction is where structure is checked: duplicate labels, array
     shapes that do not match the point count, a NaN or infinite number, a
-    negative one in ``dist`` or ``mass`` (-0.0 is not), and boundary indices
-    outside ``[0, n)`` raise ``ValueError``, so no malformed space exists.
+    negative one in ``dist`` or ``mass``, a ``dist`` that is not symmetric
+    or has a diagonal entry other than 0 (by value, so -0.0 is 0.0 and not
+    negative), and boundary indices outside ``[0, n)`` raise ``ValueError``,
+    so no malformed space exists; positivity and the triangle inequality
+    are :func:`validate_metric`'s.  A float64 array is made read-only, not
+    copied, so that a built space stays checked: a caller who wants to keep
+    writing to the array passes a copy.
     """
 
     points: tuple
@@ -133,8 +137,17 @@ class FiniteMetricSpace:
                     raise ValueError(f"negative number {float(lo)!r} in {name}: {_SIGNS}")
                 a.setflags(write=False)
                 object.__setattr__(self, name, a)
-        if self.dist.shape != (n, n):
-            raise ValueError(f"distance matrix shape {self.dist.shape} does not match {n} points")
+        d = self.dist
+        if d.shape != (n, n):
+            raise ValueError(f"distance matrix shape {d.shape} does not match {n} points")
+        # The diagonal, then the pairs, a band of rows against its mirror at a time: no n x n copy.
+        for i in np.flatnonzero(np.diagonal(d))[:1]:
+            raise ValueError(f"nonzero diagonal dist[{i}, {i}] = {float(d[i, i])!r}: {_SIGNS}")
+        for r0 in range(0, n, _ROW_BLOCK):  # a pair (j, i) below the band fails in row j first
+            band, mirror = d[r0:r0 + _ROW_BLOCK, r0:], d[r0:, r0:r0 + _ROW_BLOCK].T
+            for i, j in np.argwhere(band != mirror)[:1] + r0:
+                raise ValueError(f"symmetry fails: dist[{i}, {j}] = {float(d[i, j])!r} but "
+                                 f"dist[{j}, {i}] = {float(d[j, i])!r}: {_SIGNS}")
         if self.coords is not None and (self.coords.ndim != 2 or len(self.coords) != n):
             raise ValueError(f"coords shape {self.coords.shape} is not {n} rows of coordinates")
         if self.mass is not None and self.mass.shape != (n,):
@@ -204,32 +217,31 @@ def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.fmin(out, a[:, m, None] + b[m], out=out)
 
 
-def _through_bands(d: np.ndarray, symmetric: bool):
-    """Yields ``(r0, c0, band)``: rows ``r0:r0 + _ROW_BLOCK``, columns ``c0:``
-    of ``min(d, d ⊗ d)``, each band computed over the last in one buffer.
+def _through_bands(d: np.ndarray):
+    """Yields ``(r0, band)``: rows ``r0:r0 + _ROW_BLOCK``, columns ``r0:`` of
+    ``min(d, d ⊗ d)``, each band computed over the last in one buffer.
 
     Entry (i, k) is the min of ``d[i, k]`` and of ``d[i, m] + d[m, k]`` over
-    all m.  When ``d`` equals its transpose (``symmetric``),
-    ``d[i, m] + d[m, k]`` and ``d[k, m] + d[m, i]`` are the same float
-    (addition commutes), so only the columns ``k >= r0`` are computed
-    (``c0 = r0``): the entries below the band mirror those right of it.
+    all m.  As ``d`` equals its transpose, ``d[i, m] + d[m, k]`` and
+    ``d[k, m] + d[m, i]`` are the same float (addition commutes), so only the
+    columns ``k >= r0`` are computed: the entries below the band mirror
+    those right of it.
     """
     n = len(d)
     buffer = np.empty(min(n, _ROW_BLOCK) * n)
     for r0 in range(0, n, _ROW_BLOCK):
-        c0 = r0 if symmetric else 0
-        part = d[r0:r0 + _ROW_BLOCK, c0:]
+        part = d[r0:r0 + _ROW_BLOCK, r0:]
         band = buffer[:part.size].reshape(part.shape)
         np.copyto(band, part)
-        _min_plus_into(band, d[r0:r0 + _ROW_BLOCK], d[:, c0:])
-        yield r0, c0, band
+        _min_plus_into(band, d[r0:r0 + _ROW_BLOCK], d[:, r0:])
+        yield r0, band
 
 
 def _through(d: np.ndarray) -> np.ndarray:
     """``min(d, d ⊗ d)`` of a symmetric ``d`` as a new array, each band
     mirrored below the diagonal."""
     out = np.empty_like(d)
-    for r0, _, band in _through_bands(d, True):
+    for r0, band in _through_bands(d):
         out[r0:r0 + _ROW_BLOCK, r0:] = band
         out[r0:, r0:r0 + _ROW_BLOCK] = band.T
     return out
@@ -310,9 +322,12 @@ def _closure(w: np.ndarray) -> np.ndarray:
 
     ``w`` is consumed: it is made symmetric in place, ``min(w, wᵀ)``, and
     -0.0 becomes 0.0, so that ``np.fmin`` has no sign of zero to keep or
-    drop.  Then ``_through(w)`` runs, ``_relax_stale`` on the entries it
-    lowered, and always the mirror ``min(d, dᵀ)`` (only after the sweeps:
-    round 1's output is symmetric already).  Entry (i, k) is the least
+    drop.  A space is symmetric, but its weights need not be: ``warp``'s rho
+    of a pair is ``(d·h_i)·h_j`` one way and ``(d·h_j)·h_i`` the other, which
+    round apart, and ``random_metric`` draws extra edges in the upper
+    triangle only.  Then ``_through(w)`` runs, ``_relax_stale`` on the
+    entries it lowered, and always the mirror ``min(d, dᵀ)`` (only after the
+    sweeps: round 1's output is symmetric already).  Entry (i, k) is the least
     left-associated chain sum from i to k, bit for bit: a round-1
     sum ``w[i, m] + w[m, k]`` is the same float from either end (addition
     commutes), an entry round 1 left alone is already relaxed through, and
@@ -332,22 +347,22 @@ def _closure(w: np.ndarray) -> np.ndarray:
 
 
 def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
-    """Check the metric axioms and boundary marking of a space.
+    """Check positivity, the triangle inequality and boundary marking of a space.
 
-    The space is well formed by construction (see
-    :class:`FiniteMetricSpace`), finite and nonnegative numbers included, so
-    only the other axioms are checked here.  Axiom failures are collected
-    into the report with witness tuples, capped per axiom.
+    The space is well formed by construction (see :class:`FiniteMetricSpace`),
+    symmetric with a zero diagonal and nonnegative, so only the other axioms
+    are checked here, with witness tuples capped per axiom.
 
     The triangle inequality ``d(i,k) <= d(i,m) + d(m,k) + METRIC_TOL`` is
     first tested for all triples at once, against the first min-plus round
     ``min(d, d ⊗ d)`` that ``warp`` also starts from (``_through``).
     Rounding is monotone, so some middle point m fails (i, k) exactly when
     ``d(i,k)`` exceeds the min over m of ``d(i,m) + d(m,k)``, plus
-    ``METRIC_TOL``.  On a symmetric ``d`` that round costs half a full one.  Only when this
-    test flags a pair does a scan per middle point count the failing
-    triples and list witnesses, and it looks only at the flagged pairs
-    (i, k): by the same monotone rounding they hold every failing triple.
+    ``METRIC_TOL``.  As ``d`` is symmetric, that round costs half a full
+    one.  Only when this test flags a pair does a scan per middle point
+    count the failing triples and list witnesses, and it looks only at the
+    flagged pairs (i, k): by the same monotone rounding they hold every
+    failing triple.
     """
     d = m.dist
     n = m.n
@@ -362,31 +377,18 @@ def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
         kept += (Violation(axiom, w, float(e))
                  for w, e in itertools.islice(witnesses, _WITNESS_CAP - len(kept)))
 
-    diag = np.abs(np.diagonal(d))
-    bad = np.flatnonzero(diag > METRIC_TOL)
-    push("diagonal", bad.size, (((int(i),), diag[i]) for i in bad))
-
-    # The upper triangle a band of rows at a time, in row-major order: no
-    # n x n temporary, and only the failing pairs' indices are kept.
-    asym, small = [np.empty((0, 2), np.intp)], [np.empty((0, 2), np.intp)]
-    symmetric = True  # exactly, decided in the same scan
-    for r0 in range(0, n, _ROW_BLOCK):
-        band, mirror = d[r0:r0 + _ROW_BLOCK, r0:], d[r0:, r0:r0 + _ROW_BLOCK].T
-        symmetric &= np.array_equal(band, mirror)
-        asym.append(np.argwhere(np.triu(np.abs(band - mirror) > METRIC_TOL, 1)) + r0)
-        small.append(np.argwhere(np.triu(band <= METRIC_TOL, 1)) + r0)
-    bad = np.concatenate(asym)
-    push("symmetry", len(bad), (((int(i), int(j)), abs(d[i, j] - d[j, i])) for i, j in bad))
+    # The upper triangle a band of rows at a time: no n x n temporary, and
+    # only the failing pairs' indices are kept.  The pair (k, i) below a
+    # band is flagged with (i, k), and the sort restores row-major order.
+    small, flags = [np.empty((0, 2), np.intp)], [np.empty((0, 2), np.intp)]
+    for r0, band in _through_bands(d):
+        part = d[r0:r0 + _ROW_BLOCK, r0:]
+        small.append(np.argwhere(np.triu(part <= METRIC_TOL, 1)) + r0)
+        band += METRIC_TOL
+        ik = np.argwhere(part > band) + r0
+        flags += [ik, ik[ik[:, 1] >= r0 + _ROW_BLOCK, ::-1]]
     bad = np.concatenate(small)
     push("positivity", len(bad), (((int(i), int(j)), METRIC_TOL - d[i, j]) for i, j in bad))
-
-    # Pairs flagged band by band; on a symmetric d the pair (k, i) below a
-    # band is flagged with (i, k), and the sort restores row-major order.
-    flags = [np.empty((0, 2), np.intp)]
-    for r0, c0, band in _through_bands(d, symmetric):
-        band += METRIC_TOL
-        ik = np.argwhere(d[r0:r0 + _ROW_BLOCK, c0:] > band) + (r0, c0)
-        flags += [ik, ik[ik[:, 1] >= r0 + _ROW_BLOCK, ::-1]] if symmetric else [ik]
     flags = np.concatenate(flags)
     rows, cols = flags[np.lexsort(flags.T[::-1])].T
     if rows.size:

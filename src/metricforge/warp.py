@@ -40,9 +40,7 @@ def point_scales(m: FiniteMetricSpace, p: int) -> np.ndarray:
 
 def rho_matrix(m: FiniteMetricSpace, p: int) -> np.ndarray:
     h = point_scales(m, p)
-    r = m.dist * h[:, None] * h[None, :]
-    np.fill_diagonal(r, 0.0)
-    return r
+    return m.dist * h[:, None] * h[None, :]
 
 
 def rho(m: FiniteMetricSpace, p: int, x: int, y: int) -> float:

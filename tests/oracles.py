@@ -316,6 +316,15 @@ def llc_by_components(dist, delta, grid, centers, radii):
     return lam1, lam2, f1, f2, e1, e2, s1 + s2
 
 
+def mirrored(dist):
+    """``dist``'s upper triangle mirrored below a zero diagonal, signed zeros
+    kept: a matrix that a space takes."""
+    d = np.asarray(dist, dtype=np.float64)
+    d = np.where(np.tri(len(d), dtype=bool), d.T, d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def space_json(m):
     """``json.dumps`` of a space's record, sorted keys, indent 1."""
     doc = {"points": list(m.points),

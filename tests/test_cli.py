@@ -652,6 +652,55 @@ def test_negative_distance_or_mass_is_usage_error(tmp_path, capsys, entry, comma
     assert sorted(tmp_path.iterdir()) == [bad, good]
 
 
+def asymmetric_pair(d):
+    """Scales d(3, 7) by 1.5 one way only; returns the witness the error names."""
+    d[3][7] *= 1.5
+    return f"symmetry fails: dist[3, 7] = {d[3][7]!r} but dist[7, 3] = {d[7][3]!r}"
+
+
+def nonzero_diagonal(d):
+    d[5][5] = 0.25
+    return "nonzero diagonal dist[5, 5] = 0.25"
+
+
+BROKEN = {"symmetry": asymmetric_pair, "diagonal": nonzero_diagonal}
+
+
+@pytest.mark.parametrize("axiom", sorted(BROKEN))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_asymmetric_or_nonzero_diagonal_is_usage_error(tmp_path, capsys, axiom, command):
+    # Such a file was read by every command: double and warp wrote a space
+    # (warp took the smaller side of the pair), and a distortion check passed.
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    mf.save_space(mf.sphere_cap_complement(n=30, eps=0.5, seed=1), good)
+    doc = json.loads(good.read_text())
+    witness = BROKEN[axiom](doc["dist"])
+    bad.write_text(json.dumps(doc))
+    argv = [a.format(good=good, bad=bad) for a in READERS[command]]
+    assert main(argv + ["-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot parse space file {bad}: "
+                                       f"{witness}: {space._SIGNS}\n")
+    assert sorted(tmp_path.iterdir()) == [bad, good]
+
+
+def test_coincident_pair_loads(tmp_path):
+    # Two distinct points at distance 0 make a symmetric matrix with a zero
+    # diagonal: warp reads it, and the metric check reports positivity.
+    path = tmp_path / "coincident.json"
+    doc = json.loads(mf.to_json(mf.sphere_cap_complement(n=30, eps=0.5, seed=1)))
+    d = doc["dist"]
+    for k in range(len(d)):  # point 7 sits at point 3
+        d[7][k] = d[k][7] = d[3][k]
+    d[7][7] = d[3][7] = d[7][3] = 0.0
+    path.write_text(json.dumps(doc))
+    assert main(["warp", str(path), "--basepoint", doc["points"][0],
+                 "-o", str(tmp_path / "warped.json")]) == 0
+    assert main(["check", str(path), "--suite", "metric", "-o", str(tmp_path / "m.json")]) == 1
+    report = json.loads((tmp_path / "m.json").read_text())
+    assert report["violations"][0]["axiom"] == "positivity"
+    assert report["violations"][0]["witness"] == [3, 7]
+
+
 def test_csv_space_file_is_usage_error(tmp_path, capsys):
     # JSON is the only space format; a distance-matrix CSV no longer parses.
     path = tmp_path / "space.csv"

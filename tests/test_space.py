@@ -13,8 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 import metricforge as mf
 from metricforge import space
-from oracles import (metric_violations, metric_violations_by_middle_point, sample_scale_whole,
-                     space_json, space_record, traced, triangle_ok)
+from oracles import (metric_violations, metric_violations_by_middle_point, mirrored,
+                     sample_scale_whole, space_json, space_record, traced, triangle_ok)
 
 
 def space_from(dist, **kw):
@@ -39,13 +39,82 @@ class TestValidate:
         report = mf.validate_metric(m)
         assert any(v.axiom == "positivity" for v in report.violations)
 
-    def test_asymmetry_flagged(self):
-        m = space_from([[0, 1], [1.1, 0]])
-        assert mf.validate_metric(m).by_axiom("symmetry")
+    def test_asymmetry_is_refused(self):
+        with pytest.raises(ValueError, match=r"^symmetry fails: dist\[0, 1\] = 1\.0 but "
+                                             r"dist\[1, 0\] = 1\.1: .*zero diagonal"):
+            space_from([[0, 1], [1.1, 0]])
 
-    def test_nonzero_diagonal_flagged(self):
-        m = space_from([[0.5, 1], [1, 0]])
-        assert mf.validate_metric(m).by_axiom("diagonal")
+    def test_nonzero_diagonal_is_refused(self):
+        with pytest.raises(ValueError, match=r"^nonzero diagonal dist\[0, 0\] = 0\.5: "
+                                             r".*zero diagonal"):
+            space_from([[0.5, 1], [1, 0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 5, 64, 65, 130]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_only_a_symmetric_zero_diagonal_builds(self, n, seed, data):
+        # A symmetric matrix with a zero diagonal, some pairs -0.0 one way
+        # and 0.0 the other and some diagonal entries -0.0 (equal by value),
+        # builds, and its file reads back bit for bit.  With one or two
+        # entries changed, a diagonal entry or one side of a pair, the
+        # constructor and the reader refuse it, naming the first failure:
+        # the diagonal first, then the pairs i < j in row-major order, a
+        # band of 64 rows at a time for n above 64.
+        rng = np.random.default_rng(seed)
+        d = mirrored(rng.choice([0.5, 1.0, 1 / 3, 1e300], size=(n, n)))
+        zeros = np.triu(rng.random((n, n)) < 0.2, 1)
+        d[zeros], d.T[zeros] = -0.0, 0.0
+        np.fill_diagonal(d, rng.choice([0.0, -0.0], size=n))
+        labels = [str(i) for i in range(n)]
+        back = mf.from_json(mf.to_json(mf.FiniteMetricSpace(labels, d.copy())))
+        assert back.dist.tobytes() == d.tobytes()
+        index = st.integers(0, n - 1) | st.sampled_from([n // 2, n - 1])  # later bands too
+        for _ in range(data.draw(st.integers(1, 2))):
+            i = data.draw(index)
+            if n == 1 or data.draw(st.booleans()):
+                d[i, i] = data.draw(st.floats(5e-324, 1e300))
+            else:
+                j = data.draw(index.filter(lambda j: j != i))
+                d[i, j] = data.draw(st.floats(0.0, 1e300).filter(lambda v: v != d[j, i]))
+        diagonal = [i for i in range(n) if d[i, i] != 0]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if d[i, j] != d[j, i]]
+        if diagonal:
+            i = diagonal[0]
+            want = f"nonzero diagonal dist[{i}, {i}] = {float(d[i, i])!r}"
+        elif pairs:
+            i, j = pairs[0]
+            want = (f"symmetry fails: dist[{i}, {j}] = {float(d[i, j])!r} but "
+                    f"dist[{j}, {i}] = {float(d[j, i])!r}")
+        else:  # the second change undid the first
+            mf.FiniteMetricSpace(labels, d)
+            return
+        text = json.dumps({"points": labels, "dist": d.tolist()})
+        for build in (lambda: mf.FiniteMetricSpace(labels, d), lambda: mf.from_json(text)):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == f"{want}: {space._SIGNS}"
+
+    def test_the_check_holds_band_sized_arrays(self):
+        # Symmetry is checked a band of 64 rows against its mirror at a time
+        # (0.024 of the matrix at n = 1000, labels included): d != d.T whole
+        # took 0.13 of it, and d - d.T would take all of it.
+        d = mirrored(np.random.default_rng(0).random((1000, 1000)))
+        labels = [str(i) for i in range(1000)]
+        mf.FiniteMetricSpace(labels, d)  # numpy's first-call allocations stay out of the peak
+        _, peak = traced(mf.FiniteMetricSpace, labels, d)
+        assert peak < d.nbytes / 16
+
+    def test_the_constructor_locks_the_array_it_is_given(self):
+        # A float64 array is not copied but made read-only, so that a built
+        # space stays checked; a caller who keeps writing passes a copy.
+        d = 1.0 - np.eye(2)
+        m = mf.FiniteMetricSpace(("a", "b"), d)
+        assert m.dist is d
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 1] = 2.0
+        copy = d.copy()
+        copy[0, 1] = 2.0
+        assert m.dist[0, 1] == 1.0
 
     def test_dimension_mismatch_is_structural(self):
         with pytest.raises(ValueError):
@@ -215,7 +284,8 @@ class TestSerialization:
     def test_saved_file_is_the_stdlib_layout_and_loads_bit_for_bit(self, data):
         # Labels with quotes, escapes, newlines and non-ASCII; any finite
         # float in coords and any nonnegative one in dist and mass, -0.0
-        # included; each optional field present or not.
+        # included; each optional field present or not.  dist is the drawn
+        # upper triangle, mirrored below a zero diagonal.
         labels = data.draw(st.lists(st.text('a"\\\né∞\x00😀', max_size=3), unique=True,
                                     max_size=5))
         n = len(labels)
@@ -225,7 +295,7 @@ class TestSerialization:
         k = data.draw(st.none() | st.integers(0, 3))
         signed = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
         m = mf.FiniteMetricSpace(
-            labels, array((n, n)), coords=None if k is None else array((n, k), signed),
+            labels, mirrored(array((n, n))), coords=None if k is None else array((n, k), signed),
             mass=array((n,)) if data.draw(st.booleans()) else None,
             boundary=data.draw(st.none() | st.sets(st.integers(0, max(n - 1, 0)),
                                                    max_size=n)))
@@ -282,11 +352,11 @@ class TestSerialization:
     ], ids=["longest-reprs", "least-subnormal", "signed-zeros"])
     def test_saved_bytes_of_extreme_floats(self, tmp_path, values):
         # Both values in one row of coords; their magnitudes (-0.0 is not
-        # negative) in one row of dist, and in mass.
+        # negative) in one row of dist, mirrored, and in mass.
         coords = [values, values[::-1], [1.0, values[0]]]
         values = [-v if v < 0 else v for v in values]
-        m = space_from([[values[0], values[1], 1.0], [1.0, values[1], values[0]],
-                        [values[1], values[0], 0.0]], coords=coords, mass=values + [2.0])
+        m = space_from([[0.0, values[0], values[1]], [values[0], 0.0, 1.0],
+                        [values[1], 1.0, 0.0]], coords=coords, mass=values + [2.0])
         path = tmp_path / "x.json"
         mf.save_space(m, path)
         assert path.read_bytes() == mf.to_json(m).encode() == space_json(m).encode()
@@ -295,12 +365,13 @@ class TestSerialization:
     @pytest.mark.parametrize("n", [15, 16, 17, 33, 63, 64, 65, 129])
     def test_saved_bytes_across_row_bands(self, tmp_path, n):
         # Rows are ranked into the text table a band of 16 at a time: n =
-        # 15, 16 and 17 end inside, at and just past the first band.  The
-        # -0.0 entries make the matrix asymmetric, and -0.0 and 0.0 are two
-        # floats.
+        # 15, 16 and 17 end inside, at and just past the first band.  Some
+        # pairs are -0.0 one way and 0.0 the other: equal by value, but two
+        # floats to the writer.
         rng = np.random.default_rng(n)
         d = mf.random_metric(n, seed=n).dist.copy()
-        d[rng.random((n, n)) < 0.05] = -0.0
+        zeros = np.triu(rng.random((n, n)) < 0.05, 1)
+        d[zeros], d.T[zeros] = -0.0, 0.0
         coords = rng.normal(size=(n, 3))
         coords[::7, 1] = -0.0
         m = space_from(d, coords=coords, mass=rng.random(n), boundary=range(0, n, 5))
@@ -331,7 +402,8 @@ class TestSerialization:
         # of 1-7 characters, so that every token crosses a buffer edge.  A
         # key the reader does not know may hold a bare number, which a buffer
         # edge could cut short.  dist and mass hold nonnegative numbers
-        # (and -0.0), coords and the skipped key any number.
+        # (and -0.0), dist's upper triangle mirrored below a diagonal of
+        # zeros, coords and the skipped key any number.
         n = data.draw(st.integers(0, 5))
         number = (st.floats(allow_nan=False, allow_infinity=False)
                   | st.integers(-2**60, 2**60) | st.just(-0.0))
@@ -340,9 +412,11 @@ class TestSerialization:
         def rows(k, elements=nonnegative):
             return data.draw(st.lists(st.lists(elements, min_size=k, max_size=k),
                                       min_size=n, max_size=n))
+        dist, zero = rows(n), st.sampled_from([0, 0.0, -0.0])
         record = {"points": data.draw(st.lists(st.text('a"\\\né∞\x00😀', max_size=3),
                                                unique=True, min_size=n, max_size=n)),
-                  "dist": rows(n)}
+                  "dist": [[dist[min(i, j)][max(i, j)] if i != j else data.draw(zero)
+                            for j in range(n)] for i in range(n)]}
         k = data.draw(st.none() | st.integers(0, 3))
         if k is not None:
             record["coords"] = rows(k, number)
@@ -414,16 +488,16 @@ class TestSampleScale:
         return np.float64(x).tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
-    @pytest.mark.parametrize("kind", ["euclidean", "duplicates", "asymmetric"])
+    @pytest.mark.parametrize("kind", ["euclidean", "duplicates", "signed-zeros"])
     def test_bands_match_the_whole_matrix(self, n, kind):
         # The nearest neighbours are found a band of 64 rows at a time; the
         # max of their distances is the same float as through one copy of
         # the whole matrix, signed zeros included.
         rng = np.random.default_rng(n)
-        if kind == "asymmetric":
-            d = rng.random((n, n))
-            d[rng.random((n, n)) < 0.2] = -0.0
-            np.fill_diagonal(d, 0.0)
+        if kind == "signed-zeros":  # pairs -0.0 one way and 0.0 the other
+            d = mirrored(rng.random((n, n)))
+            zeros = np.triu(rng.random((n, n)) < 0.2, 1)
+            d[zeros], d.T[zeros] = -0.0, 0.0
         else:  # duplicates: points on a 3 x 3 grid, so many pairs are 0 apart
             xy = rng.integers(0, 3, size=(n, 2)) if kind == "duplicates" else rng.random((n, 2))
             d = np.hypot(*(xy[:, None] - xy[None]).transpose(2, 0, 1))
@@ -435,7 +509,7 @@ class TestSampleScale:
     def test_holds_bands_not_the_matrix(self):
         # A copy of the whole matrix with an infinite diagonal took the
         # matrix again; a band of 64 rows is 8% of it at n = 800.
-        m = space_from(np.random.default_rng(0).random((800, 800)))
+        m = space_from(mirrored(np.random.default_rng(0).random((800, 800))))
         mf.sample_scale(m)
         scale, peak = traced(mf.sample_scale, m)
         assert self.bits(scale) == self.bits(sample_scale_whole(m.dist))
@@ -561,17 +635,19 @@ def test_point_cloud_spaces_validate(seed, n):
 @given(n=st.integers(1, 7), data=st.data())
 def test_violation_counts_and_witnesses_match_naive_lister(n, data):
     # Small integer entries (many ties and zeros) and an occasional
-    # asymmetric or fractional entry make every axiom fail somewhere.  A
-    # space holds finite nonnegative numbers only, so none other is drawn;
-    # its masses raise no violation.
+    # fractional entry make both axioms fail somewhere.  A space is
+    # symmetric with a zero diagonal and holds finite nonnegative numbers
+    # only, so the upper triangle is drawn and mirrored; its masses raise
+    # no violation.
     cells = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
-    dist = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n)
+    dist = mirrored(np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n)))
+                    .reshape(n, n))
     mass = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     report = mf.validate_metric(space_from(dist, mass=mass))
     expect = metric_violations(dist)
     assert report.total == len(expect)
     kept = []
-    for axiom in ("diagonal", "symmetry", "positivity", "triangle"):
+    for axiom in ("positivity", "triangle"):
         kept += [v for v in expect if v[0] == axiom][:25]
     got = [(v.axiom, v.witness, v.excess) for v in report.violations]
     assert repr(got) == repr(kept)  # repr: exact floats
@@ -592,10 +668,10 @@ def test_triangle_pass_across_row_bands(plant, n, seed, data):
     # a wrong restriction would miss it.  A NaN anywhere is refused when the
     # space is built, so no band sees one.
     d = plane_metric(n, seed)
-    if plant == "lower-last-band":  # asymmetric: only d[i, k] grows, k < i
+    if plant == "lower-last-band":  # d[i, k], k < i, flagged through its mirror d[k, i]
         i = data.draw(st.integers(64 * ((n - 1) // 64), n - 1))
         k = data.draw(st.integers(0, i - 1))
-        d[i, k] += 3.0
+        d[i, k] = d[k, i] = d[i, k] + 3.0
     elif plant == "pair-middle-band":
         assume(n > 128)
         i = data.draw(st.integers(64, 127))
@@ -627,9 +703,8 @@ def test_triangle_scan_of_flagged_pairs_matches_naive_lister(n, data):
     for _ in range(data.draw(st.integers(1, 4))):
         i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         assume(i != k)
-        d[i, k] = data.draw(st.sampled_from([2 + 1e-9, 2 + 2e-9, 2 + 5e-9, 2.5, 3.0, 5.0]))
-        if data.draw(st.booleans()):
-            d[k, i] = d[i, k]
+        d[i, k] = d[k, i] = data.draw(st.sampled_from([2 + 1e-9, 2 + 2e-9, 2 + 5e-9, 2.5, 3.0,
+                                                       5.0]))
     report = mf.validate_metric(space_from(d))
     expect = [v for v in metric_violations(d) if v[0] == "triangle"]
     got = [(v.axiom, v.witness, v.excess) for v in report.by_axiom("triangle")]

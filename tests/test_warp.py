@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import metricforge as mf
 from metricforge.space import _closure, _mirror_min, _relax_stale, _through
-from oracles import brute_chain_min, chain_closure, traced
+from oracles import brute_chain_min, chain_closure, mirrored, traced
 
 
 def warped_corpus(count, max_n, start_seed=0):
@@ -158,8 +158,7 @@ def test_kernel_matches_brute_chain_min_with_ties_and_zeros(n, p, data):
     # Integer distances in 0..3 give many equal chain sums and zero-weight
     # edges between distinct points; the input need not be a metric.
     cells = data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
-    dist = np.array(cells, dtype=float).reshape(n, n)
-    np.fill_diagonal(dist, 0.0)
+    dist = mirrored(np.array(cells, dtype=float).reshape(n, n))
     m = mf.FiniteMetricSpace(tuple(str(i) for i in range(n)), dist)
     w = mf.warp(m, p % n)
     rho = mf.rho_matrix(m, p % n)
@@ -179,8 +178,7 @@ def test_kernel_matches_chain_closure_across_row_bands(n, seed, p, kind):
     # later sweeps.  Integer distances in 0..3 give ties and zero edges;
     # random_metric gives chains that shorten about half the pairs.
     if kind == "ties":
-        dist = np.random.default_rng(seed).integers(0, 4, size=(n, n)).astype(float)
-        np.fill_diagonal(dist, 0.0)
+        dist = mirrored(np.random.default_rng(seed).integers(0, 4, size=(n, n)))
         m = mf.FiniteMetricSpace(tuple(str(i) for i in range(n)), dist)
     else:
         m = mf.random_metric(n, seed=seed)
@@ -226,8 +224,7 @@ def test_warp_commutes_with_relabelling(n, seed, p, kind):
     # between the two labellings.
     rng = np.random.default_rng(seed)
     if kind == "ties":
-        dist = rng.integers(0, 4, size=(n, n)).astype(float)
-        np.fill_diagonal(dist, 0.0)
+        dist = mirrored(rng.integers(0, 4, size=(n, n)))
     else:
         dist = mf.random_metric(n, seed=seed).dist
     perm = rng.permutation(n)
@@ -263,8 +260,8 @@ class TestWarpMemory:
         assert peak < 2.7 * 8 * self.n ** 2
 
     def test_validate_holds_no_matrix(self, space):
-        # The triangle pass and the symmetry check go a band of rows at a
-        # time; the full min(d, d ⊗ d) or d - d.T was one more matrix.
+        # The triangle pass and the positivity scan go a band of rows at a
+        # time; the full min(d, d ⊗ d) was one more matrix.
         warped = mf.warp(space, 0).warped
         report, peak = traced(mf.validate_metric, warped)
         assert report.ok and peak < 1.5 * 8 * self.n ** 2
