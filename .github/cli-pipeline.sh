@@ -8,11 +8,13 @@
 # (written beside the passing screen of the same circle, not over it) and
 # one of a 3-point disk, whose default delta reaches its diameter.  Some legs
 # reach code no other leg runs: a metric check of a space with one pair
-# stretched must exit 1 with its triangle failures listed; an llc check of
-# the circle with 20 points cut out fails its join-outside leg at the top of
-# the λ grid, and its quasicircle screen must exit 1; a regularity check
-# with --eps measures balls by the premeasure; and the grid, disk-grid and
-# halfplane generators run.
+# stretched must exit 1 with its triangle failures listed, as must one of a
+# dense 150-point non-metric, whose bands flag more pairs than the triangle
+# scan takes at once and whose witnesses hold a pair and its mirror; an llc
+# check of the circle with 20 points cut out fails its join-outside leg at
+# the top of the λ grid, and its quasicircle screen must exit 1; a
+# regularity check with --eps measures balls by the premeasure; and the
+# grid, disk-grid and halfplane generators run.
 #
 #   .github/cli-pipeline.sh <out-dir>
 #
@@ -115,6 +117,24 @@ import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["total_violations"] == 36, report
 assert report["violations"][0]["witness"] == [0, 2, 1], report
+EOF
+# A dense non-metric, distances drawn from U(0.01, 2): most triples fail,
+# and witness 15 is the mirror (2, 0, 1) of witness 0, with its excess.
+PYTHONPATH=src python - "$d/dense.json" <<'EOF'
+import sys
+import numpy as np, metricforge as mf
+d = np.triu(np.random.default_rng(16).uniform(0.01, 2, (150, 150)), 1)
+mf.save_space(mf.FiniteMetricSpace([f"q{i}" for i in range(150)], d + d.T), sys.argv[1])
+EOF
+exits 1 "dense non-metric" check "$d/dense.json" --suite metric
+python - "$d/dense.metric.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["total_violations"] == 537708, report["total_violations"]
+kept = [(v["witness"], v["excess"]) for v in report["violations"]]
+assert kept[:3] == [([1, 0, 2], 0.14809143203691888), ([1, 0, 8], 0.6252903273625353),
+                    ([1, 0, 17], 0.27210886875983076)], kept[:3]
+assert kept[15] == ([2, 0, 1], 0.14809143203691888), kept[15]
 EOF
 cli generate --kind sphere-cap --eps 0.5 --n 220 -o "$d/cap.json"
 cli double "$d/cap.json" -o "$d/doubled.json"

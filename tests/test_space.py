@@ -104,6 +104,23 @@ class TestValidate:
         _, peak = traced(mf.FiniteMetricSpace, labels, d)
         assert peak < d.nbytes / 16
 
+    def test_a_non_metric_is_validated_in_band_sized_arrays(self):
+        # Every pair flagged: the triangle scan holds a chunk of pairs'
+        # sums and the first 25 witnesses, not the flagged pairs of the
+        # whole matrix (0.73 of it at n = 600, where gathering both
+        # orientations of every pair took 7.85).  Every pair at distance 0
+        # fails positivity: 0.43 at n = 1000, where the pairs took 2.06.
+        warm = mirrored(np.random.default_rng(1).uniform(0.01, 2, (70, 70)))
+        mf.validate_metric(space_from(warm))  # numpy's first-call allocations stay out
+        d = mirrored(np.random.default_rng(0).uniform(0.01, 2, (600, 600)))
+        report, peak = traced(mf.validate_metric, space_from(d))
+        assert report.total > 0 and len(report.violations) == 25
+        assert peak < d.nbytes
+        d = np.zeros((1000, 1000))
+        report, peak = traced(mf.validate_metric, space_from(d))
+        assert report.total == 1000 * 999 // 2 and len(report.violations) == 25
+        assert peak < d.nbytes
+
     def test_the_constructor_locks_the_array_it_is_given(self):
         # A float64 array is not copied but made read-only, so that a built
         # space stays checked; a caller who keeps writing passes a copy.
@@ -661,14 +678,19 @@ def plane_metric(n, seed):
 
 @settings(max_examples=12, deadline=None)
 @given(n=st.integers(65, 200), seed=st.integers(0, 10**6), data=st.data())
-@pytest.mark.parametrize("plant", ["lower-last-band", "pair-middle-band", "nan"])
+@pytest.mark.parametrize("plant", ["lower-last-band", "pair-middle-band", "dense", "nan"])
 def test_triangle_pass_across_row_bands(plant, n, seed, data):
     # The triangle pass tests rows in bands of 64, and only the columns
     # k >= i of a symmetric matrix; each plant sits where a wrong band or
-    # a wrong restriction would miss it.  A NaN anywhere is refused when the
-    # space is built, so no band sees one.
+    # a wrong restriction would miss it.  A dense non-metric flags more
+    # pairs in a band than one chunk of the scan takes, and more than 25
+    # witnesses share the lowest middle point, where the order of a pair
+    # (i, j, k) and its mirror (k, j, i) decides which are kept.  A NaN
+    # anywhere is refused when the space is built, so no band sees one.
     d = plane_metric(n, seed)
-    if plant == "lower-last-band":  # d[i, k], k < i, flagged through its mirror d[k, i]
+    if plant == "dense":
+        d = mirrored(np.random.default_rng(seed).uniform(0.01, 2, (n, n)))
+    elif plant == "lower-last-band":  # d[i, k], k < i, flagged through its mirror d[k, i]
         i = data.draw(st.integers(64 * ((n - 1) // 64), n - 1))
         k = data.draw(st.integers(0, i - 1))
         d[i, k] = d[k, i] = d[i, k] + 3.0
