@@ -101,6 +101,14 @@ def _unpack(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
 
 
+def _balls(D: np.ndarray, radius: float) -> np.ndarray:
+    """``_pack(D <= radius)``, row i the closed ball at i, a band of rows at a time."""
+    words = np.empty((len(D), -(-len(D) // 64)), dtype=np.uint64)
+    for band in (slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, len(D), _ROW_BLOCK)):
+        words[band] = _pack(D[band] <= radius)
+    return words
+
+
 def _batch(rows: np.ndarray) -> int:
     """Rows per batch against n packed ``rows``, so that (batch, n, words) holds n x n words."""
     return max(1, len(rows) // max(1, rows.shape[1]))
@@ -121,7 +129,9 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     discretization artifact rather than by geometry.  Each step takes the
     ball covering the most uncovered points (the lowest index on ties): an
     uncovered point of B(a, r) covers itself (``D[x, x]`` is 0), so every
-    step covers at least one.  Gains are exact popcounts.
+    step covers at least one.  Gains are exact popcounts, counted in int32
+    (a gain is at most n).  Each radius's balls are packed into words a band
+    of rows at a time, with no n x n boolean.
     With no radius to evaluate, the diameter is the one radius.  The
     options are checked on every space, one point included.
     """
@@ -132,14 +142,14 @@ def doubling_constant(m: FiniteMetricSpace, radii=None, centers=None,
     D = m.dist
     best = 1
     for r in radii:
-        balls = _pack(D <= r / 2.0)  # row i: the closed ball at i
+        balls = _balls(D, r / 2.0)
         words = np.ascontiguousarray(balls.T)  # word w of every ball, in one row
         step = _batch(balls)
         for lo in range(0, len(cs), step):  # the centers of a batch run together
             inside = D[cs[lo:lo + step]] < r
             left, count = _pack(inside), np.zeros(len(inside), dtype=np.intp)
             while (live := np.flatnonzero(left.any(axis=1))).size:
-                now, gain = left[live], np.zeros((live.size, len(D)), dtype=np.intp)
+                now, gain = left[live], np.zeros((live.size, len(D)), dtype=np.int32)
                 for w, word in enumerate(words):  # (centers x n) temporaries, one word at a time
                     gain += np.bitwise_count(word & now[:, w, None])
                 gain[~inside[live]] = -1  # argmax takes the lowest index on ties
@@ -315,9 +325,7 @@ def llc_constants(m: FiniteMetricSpace, delta: float | None = None,
     delta, radii = _scales(m, delta, radii, n_radii)
     grid = _grid(lambda_max)
     D = m.dist
-    adj = np.empty((m.n, -(-m.n // 64)), dtype=np.uint64)  # _pack's words, a band at a time
-    for band in (slice(r0, r0 + _ROW_BLOCK) for r0 in range(0, m.n, _ROW_BLOCK)):
-        adj[band] = _pack(D[band] <= delta)
+    adj = _balls(D, delta)
     cs = _pick_centers(m, centers, n_centers, seed)
     whole = _pack(np.ones((1, m.n), dtype=bool))
     joined = radii and (m.n == 0 or np.array_equal(_reach(adj, whole, [0]), whole))

@@ -11,6 +11,7 @@ failure, 2 usage or structural error, 3 a check that evaluated nothing
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -46,6 +47,17 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     return obj
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError while writing ``path`` (a directory there, or a file where a
+    directory must be) as a ValueError, which main exits 2 on."""
+    try:
+        yield
+    except OSError as exc:
+        where = f" ({exc.filename})" if exc.filename and str(exc.filename) != str(path) else ""
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}{where}") from None
 
 
 def _write(out: Path, body, command: str, params: dict, t0: float) -> None:
@@ -165,10 +177,11 @@ def _suite_quasicircle(m, **opts):
 
 
 def _export_envelope_csv(prof, path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = zip(list(prof.bin_edges) + ["overflow"], prof.envelope, prof.counts)
     lines = ["bin_upper,envelope,count", *(f"{u},{e},{c}" for u, e, c in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 _SUITES = {
@@ -271,7 +284,8 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         try:
             out, body, code, line = args.func(args, params)
-            _write(out, body, args.command, params, t0)
+            with _writing(out):
+                _write(out, body, args.command, params, t0)
         except MemoryError:  # a space too large for this machine
             raise ValueError(f"{args.command} ran out of memory") from None
     except ValueError as exc:  # usage errors and input the library refused

@@ -95,6 +95,39 @@ def test_outputs_go_into_new_directories(tmp_path):
         assert json.loads(manifest.read_text())["outputs"] == [str(out)]
 
 
+class TestUnwritableOutput:
+    # An output that cannot be written is a usage error, exit 2 with a message
+    # naming it, not a traceback and exit 1 (a failed threshold).
+    @pytest.fixture()
+    def blocked(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        return tmp_path
+
+    def test_generate_into_a_directory(self, blocked, capsys):
+        out = blocked / "dir"
+        assert main(["generate", "--kind", "disk", "--n", "5", "-o", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_check_into_a_directory(self, blocked, capsys):
+        src, out = blocked / "ok.json", blocked / "dir"
+        mf.save_space(mf.disk_sample(20, seed=0), src)
+        assert main(["check", str(src), "--suite", "metric", "-o", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_csv_under_a_file(self, blocked, capsys):
+        src, dst = blocked / "m.json", blocked / "w.json"
+        mf.save_space(mf.random_metric(24, seed=3), src)
+        assert main(["warp", str(src), "--basepoint", "p0", "-o", str(dst)]) == 0
+        csv_out, out = blocked / "file" / "x.csv", blocked / "qm.json"
+        assert main(["check", str(src), "--suite", "distortion", "--dst", str(dst),
+                     "-o", str(out), "--csv", str(csv_out)]) == 2
+        assert f"error: cannot write {csv_out}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestWarpCommand:
     def test_warp_writes_expected_distance(self, tmp_path, three_point_file):
         out = tmp_path / "warped.json"

@@ -348,12 +348,12 @@ class TestSerialization:
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_writer_streams_rows(self, tmp_path):
-        # save_space holds a sorted copy of the bits while it finds the
-        # distinct floats, then their fixed-width text and a band of 16 rows
-        # of ranks and text: no more than 1.5 times the matrix (a band of 64
-        # rows took 1.8 times, and an int32 rank per entry and a str per
-        # distinct float 3.1 times).  to_json holds the whole text too, so
-        # its peak is the higher.
+        # save_space holds a sorted copy of the upper triangle's bits while
+        # it finds the distinct floats, then their fixed-width text and a
+        # band of 8 rows of ranks and text: no more than 1.5 times the matrix
+        # (a band of 64 rows took 1.8 times, and an int32 rank per entry and
+        # a str per distinct float 3.1 times).  to_json holds the whole text
+        # too, so its peak is the higher.
         m = mf.double(mf.sphere_cap_complement(n=220, eps=0.5, seed=0)).doubled
         path = tmp_path / "d.json"
         mf.save_space(m, path)  # numpy's first-call allocations stay out of the peaks
@@ -362,6 +362,16 @@ class TestSerialization:
         assert saved <= 1.5 * m.dist.nbytes
         assert saved < joined
 
+    def test_writer_sorts_half_the_bits(self, tmp_path):
+        # On the 961-point doubled cap the peak is the distinct floats' table
+        # and, before it, the sort: of the upper triangle it holds 1.20
+        # matrices, where a sort of every entry held 1.37.
+        m = mf.double(mf.sphere_cap_complement(n=500, eps=0.5, seed=0)).doubled
+        path = tmp_path / "d.json"
+        mf.save_space(m, path)  # numpy's first-call allocations stay out of the peak
+        _, saved = traced(mf.save_space, m, path)
+        assert saved < 1.3 * m.dist.nbytes
+
     @pytest.mark.parametrize("values", [
         [-2.2250738585072014e-308, -1.7976931348623157e+308],  # reprs of 24 characters
         [5e-324, -5e-324],
@@ -369,26 +379,37 @@ class TestSerialization:
     ], ids=["longest-reprs", "least-subnormal", "signed-zeros"])
     def test_saved_bytes_of_extreme_floats(self, tmp_path, values):
         # Both values in one row of coords; their magnitudes (-0.0 is not
-        # negative) in one row of dist, mirrored, and in mass.
+        # negative) in one row of dist, mirrored, and in mass.  Then that dist
+        # with its zeros signed one way on and above the diagonal and the
+        # other way below it: the writer sorts the upper triangle only, so a
+        # zero whose sign occurs only below the diagonal must be found too.
         coords = [values, values[::-1], [1.0, values[0]]]
         values = [-v if v < 0 else v for v in values]
-        m = space_from([[0.0, values[0], values[1]], [values[0], 0.0, 1.0],
-                        [values[1], 1.0, 0.0]], coords=coords, mass=values + [2.0])
+        dist = np.array([[0.0, values[0], values[1]], [values[0], 0.0, 1.0],
+                         [values[1], 1.0, 0.0]])
+        m = space_from(dist, coords=coords, mass=values + [2.0])
         path = tmp_path / "x.json"
         mf.save_space(m, path)
         assert path.read_bytes() == mf.to_json(m).encode() == space_json(m).encode()
         assert all(repr(v).encode() in path.read_bytes() for v in values)
+        for sign in (0.0, -0.0):
+            flipped = np.where(dist == 0, sign, dist)
+            flipped[np.tril(dist == 0, -1)] = -sign
+            m = space_from(flipped, coords=coords, mass=values + [2.0])
+            mf.save_space(m, path)
+            assert path.read_bytes() == space_json(m).encode()
 
-    @pytest.mark.parametrize("n", [15, 16, 17, 33, 63, 64, 65, 129])
-    def test_saved_bytes_across_row_bands(self, tmp_path, n):
-        # Rows are ranked into the text table a band of 16 at a time: n =
-        # 15, 16 and 17 end inside, at and just past the first band.  Some
-        # pairs are -0.0 one way and 0.0 the other: equal by value, but two
-        # floats to the writer.
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 33, 63, 64, 65, 129])
+    @pytest.mark.parametrize("negative", ["above", "below"])
+    def test_saved_bytes_across_row_bands(self, tmp_path, n, negative):
+        # Rows are ranked into the text table a band of 8 at a time: n = 7,
+        # 8 and 9 end inside, at and just past the first band.  Some pairs
+        # are -0.0 one way and 0.0 the other: equal by value, but two floats
+        # to the writer, which sorts only the upper triangle.
         rng = np.random.default_rng(n)
         d = mf.random_metric(n, seed=n).dist.copy()
         zeros = np.triu(rng.random((n, n)) < 0.05, 1)
-        d[zeros], d.T[zeros] = -0.0, 0.0
+        d[zeros], d.T[zeros] = (-0.0, 0.0) if negative == "above" else (0.0, -0.0)
         coords = rng.normal(size=(n, 3))
         coords[::7, 1] = -0.0
         m = space_from(d, coords=coords, mass=rng.random(n), boundary=range(0, n, 5))
