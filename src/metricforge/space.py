@@ -205,7 +205,13 @@ _TILE = 16  # rows and columns per tile of warp's stale sweeps
 
 _MIDS = 64  # middle points per candidate array of a tile: 128 KiB of sums
 
-_PAIRS = 4 * _MIDS  # (middle, column tile) pairs per chunk of the sweeps' row test: 32 KiB of sums
+_PAIRS = 4 * _MIDS  # (middle, column tile) pairs per chunk of the sweeps' tests: 32 KiB of sums
+
+_SCREEN_TOP = 2.0 ** 100  # distances at or above it take float64: float32 sums could overflow
+
+_PROBE = 16  # rows of the float32 screen's probe, spread evenly over the matrix
+
+_UNSURE = 16  # a probe or band with more than 1/_UNSURE of its pairs flagged takes float64
 
 
 def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -218,7 +224,62 @@ def _min_plus_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.fmin(out, a[:, m, None] + b[m], out=out)
 
 
-def _through_bands(d: np.ndarray):
+def _unsure(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where the float32 product ``s`` cannot certify that no middle lowers ``d``."""
+    return s < d * (1 + 2.0 ** -22) + 2.0 ** -149
+
+
+def _screen(d: np.ndarray):
+    """For each band of :func:`_through_bands`, the pairs that a float32
+    screen cannot certify, as flat indices into the band, or None for a
+    band left to float64.
+
+    ``a`` is ``d`` rounded to float32 and stepped one float down, so
+    ``a <= d`` (the nearest float32 is at most one step above), with an
+    ``inf`` diagonal: a middle m equal to i or k sums to ``d[i, k]`` and
+    lowers nothing.  ``s`` is the pure product ``a ⊗ a``.  If some middle
+    m lowers (i, k) in float64, then ``d[i, m] + d[m, k] < d[i, k]`` before
+    rounding too (rounding is monotone and ``d[i, k]`` is a float), so
+    ``s[i, k]``, at most that sum rounded to float32, is below
+    ``d[i, k]·(1 + 2^-24)``: float32 rounds a sum by 2^-24 relative at
+    most, and a subnormal sum not at all.  The test
+    ``s < d·(1 + 2^-22) + 2^-149`` keeps that bound through float64's
+    rounding (2^-53) of its right side; the least float32 subnormal,
+    2^-149, is slack on top.  So a pair it passes keeps ``d[i, k]`` bit for
+    bit.  The screen is not taken, and ``a`` not built, when ``d`` holds
+    ``inf`` (a missing edge) or a distance at or above ``_SCREEN_TOP``, as
+    float32 sums of such could overflow.  A probe of about ``_PROBE`` rows
+    spread evenly over ``d``, taken against every column, leaves the whole
+    product to float64 when it flags more than ``1/_UNSURE`` of its pairs:
+    there an exact scan of the flagged pairs costs about as much as the
+    product.  A band that flags more is left to float64 too, which bounds
+    the flags held to half a byte per pair.  ``a``, half a matrix, is freed
+    when this returns.
+    """
+    n, f64 = len(d), itertools.repeat(None)
+    if not d.max(initial=0.0) < _SCREEN_TOP:  # inf, and NaN, fail too
+        return f64
+    a = d.astype(np.float32)
+    np.nextafter(a, -np.inf, out=a)
+    np.fill_diagonal(a, np.inf)
+    rows = np.arange(0, n, max(1, n // _PROBE))
+    probe, left = np.full((len(rows), n), np.inf, np.float32), a[rows]
+    for m in range(0, n, _TILE):  # _TILE middles at a time: for so few rows, one is call overhead
+        np.minimum(probe, (left[:, m:m + _TILE, None] + a[m:m + _TILE]).min(axis=1), out=probe)
+    if np.count_nonzero(_unsure(probe, d[rows])) * _UNSURE > probe.size:
+        return f64
+    flags, buffer = [], np.empty(min(n, _ROW_BLOCK) * n, np.float32)
+    for r0 in range(0, n, _ROW_BLOCK):
+        part = d[r0:r0 + _ROW_BLOCK, r0:]
+        band = buffer[:part.size].reshape(part.shape)
+        band.fill(np.inf)
+        _min_plus_into(band, a[r0:r0 + _ROW_BLOCK], a[:, r0:])
+        f = np.flatnonzero(_unsure(band, part))
+        flags.append(f if len(f) * _UNSURE <= band.size else None)
+    return flags
+
+
+def _through_bands(d: np.ndarray, flags):
     """Yields ``(r0, band)``: rows ``r0:r0 + _ROW_BLOCK``, columns ``r0:`` of
     ``min(d, d ⊗ d)``, each band computed over the last in one buffer.
 
@@ -226,23 +287,38 @@ def _through_bands(d: np.ndarray):
     all m.  As ``d`` equals its transpose, ``d[i, m] + d[m, k]`` and
     ``d[k, m] + d[m, i]`` are the same float (addition commutes), so only the
     columns ``k >= r0`` are computed: the entries below the band mirror
-    those right of it.
+    those right of it.  ``flags`` is :func:`_screen`'s: a band with flags
+    keeps ``d[i, k]`` off them, and on them takes the least of ``d[i, k]``
+    and of the row sum ``d[i] + d[k]``; a band without takes the float64
+    product, one middle at a time.  Either gives the same floats, but not
+    always the same zero where ``-0.0`` and ``0.0`` tie: numpy's ``fmin``
+    keeps either, by its loop.  ``_closure`` clears ``-0.0`` first, and
+    ``validate_metric`` only compares.
     """
     n = len(d)
     buffer = np.empty(min(n, _ROW_BLOCK) * n)
-    for r0 in range(0, n, _ROW_BLOCK):
+    for r0, flagged in zip(range(0, n, _ROW_BLOCK), flags):
         part = d[r0:r0 + _ROW_BLOCK, r0:]
         band = buffer[:part.size].reshape(part.shape)
         np.copyto(band, part)
-        _min_plus_into(band, d[r0:r0 + _ROW_BLOCK], d[:, r0:])
+        if flagged is None:
+            _min_plus_into(band, d[r0:r0 + _ROW_BLOCK], d[:, r0:])
+        else:
+            for s in range(0, len(flagged), _TILE):  # (_TILE, n) sums: below a float64 band's
+                i, k = np.divmod(flagged[s:s + _TILE], band.shape[1])
+                sums = d[i + r0]
+                sums += d[k + r0]
+                band[i, k] = np.minimum(band[i, k], sums.min(axis=1))
         yield r0, band
 
 
 def _through(d: np.ndarray) -> np.ndarray:
     """``min(d, d ⊗ d)`` of a symmetric ``d`` as a new array, each band
-    mirrored below the diagonal."""
+    mirrored below the diagonal.  The screen runs, and frees its float32
+    copy, before the output is made."""
+    bands = _through_bands(d, _screen(d))
     out = np.empty_like(d)
-    for r0, band in _through_bands(d):
+    for r0, band in bands:
         out[r0:r0 + _ROW_BLOCK, r0:] = band
         out[r0:, r0:r0 + _ROW_BLOCK] = band.T
     return out
@@ -283,10 +359,12 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> None:
     kept when ``ds[i, m] + b[K, m] < e[i, K]`` for some row i of I, in two
     steps: for all m and K at once, the min of ``ds[I, m]`` plus
     ``b[K, m]`` against the max of ``e[I, K]``, and then row by row on the
-    pairs that pass, ``_PAIRS`` of them at a time.  The kept pairs are
-    walked by column tile; a tile with none is skipped.  ``b`` is a
-    sixteenth of ``d``, and a tile sums its candidates ``_MIDS`` middles at
-    a time.
+    pairs that pass, ``_PAIRS`` of them at a time.  Then, by the same
+    argument column by column, a pair is kept only when the min of
+    ``ds[I, m]`` plus ``w[m, k]`` is below the max of ``d[I, k]`` at the
+    start of the sweep for some column k of K.  The kept pairs are walked
+    by column tile; a tile with none is skipped.  ``b`` is a sixteenth of
+    ``d``, and a tile sums its candidates ``_MIDS`` middles at a time.
     """
     n, starts = len(d), np.arange(0, len(d), _TILE)
     np.fill_diagonal(w, np.inf)
@@ -298,12 +376,19 @@ def _relax_stale(d: np.ndarray, w: np.ndarray) -> None:
         while stale.any():
             ds = np.where(stale, d[rows], np.inf)
             stale[:] = False
+            top, low = d[rows].max(axis=0), ds.min(axis=0)
             e = np.maximum.reduceat(d[rows], starts, axis=1)
-            pairs = np.flatnonzero(ds.min(axis=0) + b < e.max(axis=0)[:, None])  # K * n + m
+            pairs = np.flatnonzero(low + b < e.max(axis=0)[:, None])  # K * n + m
             keep = np.empty(len(pairs), dtype=bool)  # row by row, a chunk at a time
             for s in range(0, len(pairs), _PAIRS):
                 c, m = np.divmod(pairs[s:s + _PAIRS], n)
                 (ds[:, m] + b[c, m] < e[:, c]).any(axis=0, out=keep[s:s + _PAIRS])
+            pairs = pairs[keep]
+            keep = np.empty(len(pairs), dtype=bool)  # then column by column
+            for s in range(0, len(pairs), _PAIRS):
+                c, m = np.divmod(pairs[s:s + _PAIRS], n)
+                k = np.minimum(starts[c, None] + np.arange(_TILE), n - 1)
+                (low[m, None] + w[m[:, None], k] < top[k]).any(axis=1, out=keep[s:s + _PAIRS])
             pairs = pairs[keep]
             edges = np.searchsorted(pairs, np.arange(len(starts) + 1) * n)
             for c in np.flatnonzero(np.diff(edges)):  # the column tiles with a pair left
@@ -358,6 +443,10 @@ def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
     first tested for all triples at once, against the first min-plus round
     ``min(d, d ⊗ d)`` that ``warp`` also starts from (``_through_bands``),
     on the upper triangle only, a band of ``_ROW_BLOCK`` rows at a time.
+    That round is exact, and on most metrics mostly float32: the screen
+    (:func:`_screen`) holds ``d`` in float32, half a matrix, while it runs,
+    and leaves to float64 a ``d`` with a distance at or above 2^100, or one
+    whose probe flags more than a sixteenth of its pairs.
     Rounding is monotone, so some middle point m fails (i, k) exactly when
     ``d(i,k)`` exceeds the min over m of ``d(i,m) + d(m,k)``, plus
     ``METRIC_TOL``.  Only the pairs i < k that this test flags are scanned,
@@ -371,7 +460,7 @@ def validate_metric(m: FiniteMetricSpace) -> ValidationReport:
     d, n = m.dist, m.n
     total, small = 0, np.empty((0, 2), np.intp)
     keys = np.empty(0, np.intp)  # (mid * n + i) * n + k of the first triangle failures
-    for r0, band in _through_bands(d):
+    for r0, band in _through_bands(d, _screen(d)):
         part = d[r0:r0 + _ROW_BLOCK, r0:]
         ij = np.argwhere(np.triu(part <= METRIC_TOL, 1)) + r0
         total += len(ij)

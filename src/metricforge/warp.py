@@ -18,8 +18,10 @@ rho are alike, so the closure's stale sweeps (``space._relax_stale``) can
 bound a tile's sums and skip it.  They skip a middle point for a tile of
 columns unless it may lower an entry of some row: its stale entry in that
 row plus its least weight into the tile must be below the row's largest
-entry in the tile.  Rounding is monotone, and only that tile writes those
-entries, so a skipped middle would have lowered nothing.
+entry in the tile, and its least stale entry in the row tile plus its
+weight to some column below that column's largest entry.  Rounding is
+monotone, and only that tile writes those entries, so a skipped middle
+would have lowered nothing.
 """
 
 from __future__ import annotations
@@ -80,7 +82,11 @@ def warp(m: FiniteMetricSpace, p: int) -> WarpedSpace:
     h = point_scales(m, p)
     order = np.argsort(m.dist[p], kind="stable")  # tiles then hold points at like scales
     grid = np.ix_(order, order)
-    dhat = _closure(rho_matrix(m, p)[grid])
+    w = m.dist[grid]  # rho_matrix(m, p)[grid], bit for bit, in one matrix
+    w *= h[order, None]
+    w *= h[order]
+    dhat = _closure(w)
+    del w  # consumed: freed before full is made
     full = np.zeros((m.n + 1, m.n + 1))
     full[grid] = dhat  # back to the input order
     full[:-1, -1] = full[-1, :-1] = h

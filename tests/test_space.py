@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -753,3 +754,90 @@ def test_triangle_scan_of_flagged_pairs_matches_naive_lister(n, data):
     got = [(v.axiom, v.witness, v.excess) for v in report.by_axiom("triangle")]
     assert report.total == len(metric_violations(d))
     assert repr(got) == repr(expect[:25])
+
+
+def screen_matrix(n, kind, seed, k):
+    """A bitwise-symmetric nonnegative matrix with a zero diagonal, scaled by
+    2^k: integer entries with ties, points on a line (tight triples) with
+    repeats (coincident points), grid or plane points; some zeros signed."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        d = rng.integers(0, 4, (n, n)).astype(float)
+    elif kind == "line":  # at a spacing float32 rounds, so that sums and d tie to a rounding
+        x = rng.integers(0, n + 1, n) * rng.uniform(0.1, 1.0)
+        d = abs(x[:, None] - x)
+    else:
+        xy = (np.stack(np.divmod(np.arange(n), max(1, math.isqrt(n))), axis=1) if kind == "grid"
+              else rng.uniform(size=(n, 2)))
+        d = np.hypot(*(xy[:, None] - xy).transpose(2, 0, 1))  # hypot(-x, -y) is hypot(x, y)
+    d = mirrored(np.where((d == 0) & (rng.random((n, n)) < 0.5), -0.0, d) * 2.0 ** k)
+    np.fill_diagonal(d, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    return d
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from([0, 1, 2, 3, 7, 17, 64, 65]), kind=st.sampled_from(["ties", "line", "grid",
+                                                                          "plane"]),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(-140, 140), forced=st.booleans())
+def test_the_float32_screen_gives_the_float64_bands_bit_for_bit(n, kind, seed, k, forced):
+    # The screen certifies the pairs that no middle lowers and leaves the
+    # rest to an exact scan, so round 1 and the triangle pass must give
+    # what every band in float64 gives: the same reports, and the same
+    # bits on d + 0.0, as _closure passes it (where -0.0 and 0.0 tie,
+    # numpy's fmin keeps either zero by its loop, so with signed zeros only
+    # the values are the same).  2^k crosses float32's subnormals, its
+    # overflow and the 2^100 guard.  Forced, no probe or band falls back to
+    # float64, so the flag test meets every input below the guard.
+    d = screen_matrix(n, kind, seed, k)
+    with mock.patch.object(space, "_screen", return_value=itertools.repeat(None)):
+        expect, expect_report = space._through(d + 0.0), mf.validate_metric(space_from(d))
+        signed = space._through(d)
+    with mock.patch.object(space, "_UNSURE", 1 if forced else space._UNSURE):
+        got, report = space._through(d + 0.0), mf.validate_metric(space_from(d))
+        assert np.array_equal(space._through(d), signed)
+    assert got.tobytes() == expect.tobytes()
+    assert report.total == expect_report.total
+    assert repr(report.violations) == repr(expect_report.violations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 17, 65]), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-140, 140), missing=st.sampled_from([0.0, 0.3]))
+def test_the_closure_is_the_same_with_and_without_the_screen(n, seed, k, missing):
+    # Weights of unlike scales, some missing (inf): an inf leaves the whole
+    # round to float64, as a float32 sum of it would say nothing.
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, (n, n)) * 10.0 ** rng.integers(-3, 4, n) * 2.0 ** k
+    w[rng.random((n, n)) < missing] = np.inf
+    np.fill_diagonal(w, 0.0)
+    with mock.patch.object(space, "_screen", return_value=itertools.repeat(None)):
+        expect = space._closure(w.copy())
+    with mock.patch.object(space, "_UNSURE", 1):
+        assert space._closure(w).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("case", ["warped disk", "doubled cap", "random_metric", "scaled by 2^110"])
+def test_each_path_of_the_screen_runs(case):
+    # Each band's min-plus product is recorded by the dtype of its output,
+    # and each flag test (the probe's, then each screened band's) is
+    # counted.  The warp of a disk and the check of its output take every
+    # band in float32 and none in float64; a doubled cap (44-46% of pairs
+    # flagged) fails its probe and takes float64; random_metric's weights
+    # hold inf and a space at 2^110 is above the guard, so neither probes.
+    run = {
+        "warped disk": lambda: mf.validate_metric(mf.warp(mf.disk_sample(300, seed=0), 0).warped),
+        "doubled cap": lambda: mf.validate_metric(
+            mf.double(mf.sphere_cap_complement(0.5, 220, seed=0)).doubled),
+        "random_metric": lambda: mf.random_metric(200, seed=0),
+        "scaled by 2^110": lambda: mf.validate_metric(
+            space_from(mf.disk_sample(200, seed=0).dist * 2.0 ** 110)),
+    }[case]
+    with (mock.patch.object(space, "_min_plus_into", wraps=space._min_plus_into) as product,
+          mock.patch.object(space, "_unsure", wraps=space._unsure) as tests):
+        run()
+    kinds = [call.args[0].dtype for call in product.call_args_list]
+    f32, f64 = kinds.count(np.float32), kinds.count(np.float64)
+    if case == "warped disk":
+        assert f64 == 0 and f32 > 2 and tests.call_count == f32 + 2
+    else:
+        assert f32 == 0 and f64 > 1 and tests.call_count == (case == "doubled cap")

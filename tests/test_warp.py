@@ -198,8 +198,11 @@ def test_closure_is_chain_closure_where_rows_prune_unlike_their_tile(n, seed, ki
     # bound of the whole tile keeps.  Such inputs: rho of a random metric
     # in its own order (warp sorts it by scale), and weights whose rows and
     # columns are scaled by unlike powers of 10, with or without missing
-    # (inf) edges.  n < 16 is a single tile; n % 16 in {1, 15} leaves a
-    # ragged last tile.
+    # (inf) edges.  Columns at unlike scales within a tile make the column
+    # test, a middle's least stale entry plus its weight to each column
+    # against that column's largest entry, prune pairs the row test keeps
+    # (12-26% of them on these inputs).  n < 16 is a single tile;
+    # n % 16 in {1, 15} leaves a ragged last tile.
     rng = np.random.default_rng(seed)
     if kind == "rho":
         w = mf.rho_matrix(mf.random_metric(n, seed=seed), int(rng.integers(n)))
@@ -258,6 +261,18 @@ class TestWarpMemory:
         w, peak = traced(mf.warp, space, 0)
         assert (w.warped.dist[:-1, :-1] < mf.rho_matrix(space, 0)).any()  # sweeps ran
         assert peak < 2.7 * 8 * self.n ** 2
+
+    def test_the_screen_is_freed_before_the_closure_is_made(self):
+        # A warped disk takes round 1 through the float32 screen: half a
+        # matrix, freed before the closure is made, so the warp holds 2.22
+        # matrices at n = 450, and the check of its output 0.88.  Made
+        # after the closure, the copy sits beside rho and the closure: 2.88.
+        mf.validate_metric(mf.warp(mf.disk_sample(40, seed=1), 0).warped)  # warm-up
+        m = mf.disk_sample(450, seed=0)
+        w, peak = traced(mf.warp, m, 0)
+        assert peak < 2.35 * 8 * 450 ** 2
+        report, peak = traced(mf.validate_metric, w.warped)
+        assert report.ok and peak < 8 * 450 ** 2
 
     def test_validate_holds_no_matrix(self, space):
         # The triangle pass and the positivity scan go a band of rows at a
